@@ -135,6 +135,9 @@ def _floor_psd(mat, floor=1e-10, name="covariance"):
     return mat
 
 
+PLDA_MAX_ITER = 100
+
+
 @dataclass
 class PldaModel:
     mu: np.ndarray  # (d,) global mean
@@ -161,13 +164,14 @@ class PldaModel:
         return self.mu.shape[0]
 
 
-def fit_plda(store: EmbeddingStore, max_iter: int = 100, tol: float = 1e-6,
+def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER, tol: float = 1e-6,
              modality: str = "voice") -> PldaModel:
     """EM for the two-covariance model on LDA-projected voice embeddings.
 
-    Stops when the marginal log-likelihood gain drops below tol. The
-    per-iteration log-likelihood sequence is recorded on the model and is
-    non-decreasing up to numerical slack.
+    Stops when the marginal log-likelihood gain drops below tol; stopping at
+    max_iter instead warns. The per-iteration log-likelihood sequence is
+    recorded on the model and is non-decreasing up to numerical slack; it has
+    max_iter entries exactly when EM stopped at the cap.
     """
     groups = _class_groups(store, modality=modality)
     if len(groups) < 2:
@@ -239,6 +243,9 @@ def fit_plda(store: EmbeddingStore, max_iter: int = 100, tol: float = 1e-6,
         mu = mu_new
         b = _floor_psd(b_new / len(data), name="between covariance")
         w = _floor_psd(w_new / n_total, name="within covariance")
+    else:
+        warnings.warn(f"PLDA EM stopped at max_iter={max_iter} before the "
+                      f"log-likelihood gain fell below tol={tol:g}")
 
     return PldaModel(mu=mu, B=b, W=w, loglik_history=logliks)
 

@@ -15,8 +15,9 @@ import sys
 
 from . import backend, fusion, metrics, pipeline, store, synth, training, vfnet
 from .checkpoint import CheckpointError
-from .config import (ConfigError, dcf_params_from_dict, parse_bool,
-                     parse_kv_file, train_config_from_dict)
+from .config import (DCF_KEYS, TRAIN_KEYS, ConfigError, dcf_params_from_dict,
+                     parse_bool, parse_kv_file, reject_unknown_keys,
+                     train_config_from_dict)
 
 
 class UsageError(Exception):
@@ -121,12 +122,9 @@ def build_parser():
 
 def _cmd_synth(args):
     kv = parse_kv_file(args.config) if args.config else {}
-    fields = {f.name: f for f in dataclasses.fields(synth.GenConfig)}
-    updates = {}
-    for key, value in kv.items():
-        if key not in fields:
-            raise ConfigError(f"unknown generator config key {key!r}")
-        updates[key] = type(getattr(synth.GenConfig(), key))(value)
+    reject_unknown_keys(args.config, kv, {f.name for f in dataclasses.fields(synth.GenConfig)})
+    updates = {key: type(getattr(synth.GenConfig(), key))(value)
+               for key, value in kv.items()}
     if args.seed is not None:
         updates["rng_seed"] = args.seed
     if args.sigma is not None:
@@ -160,6 +158,7 @@ def _cmd_synth(args):
 
 def _cmd_train_vfnet(args):
     kv = parse_kv_file(args.config) if args.config else {}
+    reject_unknown_keys(args.config, kv, TRAIN_KEYS)
     config = train_config_from_dict(kv)
     overrides = {}
     for flag, field in [("lr", "learning_rate"), ("batch_size", "batch_size"),
@@ -188,8 +187,9 @@ def _cmd_fit_backend(args):
     plda = backend.fit_plda(backend.project_store(lda, emb, not args.no_length_norm))
     backend.save_lda(lda, args.out_lda)
     backend.save_plda(plda, args.out_plda)
-    print(f"LDA output dimension {lda.output_dim}; "
-          f"PLDA converged after {len(plda.loglik_history)} EM iterations")
+    n_iter = len(plda.loglik_history)
+    status = "converged" if n_iter < backend.PLDA_MAX_ITER else "stopped without converging"
+    print(f"LDA output dimension {lda.output_dim}; PLDA {status} after {n_iter} EM iterations")
     return 0
 
 
@@ -247,7 +247,7 @@ def _cmd_eval(args):
         with open(args.det_points, "w", encoding="utf-8") as fh:
             fh.write("threshold\tp_miss\tp_fa\n")
             for t, pm, pf in metrics.roc_points(scores):
-                fh.write(f"{t}\t{repr(pm)}\t{repr(pf)}\n")
+                fh.write(f"{t}\t{pm}\t{pf}\n")
     return 0
 
 
@@ -269,6 +269,7 @@ def _pipeline_config_from_file(path):
         updates["negatives_per_positive"] = int(kv.pop("negatives_per_positive"))
     if "systems" in kv:
         updates["systems"] = tuple(s.strip() for s in kv.pop("systems").split(","))
+    reject_unknown_keys(path, kv, TRAIN_KEYS.keys() | DCF_KEYS.keys())
     updates["train"] = train_config_from_dict(kv)
     updates["dcf"] = dcf_params_from_dict(kv)
     return pipeline.PipelineConfig(**updates)

@@ -35,7 +35,7 @@ def parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
-_TRAIN_KEYS = {
+TRAIN_KEYS = {
     "lr": ("learning_rate", float),
     "batch_size": ("batch_size", int),
     "max_epochs": ("max_epochs", int),
@@ -46,19 +46,26 @@ _TRAIN_KEYS = {
     "output_dim": ("output_dim", int),
 }
 
-_DCF_KEYS = {
+DCF_KEYS = {
     "p_target": ("p_target", float),
     "c_miss": ("c_miss", float),
     "c_fa": ("c_fa", float),
 }
 
 
+def reject_unknown_keys(path, kv: dict, known) -> None:
+    """Raise ConfigError naming the file and every key of kv not in known."""
+    unknown = [key for key in kv if key not in known]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+
+
 def train_config_from_dict(kv: dict, base: TrainConfig | None = None) -> TrainConfig:
     config = base or TrainConfig()
     updates = {}
     for key, value in kv.items():
-        if key in _TRAIN_KEYS:
-            field, cast = _TRAIN_KEYS[key]
+        if key in TRAIN_KEYS:
+            field, cast = TRAIN_KEYS[key]
             updates[field] = cast(value)
     return replace(config, **updates)
 
@@ -67,7 +74,7 @@ def dcf_params_from_dict(kv: dict, base: DcfParams | None = None) -> DcfParams:
     params = base or DcfParams()
     updates = {}
     for key, value in kv.items():
-        if key in _DCF_KEYS:
-            field, cast = _DCF_KEYS[key]
+        if key in DCF_KEYS:
+            field, cast = DCF_KEYS[key]
             updates[field] = cast(value)
     return replace(params, **updates)

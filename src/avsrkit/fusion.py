@@ -2,9 +2,10 @@
 
 One model covers both jobs: calibrating a single system's scores to llrs and
 affinely fusing several systems. Training minimizes the prior-weighted binary
-cross-entropy of logistic(w . s + b + logit(prior)) against trial labels with
-a deterministic full-batch gradient descent and backtracking line search, so
-fitted weights are exactly reproducible.
+cross-entropy of logistic(w . s + b + logit(prior)) against trial labels, the
+calibration objective of Bruemmer & du Preez (2006). It is convex in the k + 1
+parameters, so a full-batch Newton solve with backtracking line search reaches
+the optimum in a few steps, and fitted weights are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .metrics import DcfParams
 from .store import ScoreEntry, ScoreSet
 
 WEIGHT_NORM_CAP = 1e3
+MAX_ITER = 100
+GRAD_TOL = 1e-8
 
 
 @dataclass
@@ -58,82 +61,73 @@ def _aligned_matrix(system_scores, require_labels):
     return mat, labels, ref
 
 
-def _objective_grad(theta, s_std, is_target, offset, l2):
-    """Prior-weighted logistic loss and gradient; theta = (weights..., bias)."""
-    w = theta[:-1]
-    b = theta[-1]
-    a = s_std @ w + b + offset["logit_prior"]
+def _objective(theta, x, is_target, prior):
+    """Prior-weighted logistic loss, gradient and Hessian at theta =
+    (weights..., bias); x holds one column per system plus a column of ones."""
+    a = x @ theta + math.log(prior / (1.0 - prior))
+    weight = np.where(is_target, prior / max(is_target.sum(), 1),
+                      (1.0 - prior) / max((~is_target).sum(), 1))
     # softplus(-a) on targets, softplus(a) on nontargets
-    loss_t = np.logaddexp(0.0, -a[is_target]).mean()
-    loss_n = np.logaddexp(0.0, a[~is_target]).mean()
-    prior = offset["prior"]
-    loss = prior * loss_t + (1.0 - prior) * loss_n + 0.5 * l2 * float(w @ w)
-
-    p = expit(a)
-    coef = np.where(is_target,
-                    -prior * (1.0 - p) / max(is_target.sum(), 1),
-                    (1.0 - prior) * p / max((~is_target).sum(), 1))
-    gw = s_std.T @ coef + l2 * w
-    gb = coef.sum()
-    return loss, np.concatenate([gw, [gb]])
+    loss = float(weight @ np.logaddexp(0.0, np.where(is_target, -a, a)))
+    p, q = expit(a), expit(-a)
+    grad = x.T @ (weight * np.where(is_target, -q, p))
+    hess = (x.T * (weight * p * q)) @ x
+    return loss, grad, hess
 
 
-def fit_fusion(system_scores, params: DcfParams = DcfParams(), l2: float = 0.0,
-               max_iter: int = 20000, grad_tol: float = 1e-8,
-               start: tuple | None = None) -> FusionModel:
+def fit_fusion(system_scores, params: DcfParams = DcfParams()) -> FusionModel:
     """Fit fusion/calibration weights on labeled development scores.
 
-    All systems must cover the same trial list. Perfectly separable data
-    drives the optimum to infinity; the weight norm is capped at 1e3 with a
-    warning in that case. `start` optionally seeds the optimizer with
-    (weights, bias) in raw score space; the objective is convex, so the
-    fitted optimum does not depend on it.
+    All systems must cover the same trial list. The convex objective is
+    minimized by Newton's method with backtracking line search; a fit that
+    stops short of |grad| < 1e-8 warns. Perfectly separable data drives the
+    optimum to infinity: the fit then warns, and the weight norm is capped at
+    1e3.
     """
     mat, is_target, _ = _aligned_matrix(list(system_scores), require_labels=True)
     prior = params.effective_prior
-    offset = {"prior": prior, "logit_prior": math.log(prior / (1.0 - prior))}
 
-    # standardize per system for conditioning; fold back into weights below
+    # Newton steps are affine-invariant, so standardizing each system changes
+    # no step; it keeps WEIGHT_NORM_CAP independent of the score scales
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    s_std = (mat - mean) / std
+    x = np.column_stack([(mat - mean) / std, np.ones(mat.shape[0])])
 
-    if start is None:
-        theta = np.zeros(mat.shape[1] + 1)
-    else:
-        w0 = np.atleast_1d(np.asarray(start[0], dtype=np.float64))
-        theta = np.concatenate([w0 * std, [float(start[1]) + float(w0 @ mean)]])
-    loss, grad = _objective_grad(theta, s_std, is_target, offset, l2)
+    theta = np.zeros(x.shape[1])
+    loss, grad, hess = _objective(theta, x, is_target, prior)
     capped = False
-    converged = False
-    for _ in range(max_iter):
-        if np.linalg.norm(grad) < grad_tol:
-            converged = True
+    for _ in range(MAX_ITER):
+        if np.linalg.norm(grad) < GRAD_TOL:
             break
+        # lstsq: a constant system's all-zero column makes hess singular
+        direction = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        slope = float(grad @ direction)
         step = 1.0
-        direction = -grad
         # Armijo backtracking
         while True:
             candidate = theta + step * direction
-            new_loss, new_grad = _objective_grad(candidate, s_std, is_target, offset, l2)
-            if new_loss <= loss - 1e-4 * step * float(grad @ grad) or step < 1e-16:
+            new = _objective(candidate, x, is_target, prior)
+            if new[0] <= loss + 1e-4 * step * slope or step < 1e-16:
                 break
             step *= 0.5
-        theta, loss, grad = candidate, new_loss, new_grad
-        if np.linalg.norm(theta) > WEIGHT_NORM_CAP:
-            theta = theta * (WEIGHT_NORM_CAP / np.linalg.norm(theta))
+        theta, (loss, grad, hess) = candidate, new
+        norm = np.linalg.norm(theta)
+        if norm > WEIGHT_NORM_CAP:
+            theta = theta * (WEIGHT_NORM_CAP / norm)
             capped = True
             break
-    if not capped and not converged and l2 == 0.0:
-        # separable data sends the unregularized optimum to infinity; the
-        # telltale is running out of iterations with every trial on the right
-        # side of the decision boundary
-        a = s_std @ theta[:-1] + theta[-1] + offset["logit_prior"]
-        if np.all(a[is_target] > 0.0) and np.all(a[~is_target] < 0.0):
-            capped = True
-    if capped:
-        warnings.warn("fusion training data is separable; weight norm capped at 1e3")
+
+    # separable data sends the optimum to infinity; the telltale is every
+    # trial on the right side of the decision boundary, whether the fit hit
+    # the cap or its gradient vanished at finite weights
+    a = x @ theta + math.log(prior / (1.0 - prior))
+    if capped or (np.all(a[is_target] > 0.0) and np.all(a[~is_target] < 0.0)):
+        warnings.warn("fusion training data is separable; weights stopped at norm "
+                      f"{np.linalg.norm(theta):.3g} (cap {WEIGHT_NORM_CAP:g})")
+    elif np.linalg.norm(grad) >= GRAD_TOL:
+        warnings.warn(f"fusion fit did not converge in {MAX_ITER} Newton steps: "
+                      f"|grad| = {np.linalg.norm(grad):.3e}")
 
     w_std = theta[:-1]
     weights = w_std / std

@@ -76,14 +76,12 @@ def _roc_points_arrays(tar, non):
     tar_sorted = np.sort(tar)
     non_sorted = np.sort(non)
     thresholds = np.unique(np.concatenate([tar, non]))
-    points = [(-math.inf, 0.0, 1.0)]
     # at threshold t: miss iff target score < t, false alarm iff nontarget >= t
     n_miss = np.searchsorted(tar_sorted, thresholds, side="left")
     n_fa = nn - np.searchsorted(non_sorted, thresholds, side="left")
-    for t, m, f in zip(thresholds, n_miss, n_fa):
-        points.append((float(t), m / nt, f / nn))
-    points.append((math.inf, 1.0, 0.0))
-    return points
+    return [(-math.inf, 0.0, 1.0),
+            *zip(thresholds.tolist(), (n_miss / nt).tolist(), (n_fa / nn).tolist()),
+            (math.inf, 1.0, 0.0)]
 
 
 def eer(scores: ScoreSet) -> float:

@@ -102,6 +102,11 @@ def split_enroll_test(embedding_store: EmbeddingStore):
     return EmbeddingStore(enroll), EmbeddingStore(test)
 
 
+# the modality each system reads on the (enrollment, test) side of a trial
+_READS = {"audio": ("voice", "voice"), "visual": ("face", "face"),
+          "vfnet": ("voice", "face")}
+
+
 def _vectors(s, identity, modality):
     return np.array([r.vector for r in s.records(modality=modality, identity_id=identity)])
 
@@ -110,7 +115,19 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
                  lda: backend.LdaTransform, plda: backend.PldaModel,
                  params: vfnet.VFNetParams, rule: backend.PoolingRule,
                  length_norm: bool = True, systems=("audio", "visual", "vfnet")):
-    """Score every trial under each requested system; returns {system: ScoreSet}."""
+    """Score every trial under each requested system; returns {system: ScoreSet}.
+
+    Raises ValueError naming the trial, identity and modality when a trial's
+    identity has no records of a modality that a requested system reads.
+    """
+    for k, (side, side_store) in enumerate((("enroll", enroll), ("test", test))):
+        for modality in sorted({_READS[s][k] for s in systems}):
+            present = set(side_store.identities(modality))
+            for t in trials:
+                identity = (t.enroll_id, t.test_id)[k]
+                if identity not in present:
+                    raise ValueError(f"trial ({t.enroll_id}, {t.test_id}): {side} identity "
+                                     f"{identity!r} has no {modality} records")
     if "audio" in systems:
         enroll_proj = backend.project_store(lda, enroll.restrict("voice"), length_norm)
         test_proj = backend.project_store(lda, test.restrict("voice"), length_norm)

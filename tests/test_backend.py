@@ -105,6 +105,12 @@ class TestPlda:
         assert len(ll) >= 2
         assert all(b - a >= -1e-9 for a, b in zip(ll, ll[1:]))
 
+    def test_stop_at_max_iter_warns(self, rng):
+        store = sample_plda_store(rng, np.zeros(3), np.eye(3), 0.5 * np.eye(3), 50, 4)
+        with pytest.warns(UserWarning, match="max_iter=2"):
+            model = fit_plda(store, max_iter=2)
+        assert len(model.loglik_history) == 2
+
     def test_recovers_generating_covariances(self, rng):
         d = 4
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))

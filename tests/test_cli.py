@@ -78,7 +78,9 @@ class TestEval:
         assert out.read_text().startswith("eer\t")
         det_lines = det.read_text().strip().split("\n")
         assert det_lines[0] == "threshold\tp_miss\tp_fa"
-        assert len(det_lines) > 2
+        rows = [[float(v) for v in line.split("\t")] for line in det_lines[1:]]
+        assert rows == [[-np.inf, 0.0, 1.0], [-2.0, 0.0, 1.0], [2.0, 0.0, 0.0],
+                        [np.inf, 1.0, 0.0]]
 
 
 class TestScoreVfnet:
@@ -152,3 +154,42 @@ class TestFuse:
                      "--out-scores", str(tmp_path / "f.tsv")])
         assert code == 1
         assert "same systems" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    def test_pipeline_unknown_keys_named(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.config"
+        cfg.write_text("lda_dimm = 4\nmax_epoch = 1\np_targt = 0.5\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        for text in ("pipeline.config", "lda_dimm", "max_epoch", "p_targt"):
+            assert text in err
+
+    def test_train_vfnet_unknown_key_named(self, tmp_path, capsys):
+        cfg = tmp_path / "train.config"
+        cfg.write_text("learning_rate = 0.1\n")
+        missing = str(tmp_path / "missing")
+        assert main(["train-vfnet", "--config", str(cfg), "--embeddings", missing,
+                     "--train-trials", missing, "--valid-trials", missing,
+                     "--out-params", missing]) == 1
+        err = capsys.readouterr().err
+        assert "train.config" in err and "learning_rate" in err
+
+
+class TestFitBackend:
+    @pytest.mark.parametrize("between_sd,status", [
+        (1.0, "converged after"), (0.0, "stopped without converging after 100")])
+    def test_reports_whether_em_converged(self, tmp_path, capsys, between_sd, status):
+        # with no between-identity spread along the second axis, EM creeps
+        # toward B = 0 there and, on this sample, still gains at the cap
+        rng = np.random.default_rng(1)
+        recs = []
+        for i in range(30):
+            y = rng.normal(size=2) * (1.0, between_sd)
+            recs += [EmbeddingRecord(f"v{i}_{j}", f"id{i}", "voice",
+                                     y + rng.standard_normal(2)) for j in range(3)]
+        save_embeddings(EmbeddingStore(recs), tmp_path / "train.tsv")
+        assert main(["fit-backend", "--embeddings", str(tmp_path / "train.tsv"),
+                     "--out-lda", str(tmp_path / "lda"),
+                     "--out-plda", str(tmp_path / "plda")]) == 0
+        assert status in capsys.readouterr().out

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import logit
+from scipy.special import expit, logit
 
 from avsrkit.fusion import (FusionModel, apply_fusion, fit_fusion,
                             load_fusion, save_fusion)
@@ -43,13 +45,21 @@ class TestFitFusion:
         fused = apply_fusion(model, [ss])
         assert eer(fused) == pytest.approx(eer(ss), abs=1e-12)
 
-    def test_convex_objective_start_independent(self, rng):
-        ss1 = make_score_set(rng.normal(1.0, 1.0, 80), rng.normal(0.0, 1.0, 120))
-        ss2 = make_score_set(rng.normal(0.5, 2.0, 80), rng.normal(-0.5, 2.0, 120))
-        cold = fit_fusion([ss1, ss2])
-        warm = fit_fusion([ss1, ss2], start=(np.array([5.0, -3.0]), 2.0))
-        np.testing.assert_allclose(warm.weights, cold.weights, atol=1e-6)
-        assert warm.bias == pytest.approx(cold.bias, abs=1e-6)
+    def test_fit_reaches_the_optimum(self, rng):
+        # the prior-weighted logistic gradient, in raw score space, vanishes
+        # at the returned weight and bias
+        tar = rng.normal(4.0, 1.0, 300)
+        non = rng.normal(0.0, 1.0, 6000)
+        params = DcfParams()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_fusion([make_score_set(tar, non)], params)
+        prior = params.effective_prior
+        w, b = model.weights[0], model.bias + logit(prior)
+        coef_t = -prior * expit(-(w * tar + b)) / tar.size
+        coef_n = (1.0 - prior) * expit(w * non + b) / non.size
+        grad = [coef_t @ tar + coef_n @ non, coef_t.sum() + coef_n.sum()]
+        assert np.linalg.norm(grad) < 1e-8
 
     def test_separable_data_caps_weights(self, rng):
         ss = make_score_set(rng.uniform(1.0, 2.0, 40), rng.uniform(-2.0, -1.0, 40))

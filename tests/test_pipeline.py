@@ -2,12 +2,13 @@ from dataclasses import replace
 
 import pytest
 
+from avsrkit.backend import PoolingRule
 from avsrkit.pipeline import (PipelineConfig, PipelineError,
                               build_identity_trials, render_markdown,
-                              run_pipeline, split_enroll_test,
+                              run_pipeline, score_trials, split_enroll_test,
                               split_identities)
-from avsrkit.store import (EmbeddingRecord, EmbeddingStore, save_embeddings,
-                           save_trials)
+from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
+                           save_embeddings, save_trials)
 from avsrkit.synth import GenConfig, generate_av_benchmark
 from avsrkit.training import TrainConfig
 
@@ -60,6 +61,18 @@ class TestBuildIdentityTrials:
                 for i in range(3)]
         with pytest.raises(ValueError):
             build_identity_trials(EmbeddingStore(recs), 10, 0)
+
+
+class TestScoreTrials:
+    @pytest.mark.parametrize("system,modality", [
+        ("audio", "voice"), ("visual", "face"), ("vfnet", "face")])
+    def test_missing_identity_named(self, rng, system, modality):
+        s = EmbeddingStore(EmbeddingRecord(f"{m}{j}", "A", m, rng.standard_normal(2))
+                           for m in ("voice", "face") for j in range(2))
+        trials = TrialSet([Trial("A", "A", "target"), Trial("A", "ghost", "nontarget")])
+        with pytest.raises(ValueError, match=rf"\(A, ghost\): test identity 'ghost' "
+                                             rf"has no {modality} records"):
+            score_trials(trials, s, s, None, None, None, PoolingRule(), systems=(system,))
 
 
 class TestSplits:
