@@ -16,7 +16,7 @@ from .vfnet import (PairScore, VFNetParams, cosine_similarity, init_params,
                     transform_voice)
 from .training import TrainConfig, TrainReport, retrain_with_extra, train
 from .backend import (LdaTransform, PldaModel, PoolingRule, fit_lda, fit_plda,
-                      plda_llr, pool_top_fraction, project_store,
+                      plda_llr, pool_top_fraction, project, project_store,
                       score_face_trial, score_vfnet_trial)
 from .metrics import (DcfParams, MetricReport, act_dcf, auc, compute_metrics,
                       eer, matching_accuracy, min_dcf, roc_points)

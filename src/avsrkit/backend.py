@@ -2,10 +2,11 @@
 
 Speaker side: LDA dimensionality reduction followed by a two-covariance PLDA
 (identity mean y ~ N(mu, B), observation x ~ N(y, W)) trained by EM, scored
-with the closed-form pair log-likelihood ratio.
+with the closed-form pair log-likelihood ratio, a quadratic form that scores
+all enrollment x test pairs of two groups as one matrix.
 
-Face side: cosine similarity against a mean enrollment template, with the
-pooled average of the top fraction of per-face scores.
+Face side: cosine similarity of all test faces against a mean enrollment
+template, with the pooled average of the top fraction of per-face scores.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import scipy.linalg
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .store import EmbeddingStore
-from .vfnet import VFNetParams, cosine_similarity, pair_forward
+from .vfnet import (VFNetParams, cosine_similarity, pair_probability, transform_face,
+                    transform_voice)
 
 
 # ---------------------------------------------------------------------------
@@ -40,13 +42,6 @@ class LdaTransform:
         return self.projection.shape[0]
 
 
-def _class_groups(store: EmbeddingStore, modality="voice"):
-    groups = {}
-    for rec in store.records(modality=modality):
-        groups.setdefault(rec.identity_id, []).append(rec.vector)
-    return {k: np.array(v) for k, v in groups.items()}
-
-
 def fit_lda(store: EmbeddingStore, target_dim: int) -> LdaTransform:
     """Fisher LDA with whitening: projected within-class covariance is identity.
 
@@ -54,7 +49,7 @@ def fit_lda(store: EmbeddingStore, target_dim: int) -> LdaTransform:
     """
     if target_dim < 1:
         raise ValueError("target_dim must be positive")
-    groups = _class_groups(store)
+    groups = store.grouped("voice")
     if len(groups) < 2:
         raise ValueError("need at least 2 identities to fit LDA")
     if max(x.shape[0] for x in groups.values()) < 2:
@@ -91,21 +86,37 @@ def fit_lda(store: EmbeddingStore, target_dim: int) -> LdaTransform:
     return LdaTransform(projection=eigvecs[:, order].T.copy(), mean=global_mean)
 
 
+def project(lda: LdaTransform, x, length_norm: bool = True) -> np.ndarray:
+    """LDA-project a (D,) vector or the rows of an (n, D) matrix, optionally
+    scaling each result to unit length."""
+    y = lda(x)
+    if length_norm:
+        norm = np.linalg.norm(y, axis=-1, keepdims=True)
+        if not norm.all():
+            raise ValueError(f"row {int(np.argmin(norm))} projects to the zero vector")
+        y = y / norm
+    return y
+
+
 def project_store(lda: LdaTransform, store: EmbeddingStore,
                   length_norm: bool = True) -> EmbeddingStore:
     """Apply an LDA transform to every record, optionally length-normalizing."""
     from .store import EmbeddingRecord
 
-    records = []
-    for rec in store:
-        vec = lda(rec.vector)
-        if length_norm:
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                raise ValueError(f"record {rec.record_id!r} projects to the zero vector")
-            vec = vec / norm
-        records.append(EmbeddingRecord(rec.record_id, rec.identity_id, rec.modality, vec))
-    return EmbeddingStore(records)
+    records = list(store)
+    if not records:
+        return store
+    x = np.array([rec.vector for rec in records])
+    try:
+        vecs = project(lda, x, length_norm)
+    except ValueError:
+        zero = np.linalg.norm(lda(x), axis=1) == 0.0
+        if not (length_norm and zero.any()):
+            raise
+        raise ValueError(f"record {records[int(np.argmax(zero))].record_id!r} "
+                         "projects to the zero vector") from None
+    return EmbeddingStore(EmbeddingRecord(rec.record_id, rec.identity_id, rec.modality, vec)
+                          for rec, vec in zip(records, vecs))
 
 
 def save_lda(lda: LdaTransform, path) -> None:
@@ -173,7 +184,7 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER, tol: float = 
     recorded on the model and is non-decreasing up to numerical slack; it has
     max_iter entries exactly when EM stopped at the cap.
     """
-    groups = _class_groups(store, modality=modality)
+    groups = store.grouped(modality)
     if len(groups) < 2:
         raise ValueError("need at least 2 identities to fit PLDA")
     data = list(groups.values())
@@ -251,35 +262,42 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER, tol: float = 
 
 
 def _plda_scoring_cache(model: PldaModel):
+    """(Q, P, k) of the LLR as the quadratic form x1'Q x1 + x2'Q x2 + 2 x1'P x2 + k
+    in mean-centred vectors (Garcia-Romero & Espy-Wilson 2011)."""
     if model._scoring_cache is None:
         d = model.dim
         total = model.B + model.W
         same = np.block([[total, model.B], [model.B, total]])
         same_inv = np.linalg.inv(same)
-        total_inv = np.linalg.inv(total)
         _, logdet_same = np.linalg.slogdet(same)
         _, logdet_total = np.linalg.slogdet(total)
-        model._scoring_cache = (same_inv, total_inv, logdet_same - 2.0 * logdet_total)
+        model._scoring_cache = (-0.5 * (same_inv[:d, :d] - np.linalg.inv(total)),
+                                -0.5 * same_inv[:d, d:],
+                                -0.5 * (logdet_same - 2.0 * logdet_total))
     return model._scoring_cache
 
 
-def plda_llr(model: PldaModel, e1, e2) -> float:
+def plda_llr(model: PldaModel, e1, e2):
     """log p(e1, e2 | same identity) - log p(e1, e2 | different identities).
 
     Closed form from the joint Gaussians: under "same" the pair is
     N([mu; mu], [[B+W, B], [B, B+W]]); under "different" the blocks are
-    independent, each N(mu, B+W).
+    independent, each N(mu, B+W). Two (d,) vectors give a float; (n1, d) and
+    (n2, d) rows (a vector counting as one row) give the (n1, n2) matrix of
+    every pair's ratio.
     """
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != (model.dim,) or e2.shape != (model.dim,):
-        raise ValueError(f"expected vectors of dimension {model.dim}")
-    same_inv, total_inv, logdet_gap = _plda_scoring_cache(model)
-    z = np.concatenate([e1 - model.mu, e2 - model.mu])
-    q_same = z @ same_inv @ z
-    q_diff = z[: model.dim] @ total_inv @ z[: model.dim] \
-        + z[model.dim:] @ total_inv @ z[model.dim:]
-    return float(-0.5 * (q_same - q_diff) - 0.5 * logdet_gap)
+    for e in (e1, e2):
+        if e.ndim not in (1, 2) or e.shape[-1] != model.dim:
+            raise ValueError(f"expected vectors of dimension {model.dim}, got shape {e.shape}")
+    q, p, k = _plda_scoring_cache(model)
+    x1 = np.atleast_2d(e1) - model.mu
+    x2 = np.atleast_2d(e2) - model.mu
+    q1 = np.einsum("ij,ij->i", x1 @ q, x1)
+    q2 = np.einsum("ij,ij->i", x2 @ q, x2)
+    llr = q1[:, None] + q2[None, :] + 2.0 * (x1 @ p) @ x2.T + k
+    return float(llr[0, 0]) if e1.ndim == e2.ndim == 1 else llr
 
 
 def save_plda(model: PldaModel, path) -> None:
@@ -321,9 +339,7 @@ def pool_top_fraction(scores, rule: PoolingRule = PoolingRule()) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("cannot pool an empty score list")
-    k = rule.k(scores.size)
-    top = np.sort(scores)[-k:]
-    return float(top.mean())
+    return float(np.sort(scores)[-rule.k(scores.size):].mean())
 
 
 def score_face_trial(enroll_faces, test_faces, rule: PoolingRule = PoolingRule()) -> float:
@@ -336,9 +352,7 @@ def score_face_trial(enroll_faces, test_faces, rule: PoolingRule = PoolingRule()
     norm = np.linalg.norm(template)
     if norm == 0.0:
         raise ValueError("enrollment template has zero norm")
-    template = template / norm
-    scores = [cosine_similarity(template, f) for f in test_faces]
-    return pool_top_fraction(scores, rule)
+    return pool_top_fraction(cosine_similarity(template / norm, test_faces), rule)
 
 
 def score_vfnet_trial(params: VFNetParams, enroll_voice, test_faces,
@@ -347,5 +361,5 @@ def score_vfnet_trial(params: VFNetParams, enroll_voice, test_faces,
     test_faces = np.asarray(test_faces, dtype=np.float64)
     if test_faces.size == 0:
         raise ValueError("test face set must be nonempty")
-    scores = [pair_forward(params, enroll_voice, f).p_same for f in test_faces]
-    return pool_top_fraction(scores, rule)
+    s = cosine_similarity(transform_voice(params, enroll_voice), transform_face(params, test_faces))
+    return pool_top_fraction(pair_probability(s).p_same, rule)

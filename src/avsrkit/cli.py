@@ -138,16 +138,17 @@ def _cmd_synth(args):
         updates["face_sessions_per_identity"] = args.sessions
     config = synth.GenConfig(**updates)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     train, dev, eval_ = synth.generate_av_benchmark(config)
+    # build the trial lists first: a request they cannot meet writes no file
+    npp = args.negatives_per_positive
+    dev_trials = pipeline.build_identity_trials(dev, npp, config.rng_seed + 1)
+    eval_trials = pipeline.build_identity_trials(eval_, npp, config.rng_seed + 2)
+    os.makedirs(args.out_dir, exist_ok=True)
     store.save_embeddings(train, os.path.join(args.out_dir, "train.embeddings"))
     store.save_embeddings(dev, os.path.join(args.out_dir, "dev.embeddings"))
     store.save_embeddings(eval_, os.path.join(args.out_dir, "eval.embeddings"))
-    npp = args.negatives_per_positive
-    store.save_trials(pipeline.build_identity_trials(dev, npp, config.rng_seed + 1),
-                      os.path.join(args.out_dir, "dev.trials"))
-    store.save_trials(pipeline.build_identity_trials(eval_, npp, config.rng_seed + 2),
-                      os.path.join(args.out_dir, "eval.trials"))
+    store.save_trials(dev_trials, os.path.join(args.out_dir, "dev.trials"))
+    store.save_trials(eval_trials, os.path.join(args.out_dir, "eval.trials"))
     gt_path = os.path.join(args.out_dir, "ground_truth.config")
     with open(gt_path, "w", encoding="utf-8") as fh:
         for f in dataclasses.fields(config):
@@ -253,22 +254,11 @@ def _cmd_eval(args):
 
 def _pipeline_config_from_file(path):
     kv = parse_kv_file(path)
-    known_paths = ("train_embeddings", "dev_embeddings", "eval_embeddings",
-                   "dev_trials", "eval_trials", "out_dir")
-    updates = {}
-    for key in known_paths:
-        if key in kv:
-            updates[key] = kv.pop(key)
-    if "lda_dim" in kv:
-        updates["lda_dim"] = int(kv.pop("lda_dim"))
-    if "length_norm" in kv:
-        updates["length_norm"] = parse_bool(kv.pop("length_norm"))
-    if "pool_fraction" in kv:
-        updates["pool_fraction"] = float(kv.pop("pool_fraction"))
-    if "negatives_per_positive" in kv:
-        updates["negatives_per_positive"] = int(kv.pop("negatives_per_positive"))
-    if "systems" in kv:
-        updates["systems"] = tuple(s.strip() for s in kv.pop("systems").split(","))
+    parsers = dict.fromkeys(("train_embeddings", "dev_embeddings", "eval_embeddings",
+                             "dev_trials", "eval_trials", "out_dir"), str)
+    parsers.update(lda_dim=int, length_norm=parse_bool, pool_fraction=float,
+                   negatives_per_positive=int)
+    updates = {key: parse(kv.pop(key)) for key, parse in parsers.items() if key in kv}
     reject_unknown_keys(path, kv, TRAIN_KEYS.keys() | DCF_KEYS.keys())
     updates["train"] = train_config_from_dict(kv)
     updates["dcf"] = dcf_params_from_dict(kv)

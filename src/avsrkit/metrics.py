@@ -67,43 +67,37 @@ def roc_points(scores: ScoreSet):
     threshold; the -inf/+inf endpoints (0,1) and (1,0) are always included.
     """
     tar, non = _split_scores(scores)
-    return _roc_points_arrays(tar, non)
+    return list(zip(*(a.tolist() for a in _roc_arrays(tar, non))))
 
 
-def _roc_points_arrays(tar, non):
-    nt = tar.shape[0]
-    nn = non.shape[0]
-    tar_sorted = np.sort(tar)
-    non_sorted = np.sort(non)
+def _roc_arrays(tar, non):
+    """(thresholds, p_miss, p_fa) arrays of roc_points, endpoints included."""
     thresholds = np.unique(np.concatenate([tar, non]))
     # at threshold t: miss iff target score < t, false alarm iff nontarget >= t
-    n_miss = np.searchsorted(tar_sorted, thresholds, side="left")
-    n_fa = nn - np.searchsorted(non_sorted, thresholds, side="left")
-    return [(-math.inf, 0.0, 1.0),
-            *zip(thresholds.tolist(), (n_miss / nt).tolist(), (n_fa / nn).tolist()),
-            (math.inf, 1.0, 0.0)]
+    n_miss = np.searchsorted(np.sort(tar), thresholds, side="left")
+    n_fa = non.shape[0] - np.searchsorted(np.sort(non), thresholds, side="left")
+    return (np.concatenate([[-math.inf], thresholds, [math.inf]]),
+            np.concatenate([[0.0], n_miss / tar.shape[0], [1.0]]),
+            np.concatenate([[1.0], n_fa / non.shape[0], [0.0]]))
 
 
 def eer(scores: ScoreSet) -> float:
     """Equal error rate, linearly interpolated between bracketing ROC points."""
-    tar, non = _split_scores(scores)
-    return _eer_arrays(tar, non)
+    return _eer_arrays(*_split_scores(scores))
 
 
 def _eer_arrays(tar, non) -> float:
-    points = _roc_points_arrays(tar, non)
+    return _eer_roc(*_roc_arrays(tar, non)[1:])
+
+
+def _eer_roc(p_miss, p_fa) -> float:
     # p_miss - p_fa is non-decreasing from -1 to +1; find the sign change
-    for i in range(1, len(points)):
-        _, m2, f2 = points[i]
-        d2 = m2 - f2
-        if d2 >= 0.0:
-            if d2 == 0.0:
-                return m2
-            _, m1, f1 = points[i - 1]
-            d1 = m1 - f1
-            t = -d1 / (d2 - d1)
-            return m1 + t * (m2 - m1)
-    raise AssertionError("ROC walk found no p_miss = p_fa crossing")
+    gap = p_miss - p_fa
+    i = int(np.argmax(gap >= 0.0))
+    if gap[i] == 0.0:
+        return float(p_miss[i])
+    t = -gap[i - 1] / (gap[i] - gap[i - 1])
+    return float(p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1]))
 
 
 def auc(scores: ScoreSet) -> float:
@@ -118,16 +112,14 @@ def auc(scores: ScoreSet) -> float:
 
 def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams()):
     """Minimum normalized detection cost and its (lowest) minimizing threshold."""
-    points = roc_points(scores)
-    best_cost = math.inf
-    best_threshold = math.nan
-    for threshold, p_miss, p_fa in points:
-        cost = params.c_miss * params.p_target * p_miss \
-            + params.c_fa * (1.0 - params.p_target) * p_fa
-        if cost < best_cost:
-            best_cost = cost
-            best_threshold = threshold
-    return best_cost / params.normalizer, best_threshold
+    return _min_dcf_roc(*_roc_arrays(*_split_scores(scores)), params)
+
+
+def _min_dcf_roc(thresholds, p_miss, p_fa, params: DcfParams):
+    cost = params.c_miss * params.p_target * p_miss \
+        + params.c_fa * (1.0 - params.p_target) * p_fa
+    i = int(np.argmin(cost))  # the first minimum, at the lowest threshold
+    return float(cost[i] / params.normalizer), float(thresholds[i])
 
 
 def act_dcf(llr_scores: ScoreSet, params: DcfParams = DcfParams()) -> float:
@@ -143,9 +135,10 @@ def act_dcf(llr_scores: ScoreSet, params: DcfParams = DcfParams()) -> float:
 
 def compute_metrics(scores: ScoreSet, params: DcfParams = DcfParams()) -> MetricReport:
     tar, non = _split_scores(scores)
-    mdcf, threshold = min_dcf(scores, params)
+    thresholds, p_miss, p_fa = _roc_arrays(tar, non)
+    mdcf, threshold = _min_dcf_roc(thresholds, p_miss, p_fa, params)
     return MetricReport(
-        eer=_eer_arrays(tar, non),
+        eer=_eer_roc(p_miss, p_fa),
         auc=auc(scores),
         min_dcf=mdcf,
         min_dcf_threshold=threshold,

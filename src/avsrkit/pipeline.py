@@ -51,14 +51,6 @@ class PipelineConfig:
     negatives_per_positive: int = 1
     dcf: metrics.DcfParams = field(default_factory=metrics.DcfParams)
     train: training.TrainConfig = field(default_factory=training.TrainConfig)
-    systems: tuple = ("audio", "visual", "vfnet")
-
-    def __post_init__(self):
-        if not self.systems:
-            raise ValueError("systems list must be nonempty")
-        for s in self.systems:
-            if s not in ("audio", "visual", "vfnet"):
-                raise ValueError(f"unknown system {s!r}")
 
 
 def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positive: int,
@@ -86,11 +78,13 @@ def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positiv
 def split_enroll_test(embedding_store: EmbeddingStore):
     """Per identity and modality, first half of records (by id) enrolls,
     the rest tests. Every identity needs >= 2 records per modality."""
+    groups = {identity: {"voice": [], "face": []}
+              for identity in embedding_store.identities()}
+    for rec in sorted(embedding_store, key=lambda r: r.record_id):
+        groups[rec.identity_id][rec.modality].append(rec)
     enroll, test = [], []
-    for identity in embedding_store.identities():
-        for modality in ("voice", "face"):
-            recs = sorted(embedding_store.records(modality=modality, identity_id=identity),
-                          key=lambda r: r.record_id)
+    for identity, by_modality in groups.items():
+        for modality, recs in by_modality.items():
             if len(recs) < 2:
                 raise ValueError(
                     f"identity {identity!r} has {len(recs)} {modality} records; "
@@ -107,48 +101,45 @@ _READS = {"audio": ("voice", "voice"), "visual": ("face", "face"),
           "vfnet": ("voice", "face")}
 
 
-def _vectors(s, identity, modality):
-    return np.array([r.vector for r in s.records(modality=modality, identity_id=identity)])
-
-
 def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
                  lda: backend.LdaTransform, plda: backend.PldaModel,
                  params: vfnet.VFNetParams, rule: backend.PoolingRule,
                  length_norm: bool = True, systems=("audio", "visual", "vfnet")):
     """Score every trial under each requested system; returns {system: ScoreSet}.
 
-    Raises ValueError naming the trial, identity and modality when a trial's
-    identity has no records of a modality that a requested system reads.
+    Each store is grouped by identity once; a trial then scores the two
+    identities' matrices. Raises ValueError naming the trial, identity and
+    modality when a trial's identity has no records of a modality that a
+    requested system reads.
     """
+    groups = ({}, {})  # enrollment and test side: modality -> identity -> rows
     for k, (side, side_store) in enumerate((("enroll", enroll), ("test", test))):
         for modality in sorted({_READS[s][k] for s in systems}):
-            present = set(side_store.identities(modality))
+            groups[k][modality] = side_store.grouped(modality)
             for t in trials:
                 identity = (t.enroll_id, t.test_id)[k]
-                if identity not in present:
+                if identity not in groups[k][modality]:
                     raise ValueError(f"trial ({t.enroll_id}, {t.test_id}): {side} identity "
                                      f"{identity!r} has no {modality} records")
+    e_side, t_side = groups
     if "audio" in systems:
-        enroll_proj = backend.project_store(lda, enroll.restrict("voice"), length_norm)
-        test_proj = backend.project_store(lda, test.restrict("voice"), length_norm)
-    out = {s: [] for s in systems}
-    for t in trials:
-        if "audio" in systems:
-            e_voices = _vectors(enroll_proj, t.enroll_id, "voice")
-            t_voices = _vectors(test_proj, t.test_id, "voice")
-            llrs = [backend.plda_llr(plda, ev, tv) for ev in e_voices for tv in t_voices]
-            out["audio"].append(ScoreEntry(t.enroll_id, t.test_id,
-                                           float(np.mean(llrs)), t.label))
-        if "visual" in systems:
-            score = backend.score_face_trial(_vectors(enroll, t.enroll_id, "face"),
-                                             _vectors(test, t.test_id, "face"), rule)
-            out["visual"].append(ScoreEntry(t.enroll_id, t.test_id, score, t.label))
-        if "vfnet" in systems:
-            voice_template = _vectors(enroll, t.enroll_id, "voice").mean(axis=0)
-            score = backend.score_vfnet_trial(params, voice_template,
-                                              _vectors(test, t.test_id, "face"), rule)
-            out["vfnet"].append(ScoreEntry(t.enroll_id, t.test_id, score, t.label))
-    return {s: ScoreSet(entries) for s, entries in out.items()}
+        e_proj, t_proj = (backend.project_store(lda, side.restrict("voice"), length_norm)
+                          .grouped("voice") for side in (enroll, test))
+    if "vfnet" in systems:
+        voice_templates = {i: x.mean(axis=0) for i, x in e_side["voice"].items()}
+
+    def score(system, t):
+        if system == "audio":
+            return float(backend.plda_llr(plda, e_proj[t.enroll_id], t_proj[t.test_id]).mean())
+        if system == "visual":
+            return backend.score_face_trial(e_side["face"][t.enroll_id],
+                                            t_side["face"][t.test_id], rule)
+        return backend.score_vfnet_trial(params, voice_templates[t.enroll_id],
+                                         t_side["face"][t.test_id], rule)
+
+    return {system: ScoreSet(ScoreEntry(t.enroll_id, t.test_id, score(system, t), t.label)
+                             for t in trials)
+            for system in systems}
 
 
 def split_identities(embedding_store: EmbeddingStore, valid_fraction: float, seed: int):

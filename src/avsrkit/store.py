@@ -80,24 +80,22 @@ class EmbeddingStore:
         except KeyError:
             raise KeyError(f"no record {record_id!r} in store") from None
 
-    def records(self, modality=None, identity_id=None):
-        """Records filtered by modality and/or identity, in insertion order."""
-        out = []
-        for rec in self._records.values():
-            if modality is not None and rec.modality != modality:
-                continue
-            if identity_id is not None and rec.identity_id != identity_id:
-                continue
-            out.append(rec)
-        return out
+    def records(self, modality=None):
+        """Records, optionally of one modality, in insertion order."""
+        return [rec for rec in self._records.values()
+                if modality is None or rec.modality == modality]
 
-    def identities(self, modality=None):
+    def grouped(self, modality):
+        """identity -> (n, D) matrix of its records of one modality, rows in
+        insertion order; identities in first-seen order."""
+        rows = {}
+        for rec in self.records(modality):
+            rows.setdefault(rec.identity_id, []).append(rec.vector)
+        return {identity: np.array(vecs) for identity, vecs in rows.items()}
+
+    def identities(self):
         """Distinct identity ids, in first-seen order."""
-        seen = {}
-        for rec in self._records.values():
-            if modality is None or rec.modality == modality:
-                seen.setdefault(rec.identity_id, None)
-        return list(seen)
+        return list(dict.fromkeys(rec.identity_id for rec in self._records.values()))
 
     def restrict(self, modality: str) -> "EmbeddingStore":
         return EmbeddingStore(self.records(modality=modality))

@@ -14,7 +14,8 @@ import numpy as np
 
 from .metrics import _eer_arrays
 from .store import EmbeddingStore, TrialSet
-from .vfnet import VFNetParams, batch_loss_grad, init_params, _branch_forward
+from .vfnet import (VFNetParams, batch_loss_grad, init_params, transform_face,
+                    transform_voice)
 
 
 class TrainingError(RuntimeError):
@@ -101,10 +102,8 @@ class _Optimizer:
 
 def _validation_scores(params: VFNetParams, voices, faces):
     """Cosine scores for all validation pairs in one vectorized pass."""
-    u, _, _ = _branch_forward(params.voice_w1, params.voice_b1,
-                              params.voice_w2, params.voice_b2, voices)
-    f, _, _ = _branch_forward(params.face_w1, params.face_b1,
-                              params.face_w2, params.face_b2, faces)
+    u = transform_voice(params, voices)
+    f = transform_face(params, faces)
     nu = np.linalg.norm(u, axis=1)
     nf = np.linalg.norm(f, axis=1)
     nu[nu == 0.0] = 1.0

@@ -87,7 +87,7 @@ def load_params(path) -> VFNetParams:
 
 @dataclass(frozen=True)
 class PairScore:
-    similarity: float
+    similarity: float  # each field an array when scored from an array
     p_same: float
     p_diff: float
 
@@ -99,47 +99,55 @@ def _branch_forward(w1, b1, w2, b2, x):
     return a @ w2.T + b2, h, a
 
 
+def _transform(params: VFNetParams, branch: str, x) -> np.ndarray:
+    """Run one branch on a (d,) embedding or on the rows of an (n, d) matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != params.input_dim:
+        raise ValueError(f"expected {branch} embedding of dimension {params.input_dim}, "
+                         f"got shape {x.shape}")
+    w1, b1, w2, b2 = (getattr(params, f"{branch}_{name}") for name in ("w1", "b1", "w2", "b2"))
+    out, _, _ = _branch_forward(w1, b1, w2, b2, np.atleast_2d(x))
+    return out if x.ndim == 2 else out[0]
+
+
 def transform_voice(params: VFNetParams, e_v) -> np.ndarray:
-    e_v = np.asarray(e_v, dtype=np.float64)
-    if e_v.shape != (params.input_dim,):
-        raise ValueError(f"expected voice embedding of dimension {params.input_dim}, "
-                         f"got shape {e_v.shape}")
-    out, _, _ = _branch_forward(params.voice_w1, params.voice_b1,
-                                params.voice_w2, params.voice_b2, e_v[None, :])
-    return out[0]
+    """Voice branch output: (d,) -> (out,), or (n, d) -> (n, out) row by row."""
+    return _transform(params, "voice", e_v)
 
 
 def transform_face(params: VFNetParams, e_f) -> np.ndarray:
-    e_f = np.asarray(e_f, dtype=np.float64)
-    if e_f.shape != (params.input_dim,):
-        raise ValueError(f"expected face embedding of dimension {params.input_dim}, "
-                         f"got shape {e_f.shape}")
-    out, _, _ = _branch_forward(params.face_w1, params.face_b1,
-                                params.face_w2, params.face_b2, e_f[None, :])
-    return out[0]
+    """Face branch output: (d,) -> (out,), or (n, d) -> (n, out) row by row."""
+    return _transform(params, "face", e_f)
 
 
-def cosine_similarity(a, b) -> float:
+def cosine_similarity(a, b):
+    """Cosine along the last axis, clipped to [-1, 1]; the arguments broadcast,
+    so a (d,) vector against (n, d) rows gives (n,) cosines and two vectors a
+    float. Raises ValueError when any vector of either argument has zero norm."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0:
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    if np.any(na == 0.0):
         raise ValueError("first argument has zero norm")
-    if nb == 0.0:
+    if np.any(nb == 0.0):
         raise ValueError("second argument has zero norm")
-    s = float(a @ b / (na * nb))
-    return min(1.0, max(-1.0, s))
+    s = np.clip(np.sum(a * b, axis=-1) / (na * nb), -1.0, 1.0)
+    return float(s) if s.ndim == 0 else s
 
 
-def pair_probability(similarity: float) -> PairScore:
-    """Two-way softmax over (S, 1-S); equals logistic(2S - 1)."""
-    if not math.isfinite(similarity):
+def pair_probability(similarity) -> PairScore:
+    """Two-way softmax over (S, 1-S); equals logistic(2S - 1). A float gives
+    float fields, an array of similarities array fields."""
+    s = np.asarray(similarity, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
         raise ValueError("similarity must be finite")
-    p_same = float(expit(2.0 * similarity - 1.0))
-    return PairScore(similarity=float(similarity), p_same=p_same, p_diff=1.0 - p_same)
+    p_same = expit(2.0 * s - 1.0)
+    if s.ndim == 0:
+        s, p_same = float(s), float(p_same)
+    return PairScore(similarity=s, p_same=p_same, p_diff=1.0 - p_same)
 
 
 def pair_loss(score: PairScore, label: str) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from avsrkit.backend import (PldaModel, PoolingRule, fit_lda,
+from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, fit_lda,
                              fit_plda, load_lda, load_plda, plda_llr,
                              pool_top_fraction, project_store, save_lda,
                              save_plda, score_face_trial, score_vfnet_trial)
@@ -23,6 +23,15 @@ def gaussian_class_store(rng, means, n_per_class, cov=None, modality="voice"):
 
 
 class TestLda:
+    def test_zero_projection_names_record(self):
+        lda = LdaTransform(projection=np.array([[1.0, 0.0]]), mean=np.zeros(2))
+        store = EmbeddingStore([EmbeddingRecord("a", "id0", "voice", np.array([1.0, 2.0])),
+                                EmbeddingRecord("b", "id1", "voice", np.array([0.0, 3.0]))])
+        with pytest.raises(ValueError, match="record 'b' projects to the zero vector"):
+            project_store(lda, store)
+        np.testing.assert_array_equal(project_store(lda, store, length_norm=False).get("b").vector,
+                                      [0.0])
+
     def test_fisher_direction_two_classes(self, rng):
         store = gaussian_class_store(rng, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], 3000)
         lda = fit_lda(store, 1)
@@ -159,6 +168,18 @@ class TestPlda:
                 - multivariate_normal.logpdf(e1, mu, total) \
                 - multivariate_normal.logpdf(e2, mu, total)
             assert plda_llr(model, e1, e2) == pytest.approx(oracle, abs=1e-8)
+
+    def test_llr_matrix_matches_pair_loop(self, rng):
+        d = 4
+        a = rng.standard_normal((d, d))
+        model = PldaModel(mu=rng.standard_normal(d), B=a @ a.T, W=np.eye(d) + 0.1 * a.T @ a)
+        e1 = rng.standard_normal((3, d))
+        e2 = rng.standard_normal((5, d))
+        got = plda_llr(model, e1, e2)
+        assert got.shape == (3, 5)
+        want = np.array([[plda_llr(model, x1, x2) for x2 in e2] for x1 in e1])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        assert type(plda_llr(model, e1[0], e2[0])) is float
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
         store = sample_plda_store(rng, np.zeros(2), np.eye(2), 0.5 * np.eye(2), 30, 3)

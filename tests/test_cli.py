@@ -128,11 +128,19 @@ class TestSynth:
         assert gt["n_identities_train"] == "4"
 
     def test_deterministic(self, tmp_path):
-        args = ["synth", "--n-train", "4", "--n-test", "3", "--sessions", "2"]
-        main(args + ["--out-dir", str(tmp_path / "a")])
-        main(args + ["--out-dir", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "train.embeddings").read_text() == \
-            (tmp_path / "b" / "train.embeddings").read_text()
+        args = ["synth", "--n-train", "4", "--n-test", "3", "--sessions", "2",
+                "--negatives-per-positive", "2"]
+        assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
+        for name in ["train.embeddings", "eval.trials"]:
+            assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+
+    def test_unmeetable_trial_request_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["synth", "--n-train", "20", "--n-test", "3", "--sessions", "3",
+                     "--out-dir", str(out)]) == 1
+        assert "requested 60 nontargets but only 6 pairs exist" in capsys.readouterr().err
+        assert not list(out.glob("*.embeddings"))
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "gen.config"
@@ -164,6 +172,14 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         for text in ("pipeline.config", "lda_dimm", "max_epoch", "p_targt"):
             assert text in err
+
+    def test_pipeline_systems_key_rejected(self, tmp_path, capsys):
+        # every pipeline run scores all three systems; there is no systems key
+        cfg = tmp_path / "pipeline.config"
+        cfg.write_text("systems = audio\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "pipeline.config" in err and "systems" in err
 
     def test_train_vfnet_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "train.config"

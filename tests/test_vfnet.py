@@ -51,6 +51,14 @@ class TestTransforms:
         with pytest.raises(ValueError, match="dimension"):
             transform_voice(toy_params(), np.ones(5))
 
+    def test_matrix_rows_match_single_vectors(self, rng):
+        params = random_params(rng)
+        x = rng.standard_normal((5, 6))
+        for transform in (transform_voice, transform_face):
+            np.testing.assert_allclose(transform(params, x),
+                                       np.array([transform(params, row) for row in x]),
+                                       rtol=1e-12, atol=1e-15)
+
 
 class TestCosine:
     def test_self_similarity(self, rng):
@@ -68,6 +76,20 @@ class TestCosine:
             cosine_similarity([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError, match="second"):
             cosine_similarity([1.0, 0.0], [0.0, 0.0])
+
+    def test_vector_against_rows(self, rng):
+        a = rng.standard_normal(5)
+        b = rng.standard_normal((7, 5))
+        got = cosine_similarity(a, b)
+        assert got.shape == (7,)
+        np.testing.assert_allclose(got, [cosine_similarity(a, row) for row in b],
+                                   rtol=0.0, atol=1e-15)
+
+    def test_zero_norm_row_rejected(self, rng):
+        b = rng.standard_normal((3, 4))
+        b[1] = 0.0
+        with pytest.raises(ValueError, match="second"):
+            cosine_similarity(rng.standard_normal(4), b)
 
     def test_scale_invariance(self, rng):
         for _ in range(50):
