@@ -44,23 +44,31 @@ def load_checkpoint(path):
     kind = None
     arrays = {}
     scalars = {}
+    seen = {}  # (entry type, name) -> line number
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split("\t")
         if fields[0] == "kind" and len(fields) == 2:
             kind = fields[1]
-        elif fields[0] == "scalar" and len(fields) == 3:
-            scalars[fields[1]] = float(fields[2])
-        elif fields[0] == "array" and len(fields) == 4:
+            continue
+        if (fields[0], len(fields)) not in (("scalar", 3), ("array", 4)):
+            raise CheckpointError(f"{path}:{lineno}: unrecognized entry {fields[0]!r}")
+        where = f"{path}:{lineno}: {fields[0]} {fields[1]!r}"
+        if (first := seen.setdefault((fields[0], fields[1]), lineno)) != lineno:
+            raise CheckpointError(f"{where} repeats line {first}")
+        try:
+            if fields[0] == "scalar":
+                scalars[fields[1]] = float(fields[2])
+                continue
             shape = tuple(int(d) for d in fields[2].split(",")) if fields[2] else ()
             flat = np.array([float(v) for v in fields[3].split(" ")] if fields[3] else [],
                             dtype=np.float64)
-            if flat.size != int(np.prod(shape)):
-                raise CheckpointError(f"{path}:{lineno}: value count does not match shape")
-            arrays[fields[1]] = flat.reshape(shape)
-        else:
-            raise CheckpointError(f"{path}:{lineno}: unrecognized entry {fields[0]!r}")
+        except ValueError as exc:
+            raise CheckpointError(f"{where}: {exc}") from None
+        if flat.size != int(np.prod(shape)):
+            raise CheckpointError(f"{where}: value count does not match shape")
+        arrays[fields[1]] = flat.reshape(shape)
     if kind is None:
         raise CheckpointError(f"{path}: missing kind entry")
     return kind, arrays, scalars

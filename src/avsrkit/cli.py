@@ -12,12 +12,9 @@ import dataclasses
 import os
 import sys
 
-
 from . import backend, fusion, metrics, pipeline, store, synth, training, vfnet
 from .checkpoint import CheckpointError
-from .config import (DCF_KEYS, TRAIN_KEYS, ConfigError, dcf_params_from_dict,
-                     parse_bool, parse_kv_file, reject_unknown_keys,
-                     train_config_from_dict)
+from .config import ConfigError, build, config_keys, parse_kv_file
 
 
 class UsageError(Exception):
@@ -35,16 +32,21 @@ def _add_dcf_flags(p):
     p.add_argument("--c-fa", type=float, default=None, help="false-alarm cost")
 
 
-def _dcf_from_args(args, base=None):
-    params = base or metrics.DcfParams()
-    updates = {}
-    if args.p_target is not None:
-        updates["p_target"] = args.p_target
-    if args.c_miss is not None:
-        updates["c_miss"] = args.c_miss
-    if args.c_fa is not None:
-        updates["c_fa"] = args.c_fa
-    return dataclasses.replace(params, **updates)
+# synth flag -> the GenConfig keys it sets
+_SYNTH_FLAGS = {"seed": ("rng_seed",), "sigma": ("session_noise_sigma",),
+                "n_train": ("n_identities_train",), "n_test": ("n_identities_test",),
+                "sessions": ("voice_sessions_per_identity", "face_sessions_per_identity")}
+
+
+def _config(cls, args, flags=None):
+    """cls built from the --config file of args, if any, then from its flags: flags
+    maps a flag's dest to the keys it sets (default: each key of cls that args has)."""
+    path = getattr(args, "config", None)
+    base = build(cls, parse_kv_file(path), path) if path else None
+    flags = flags or {key: (key,) for key in config_keys(cls) if hasattr(args, key)}
+    entries = {key: (getattr(args, flag), None) for flag, keys in flags.items()
+               if getattr(args, flag) is not None for key in keys}
+    return build(cls, entries, "command line", base)
 
 
 def build_parser():
@@ -121,23 +123,7 @@ def build_parser():
 
 
 def _cmd_synth(args):
-    kv = parse_kv_file(args.config) if args.config else {}
-    reject_unknown_keys(args.config, kv, {f.name for f in dataclasses.fields(synth.GenConfig)})
-    updates = {key: type(getattr(synth.GenConfig(), key))(value)
-               for key, value in kv.items()}
-    if args.seed is not None:
-        updates["rng_seed"] = args.seed
-    if args.sigma is not None:
-        updates["session_noise_sigma"] = args.sigma
-    if args.n_train is not None:
-        updates["n_identities_train"] = args.n_train
-    if args.n_test is not None:
-        updates["n_identities_test"] = args.n_test
-    if args.sessions is not None:
-        updates["voice_sessions_per_identity"] = args.sessions
-        updates["face_sessions_per_identity"] = args.sessions
-    config = synth.GenConfig(**updates)
-
+    config = _config(synth.GenConfig, args, _SYNTH_FLAGS)
     train, dev, eval_ = synth.generate_av_benchmark(config)
     # build the trial lists first: a request they cannot meet writes no file
     npp = args.negatives_per_positive
@@ -151,25 +137,13 @@ def _cmd_synth(args):
     store.save_trials(eval_trials, os.path.join(args.out_dir, "eval.trials"))
     gt_path = os.path.join(args.out_dir, "ground_truth.config")
     with open(gt_path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(config):
-            fh.write(f"{f.name} = {getattr(config, f.name)}\n")
+        fh.writelines(f"{f.name} = {getattr(config, f.name)}\n" for f in dataclasses.fields(config))
     print(f"wrote synthetic benchmark to {args.out_dir}")
     return 0
 
 
 def _cmd_train_vfnet(args):
-    kv = parse_kv_file(args.config) if args.config else {}
-    reject_unknown_keys(args.config, kv, TRAIN_KEYS)
-    config = train_config_from_dict(kv)
-    overrides = {}
-    for flag, field in [("lr", "learning_rate"), ("batch_size", "batch_size"),
-                        ("max_epochs", "max_epochs"), ("patience", "patience"),
-                        ("seed", "rng_seed"), ("optimizer", "optimizer")]:
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    config = dataclasses.replace(config, **overrides)
-
+    config = _config(training.TrainConfig, args)
     emb = store.load_embeddings(args.embeddings)
     train_trials = store.load_trials(args.train_trials)
     valid_trials = store.load_trials(args.valid_trials)
@@ -219,9 +193,9 @@ def _cmd_score(args):
 def _cmd_fuse(args):
     if len(args.dev_scores) != len(args.eval_scores):
         raise UsageError("--dev-scores and --eval-scores must list the same systems")
+    params = _config(metrics.DcfParams, args)
     dev = [store.load_scores(p) for p in args.dev_scores]
     eval_ = [store.load_scores(p) for p in args.eval_scores]
-    params = _dcf_from_args(args)
     model = fusion.fit_fusion(dev, params)
     fused = fusion.apply_fusion(model, eval_)
     fusion.save_fusion(model, args.out_model)
@@ -232,8 +206,8 @@ def _cmd_fuse(args):
 
 
 def _cmd_eval(args):
+    params = _config(metrics.DcfParams, args)
     scores = store.load_scores(args.scores)
-    params = _dcf_from_args(args)
     report = metrics.compute_metrics(scores, params)
     header = "eer\tauc\tmin_dcf\tact_dcf\tmin_dcf_threshold\tbayes_threshold"
     line = (f"{report.eer:.6f}\t{report.auc:.6f}\t{report.min_dcf:.6f}\t"
@@ -252,21 +226,8 @@ def _cmd_eval(args):
     return 0
 
 
-def _pipeline_config_from_file(path):
-    kv = parse_kv_file(path)
-    parsers = dict.fromkeys(("train_embeddings", "dev_embeddings", "eval_embeddings",
-                             "dev_trials", "eval_trials", "out_dir"), str)
-    parsers.update(lda_dim=int, length_norm=parse_bool, pool_fraction=float,
-                   negatives_per_positive=int)
-    updates = {key: parse(kv.pop(key)) for key, parse in parsers.items() if key in kv}
-    reject_unknown_keys(path, kv, TRAIN_KEYS.keys() | DCF_KEYS.keys())
-    updates["train"] = train_config_from_dict(kv)
-    updates["dcf"] = dcf_params_from_dict(kv)
-    return pipeline.PipelineConfig(**updates)
-
-
 def _cmd_pipeline(args):
-    config = _pipeline_config_from_file(args.config)
+    config = _config(pipeline.PipelineConfig, args)
     for key in ("train_embeddings", "dev_embeddings", "eval_embeddings",
                 "dev_trials", "eval_trials"):
         path = getattr(config, key)

@@ -1,10 +1,12 @@
-"""Flat ``key = value`` config files shared by the CLI subcommands."""
+"""One builder from ``key = value`` config files and flags to config dataclasses:
+a field is a key, cast by its type; a dataclass-typed field adds its class's keys."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+import dataclasses
+import difflib
+import typing
 
-from .metrics import DcfParams
 from .training import TrainConfig
 
 
@@ -12,8 +14,13 @@ class ConfigError(ValueError):
     pass
 
 
+# field -> config key, where the key differs from the field name (None: no key)
+_SPELLINGS = {TrainConfig: {"learning_rate": "lr", "rng_seed": "seed", "adam_beta1": None,
+                            "adam_beta2": None, "adam_eps": None}}
+
+
 def parse_kv_file(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines into {key: (value, lineno)}; '#' starts a comment."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -22,8 +29,11 @@ def parse_kv_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: repeated config key {key!r} "
+                                  f"(first on line {out[key][1]})")
+            out[key] = (value, lineno)
     return out
 
 
@@ -35,46 +45,60 @@ def parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
-TRAIN_KEYS = {
-    "lr": ("learning_rate", float),
-    "batch_size": ("batch_size", int),
-    "max_epochs": ("max_epochs", int),
-    "patience": ("patience", int),
-    "seed": ("rng_seed", int),
-    "optimizer": ("optimizer", str),
-    "hidden_dim": ("hidden_dim", int),
-    "output_dim": ("output_dim", int),
-}
-
-DCF_KEYS = {
-    "p_target": ("p_target", float),
-    "c_miss": ("c_miss", float),
-    "c_fa": ("c_fa", float),
-}
+def config_keys(cls) -> dict:
+    """{config key: (field path, field type)} for every key cls accepts."""
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            keys.update({key: ((f.name,) + path, t)
+                         for key, (path, t) in config_keys(kind).items()})
+        elif (key := _SPELLINGS.get(cls, {}).get(f.name, f.name)) is not None:
+            keys[key] = ((f.name,), kind)
+    return keys
 
 
-def reject_unknown_keys(path, kv: dict, known) -> None:
-    """Raise ConfigError naming the file and every key of kv not in known."""
-    unknown = [key for key in kv if key not in known]
+def _where(source, line):
+    return f"{source}:{line}" if line else str(source)
+
+
+def _replace(obj, updates: dict):
+    """obj with updates {field path: value} applied, nested dataclasses included."""
+    top = {path[0]: value for path, value in updates.items() if len(path) == 1}
+    for name in {path[0] for path in updates if len(path) > 1}:
+        top[name] = _replace(getattr(obj, name), {path[1:]: value for path, value
+                                                  in updates.items() if path[0] == name})
+    return dataclasses.replace(obj, **top)
+
+
+def build(cls, entries: dict, source, base=None):
+    """base (default ``cls()``) with entries {key: (value, lineno or None)} applied.
+
+    String values are cast by the field's type. Every unknown key, a value
+    that does not cast and a check that ``__post_init__`` fails raise a
+    ConfigError that names source, line and key.
+    """
+    keys = config_keys(cls)
+    unknown = []
+    for key, (_, line) in entries.items():
+        if key not in keys:
+            close = difflib.get_close_matches(key, keys, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            unknown.append(f"{_where(source, line)}: unknown config key {key!r}{hint}")
     if unknown:
-        raise ConfigError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
-
-
-def train_config_from_dict(kv: dict, base: TrainConfig | None = None) -> TrainConfig:
-    config = base or TrainConfig()
+        raise ConfigError("\n".join(unknown))
     updates = {}
-    for key, value in kv.items():
-        if key in TRAIN_KEYS:
-            field, cast = TRAIN_KEYS[key]
-            updates[field] = cast(value)
-    return replace(config, **updates)
-
-
-def dcf_params_from_dict(kv: dict, base: DcfParams | None = None) -> DcfParams:
-    params = base or DcfParams()
-    updates = {}
-    for key, value in kv.items():
-        if key in DCF_KEYS:
-            field, cast = DCF_KEYS[key]
-            updates[field] = cast(value)
-    return replace(params, **updates)
+    for key, (value, line) in entries.items():
+        path, kind = keys[key]
+        if isinstance(value, str):
+            try:
+                value = parse_bool(value) if kind is bool else kind(value)
+            except ValueError:
+                raise ConfigError(f"{_where(source, line)}: {key}: "
+                                  f"expected {kind.__name__}, got {value!r}") from None
+        updates[path] = value
+    try:
+        return _replace(base if base is not None else cls(), updates)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None

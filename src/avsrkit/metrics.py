@@ -102,7 +102,10 @@ def _eer_roc(p_miss, p_fa) -> float:
 
 def auc(scores: ScoreSet) -> float:
     """Probability a random target outscores a random nontarget; ties count 1/2."""
-    tar, non = _split_scores(scores)
+    return _auc_arrays(*_split_scores(scores))
+
+
+def _auc_arrays(tar, non) -> float:
     non_sorted = np.sort(non)
     below = np.searchsorted(non_sorted, tar, side="left")
     below_or_equal = np.searchsorted(non_sorted, tar, side="right")
@@ -124,7 +127,10 @@ def _min_dcf_roc(thresholds, p_miss, p_fa, params: DcfParams):
 
 def act_dcf(llr_scores: ScoreSet, params: DcfParams = DcfParams()) -> float:
     """Normalized detection cost at the fixed Bayes llr threshold."""
-    tar, non = _split_scores(llr_scores)
+    return _act_dcf_arrays(*_split_scores(llr_scores), params)
+
+
+def _act_dcf_arrays(tar, non, params: DcfParams) -> float:
     theta = params.bayes_threshold
     p_miss = float(np.count_nonzero(tar < theta)) / tar.shape[0]
     p_fa = float(np.count_nonzero(non >= theta)) / non.shape[0]
@@ -139,10 +145,10 @@ def compute_metrics(scores: ScoreSet, params: DcfParams = DcfParams()) -> Metric
     mdcf, threshold = _min_dcf_roc(thresholds, p_miss, p_fa, params)
     return MetricReport(
         eer=_eer_roc(p_miss, p_fa),
-        auc=auc(scores),
+        auc=_auc_arrays(tar, non),
         min_dcf=mdcf,
         min_dcf_threshold=threshold,
-        act_dcf=act_dcf(scores, params),
+        act_dcf=_act_dcf_arrays(tar, non, params),
         n_target=tar.shape[0],
         n_nontarget=non.shape[0],
     )

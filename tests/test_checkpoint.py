@@ -1,0 +1,45 @@
+import numpy as np
+import pytest
+
+from avsrkit.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
+                                save_checkpoint)
+
+
+def write(path, *entries):
+    path.write_text("\n".join([MAGIC, "kind\ttest", *entries]) + "\n")
+    return path
+
+
+class TestLoadCheckpoint:
+    def test_roundtrip(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, "test", {"mean": np.array([[0.1, -2.0]])}, {"k": 0.3})
+        kind, arrays, scalars = load_checkpoint(path)
+        assert kind == "test" and scalars == {"k": 0.3}
+        np.testing.assert_array_equal(arrays["mean"], [[0.1, -2.0]])
+
+    @pytest.mark.parametrize("entry,detail", [
+        ("array\tmean\t2\t1.0 x", "array 'mean': could not convert string to float: 'x'"),
+        ("array\tmean\t2,a\t1.0 2.0", "array 'mean': invalid literal for int()"),
+        ("scalar\tk\tx", "scalar 'k': could not convert string to float: 'x'"),
+        ("array\tmean\t3\t1.0 2.0", "array 'mean': value count does not match shape")])
+    def test_bad_number_names_line(self, tmp_path, entry, detail):
+        path = write(tmp_path / "m.ckpt", "scalar\tok\t1.0", entry)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}:4: {detail}")
+
+    @pytest.mark.parametrize("first,again", [
+        ("array\tmean\t1\t1.0", "array\tmean\t1\t2.0"),
+        ("scalar\tk\t1.0", "scalar\tk\t2.0")])
+    def test_repeated_name_names_both_lines(self, tmp_path, first, again):
+        path = write(tmp_path / "m.ckpt", first, "", again)
+        kind, name = first.split("\t")[:2]
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}:5: {kind} {name!r} repeats line 3"
+
+    def test_same_name_as_scalar_and_array(self, tmp_path):
+        path = write(tmp_path / "m.ckpt", "scalar\tmean\t1.0", "array\tmean\t1\t2.0")
+        kind, arrays, scalars = load_checkpoint(path)
+        assert scalars == {"mean": 1.0} and arrays["mean"].tolist() == [2.0]

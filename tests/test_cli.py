@@ -192,6 +192,83 @@ class TestConfigKeys:
         assert "train.config" in err and "learning_rate" in err
 
 
+    def test_every_key_accepted(self, tmp_path, capsys):
+        # all 21 pipeline keys parse; the run then stops at the missing inputs
+        cfg = tmp_path / "pipeline.config"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in [
+            ("train_embeddings", "t"), ("dev_embeddings", "d"), ("eval_embeddings", "e"),
+            ("dev_trials", "dt"), ("eval_trials", "et"), ("out_dir", "o"), ("lda_dim", 4),
+            ("length_norm", "off"), ("pool_fraction", 0.5), ("negatives_per_positive", 2),
+            ("p_target", 0.1), ("c_miss", 2), ("c_fa", 3), ("lr", 0.01), ("batch_size", 8),
+            ("max_epochs", 2), ("patience", 1), ("seed", 4), ("optimizer", "sgd"),
+            ("hidden_dim", 5), ("output_dim", 3)]))
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert "config key train_embeddings does not name an existing file" in \
+            capsys.readouterr().err
+
+    def test_train_vfnet_every_key_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "train.config"
+        cfg.write_text("lr = 0.01\nbatch_size = 8\nmax_epochs = 2\npatience = 1\n"
+                       "seed = 4\noptimizer = sgd\nhidden_dim = 5\noutput_dim = 3\n")
+        missing = str(tmp_path / "missing")
+        assert main(["train-vfnet", "--config", str(cfg), "--embeddings", missing,
+                     "--train-trials", missing, "--valid-trials", missing,
+                     "--out-params", missing]) == 1
+        err = capsys.readouterr().err
+        assert "missing" in err and "train.config" not in err
+
+    @pytest.mark.parametrize("text,where", [
+        ("lda_dim = abc\n", "pipeline.config:1: lda_dim: expected int, got 'abc'"),
+        ("length_norm = maybe\n",
+         "pipeline.config:1: length_norm: expected bool, got 'maybe'"),
+        ("lda_dim = 4\nlda_dim = 8\n",
+         "pipeline.config:2: repeated config key 'lda_dim' (first on line 1)"),
+        ("lda_dimm = 4\n",
+         "pipeline.config:1: unknown config key 'lda_dimm' (did you mean 'lda_dim'?)"),
+        ("p_target = 2\n", "pipeline.config: p_target must be in (0, 1)")])
+    def test_bad_pipeline_value_names_file_line_key(self, tmp_path, capsys, text, where):
+        cfg = tmp_path / "pipeline.config"
+        cfg.write_text(text)
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert where in capsys.readouterr().err
+
+    def test_bad_synth_value_names_file_line_key(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.config"
+        cfg.write_text("d_id = 4\nn_identities_train = 2.5\n")
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert "gen.config:2: n_identities_train: expected int, got '2.5'" in \
+            capsys.readouterr().err
+
+    def test_flags_built_before_files_read(self, tmp_path, capsys):
+        assert main(["eval", "--scores", str(tmp_path / "nope.tsv"), "--p-target", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "command line: p_target must be in (0, 1)" in err and "nope.tsv" not in err
+
+    def test_synth_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "gen.config"
+        cfg.write_text("rng_seed = 5\nsession_noise_sigma = 0.25\n")
+        assert main(["synth", "--config", str(cfg), "--seed", "6", "--n-train", "4",
+                     "--n-test", "3", "--sessions", "2", "--negatives-per-positive", "2",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        gt = (tmp_path / "o" / "ground_truth.config").read_text()
+        for line in ("rng_seed = 6", "session_noise_sigma = 0.25", "n_identities_train = 4",
+                     "voice_sessions_per_identity = 2", "face_sessions_per_identity = 2"):
+            assert line + "\n" in gt
+
+    def test_synth_ground_truth_config_reproduces_output(self, tmp_path):
+        npp = ["--negatives-per-positive", "2"]
+        assert main(["synth", "--n-train", "4", "--n-test", "3", "--sessions", "2",
+                     "--seed", "3", "--sigma", "0.7", "--out-dir", str(tmp_path / "a")]
+                    + npp) == 0
+        assert main(["synth", "--config", str(tmp_path / "a" / "ground_truth.config"),
+                     "--out-dir", str(tmp_path / "b")] + npp) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert len(names) == 6
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestFitBackend:
     @pytest.mark.parametrize("between_sd,status", [
         (1.0, "converged after"), (0.0, "stopped without converging after 100")])

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from avsrkit.metrics import (DcfParams, act_dcf, auc, compute_metrics, eer,
                              min_dcf, roc_points)
+from avsrkit.store import ScoreSet
 from conftest import make_score_set
 from oracles import brute_auc, brute_min_dcf
 
@@ -144,3 +146,19 @@ class TestReport:
         assert report.act_dcf >= report.min_dcf - 1e-12
         assert 0.0 <= report.eer <= 1.0
         assert 0.0 <= report.auc <= 1.0
+
+    def test_one_conversion_matches_public_functions(self, rng, monkeypatch):
+        tar, non = random_score_set(rng)
+        ss = make_score_set(tar, non)
+        p = DcfParams(p_target=0.3, c_fa=2.0)
+        mdcf, threshold = min_dcf(ss, p)
+        expected = {"eer": eer(ss), "auc": auc(ss), "min_dcf": mdcf,
+                    "min_dcf_threshold": threshold, "act_dcf": act_dcf(ss, p),
+                    "n_target": len(tar), "n_nontarget": len(non)}
+        calls = []
+        convert = ScoreSet.scores_and_labels
+        monkeypatch.setattr(ScoreSet, "scores_and_labels",
+                            lambda self: calls.append(self) or convert(self))
+        report = compute_metrics(ss, p)
+        assert len(calls) == 1
+        assert {f.name: getattr(report, f.name) for f in fields(report)} == expected
