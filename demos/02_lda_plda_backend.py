@@ -31,10 +31,9 @@ projected = project_store(lda, store, length_norm=True)
 
 print("\n=== PLDA ===")
 plda = fit_plda(projected)
-ll = plda.loglik_history
-print(f"EM converged after {len(ll)} iterations "
-      f"(loglik {ll[0]:.1f} -> {ll[-1]:.1f}, monotone: "
-      f"{all(b >= a for a, b in zip(ll, ll[1:]))})")
+# every identity has N_SESS sessions, so the maximum-likelihood fit is one
+# generalized eigenproblem; ragged session counts would be fitted by EM
+print(f"fit: {plda.describe_fit()} (log-likelihood {plda.loglik_history[-1]:.1f})")
 
 # score some same-identity and cross-identity pairs
 by_id = {}

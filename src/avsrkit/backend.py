@@ -1,9 +1,11 @@
 """Single-modality scoring back-ends.
 
 Speaker side: LDA dimensionality reduction followed by a two-covariance PLDA
-(identity mean y ~ N(mu, B), observation x ~ N(y, W)) trained by EM, scored
-with the closed-form pair log-likelihood ratio, a quadratic form that scores
-all enrollment x test pairs of two groups as one matrix.
+(identity mean y ~ N(mu, B), observation x ~ N(y, W)) fitted by maximum
+likelihood, in closed form when every identity has the same session count
+and by EM otherwise, scored with the closed-form pair log-likelihood ratio, a
+quadratic form that scores all enrollment x test pairs of two groups as one
+matrix.
 
 Face side: cosine similarity of all test faces against a mean enrollment
 template, with the pooled average of the top fraction of per-face scores.
@@ -147,6 +149,7 @@ def _floor_psd(mat, floor=1e-10, name="covariance"):
 
 
 PLDA_MAX_ITER = 100
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -155,6 +158,9 @@ class PldaModel:
     B: np.ndarray   # (d, d) between-identity covariance
     W: np.ndarray   # (d, d) within-identity covariance
     loglik_history: list = field(default_factory=list, compare=False)
+    # how fit_plda made the model: "closed form" or "EM", None for given parameters
+    method: str | None = field(default=None, compare=False)
+    converged: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64)
@@ -174,91 +180,140 @@ class PldaModel:
     def dim(self) -> int:
         return self.mu.shape[0]
 
+    def describe_fit(self) -> str:
+        """How the model was made: closed form, EM converged or stopped
+        without converging after N iterations, or given parameters."""
+        if self.method == "EM":
+            status = "converged" if self.converged else "stopped without converging"
+            return f"EM {status} after {len(self.loglik_history)} iterations"
+        return self.method or "given parameters"
+
+
+def _count_groups(groups):
+    """session count n -> ((K_n, d) identity means, pooled (d, d) scatter of
+    the records about their identity's mean), over the identities with n records."""
+    by_count = {}
+    for x in groups.values():
+        by_count.setdefault(x.shape[0], []).append(x)
+    stats = {}
+    for n, xs in sorted(by_count.items()):
+        x = np.stack(xs)
+        means = x.mean(axis=1)
+        centred = (x - means[:, None, :]).reshape(-1, x.shape[2])
+        stats[n] = (means, centred.T @ centred)
+    return stats
+
+
+def _closed_form(mu, means, scatter, n):
+    """Maximum-likelihood (B, W) when every identity has n >= 2 records, or
+    None when the within scatter is singular.
+
+    With S_w = scatter / (K(n-1)) and S_b the scatter of the K identity means
+    about mu, eigh(S_b, S_w) diagonalizes both; per direction the optimum
+    under B >= 0 is b = lambda - 1/n, w = 1 when lambda >= 1/n and b = 0,
+    w = (n - 1 + n lambda)/n otherwise (Anderson, Anderson & Olkin 1986).
+    """
+    k = means.shape[0]
+    s_w = scatter / (k * (n - 1))
+    eig = np.linalg.eigvalsh(s_w)
+    if eig[0] <= 1e-10 * eig[-1]:
+        return None
+    centred = means - mu
+    lam, v = scipy.linalg.eigh(centred.T @ centred / k, s_w)
+    a = s_w @ v  # inv(v).T, since v' S_w v = I
+    b = (a * np.maximum(lam - 1.0 / n, 0.0)) @ a.T
+    w = (a * np.minimum(1.0, (n - 1 + n * lam) / n)) @ a.T
+    return 0.5 * (b + b.T), 0.5 * (w + w.T)
+
+
+def _e_step(stats, mu, b, w):
+    """Marginal log-likelihood and, per session count n, the identities'
+    posterior means and shared posterior covariance of y.
+
+    Written with G = (W + nB)^-1 so that B may be singular: an identity's n
+    records, with mean m and scatter C about it, have log-density
+    -(1/2)[n d log 2pi + (n-1) log|W| + log|W + nB| + tr(W^-1 C)
+    + n (m - mu)' G (m - mu)], and y given them is N(mu + n B G (m - mu), W G B).
+    """
+    dim = mu.shape[0]
+    w_inv = np.linalg.inv(w)
+    _, logdet_w = np.linalg.slogdet(w)
+    loglik = 0.0
+    posteriors = {}
+    for n, (means, scatter) in stats.items():
+        total = w + n * b
+        g = np.linalg.inv(total)
+        _, logdet_total = np.linalg.slogdet(total)
+        gc = (means - mu) @ g
+        loglik -= 0.5 * (means.shape[0] * (n * dim * _LOG_2PI + (n - 1) * logdet_w
+                                          + logdet_total)
+                         + np.sum(w_inv * scatter) + n * np.sum(gc * (means - mu)))
+        cov = w @ g @ b
+        posteriors[n] = (mu + n * gc @ b, 0.5 * (cov + cov.T))
+    return float(loglik), posteriors
+
 
 def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER, tol: float = 1e-6,
              modality: str = "voice") -> PldaModel:
-    """EM for the two-covariance model on LDA-projected voice embeddings.
+    """Maximum-likelihood two-covariance PLDA on LDA-projected voice embeddings.
 
-    Stops when the marginal log-likelihood gain drops below tol; stopping at
-    max_iter instead warns. The per-iteration log-likelihood sequence is
-    recorded on the model and is non-decreasing up to numerical slack; it has
-    max_iter entries exactly when EM stopped at the cap.
+    When every identity has the same session count n >= 2 and the within
+    scatter is nonsingular, the fit is closed form (`_closed_form`). Otherwise
+    EM runs from moment estimates until the log-likelihood gain drops below
+    tol; stopping at max_iter instead warns. The log-likelihood of each EM
+    iteration (the closed form's one value) is recorded on the model, with how
+    it was fitted and whether it converged; the EM sequence is non-decreasing
+    up to numerical slack.
     """
     groups = store.grouped(modality)
     if len(groups) < 2:
         raise ValueError("need at least 2 identities to fit PLDA")
-    data = list(groups.values())
-    dim = data[0].shape[1]
-    n_total = sum(x.shape[0] for x in data)
-    counts = np.array([x.shape[0] for x in data])
-    sums = np.array([x.sum(axis=0) for x in data])
+    stats = _count_groups(groups)
+    n_ids = len(groups)
+    n_total = sum(n * means.shape[0] for n, (means, _) in stats.items())
+    mu = sum(n * means.sum(axis=0) for n, (means, _) in stats.items()) / n_total
+
+    [n, *ragged] = stats
+    if not ragged and n >= 2:
+        fit = _closed_form(mu, *stats[n], n)
+        if fit is not None:
+            b, w = fit
+            loglik, _ = _e_step(stats, mu, b, w)
+            return PldaModel(mu=mu, B=b, W=w, loglik_history=[loglik],
+                             method="closed form", converged=True)
 
     # moment initialization
-    mu = sums.sum(axis=0) / n_total
-    class_means = sums / counts[:, None]
-    b = np.zeros((dim, dim))
-    w = np.zeros((dim, dim))
-    for x, m in zip(data, class_means):
-        centered = x - m
-        w += centered.T @ centered
-        d = m - mu
-        b += np.outer(d, d)
-    b = _floor_psd(b / len(data), name="between covariance")
-    w = _floor_psd(w / n_total + 1e-6 * np.eye(dim), name="within covariance")
+    b = sum((means - mu).T @ (means - mu) for means, _ in stats.values())
+    w = sum(scatter for _, scatter in stats.values())
+    b = _floor_psd(b / n_ids, name="between covariance")
+    w = _floor_psd(w / n_total + 1e-6 * np.eye(mu.shape[0]), name="within covariance")
 
     logliks = []
+    converged = False
     for _ in range(max_iter):
-        b_inv = np.linalg.inv(b)
-        w_inv = np.linalg.inv(w)
-        _, logdet_b = np.linalg.slogdet(b)
-        _, logdet_w = np.linalg.slogdet(w)
-
-        # E-step grouped by session count n: posterior precision B^-1 + n W^-1
-        loglik = 0.0
-        post_means = np.empty_like(class_means)
-        post_covs = {}
-        prior_term = b_inv @ mu
-        for n in np.unique(counts):
-            prec = b_inv + n * w_inv
-            cov = np.linalg.inv(prec)
-            cov = 0.5 * (cov + cov.T)
-            post_covs[int(n)] = cov
-            _, logdet_prec = np.linalg.slogdet(prec)
-            idx = np.flatnonzero(counts == n)
-            c = sums[idx] @ w_inv.T + prior_term
-            post_means[idx] = c @ cov.T
-            quad = np.einsum("ij,ij->i", c, post_means[idx])
-            xs = [data[i] for i in idx]
-            xwx = np.array([np.einsum("ij,ij->", x @ w_inv, x) for x in xs])
-            loglik += float(np.sum(
-                -0.5 * (n * dim * math.log(2.0 * math.pi) + n * logdet_w
-                        + logdet_b + logdet_prec
-                        + xwx + mu @ b_inv @ mu - quad)
-            ))
+        loglik, posteriors = _e_step(stats, mu, b, w)
         if logliks and loglik - logliks[-1] < tol:
             # converged; the sub-tolerance evaluation is numerical noise, so
             # the recorded history keeps only the improving iterations
+            converged = True
             break
         logliks.append(loglik)
 
-        # M-step
-        mu_new = post_means.mean(axis=0)
-        b_new = np.zeros((dim, dim))
-        w_new = np.zeros((dim, dim))
-        for i, x in enumerate(data):
-            cov = post_covs[int(counts[i])]
-            d = post_means[i] - mu_new
-            b_new += cov + np.outer(d, d)
-            centered = x - post_means[i]
-            w_new += counts[i] * cov + centered.T @ centered
-        mu = mu_new
-        b = _floor_psd(b_new / len(data), name="between covariance")
-        w = _floor_psd(w_new / n_total, name="within covariance")
+        # M-step from each count group's pooled statistics
+        mu = sum(post.sum(axis=0) for post, _ in posteriors.values()) / n_ids
+        b = w = 0.0
+        for n, (means, scatter) in stats.items():
+            post, cov = posteriors[n]
+            b = b + len(post) * cov + (post - mu).T @ (post - mu)
+            w = w + scatter + n * len(post) * cov + n * (means - post).T @ (means - post)
+        b = _floor_psd(b / n_ids, name="between covariance")
+        w = _floor_psd(w / n_total, name="within covariance")
     else:
         warnings.warn(f"PLDA EM stopped at max_iter={max_iter} before the "
                       f"log-likelihood gain fell below tol={tol:g}")
 
-    return PldaModel(mu=mu, B=b, W=w, loglik_history=logliks)
+    return PldaModel(mu=mu, B=b, W=w, loglik_history=logliks, method="EM",
+                     converged=converged)
 
 
 def _plda_scoring_cache(model: PldaModel):

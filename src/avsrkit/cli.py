@@ -162,9 +162,7 @@ def _cmd_fit_backend(args):
     plda = backend.fit_plda(backend.project_store(lda, emb, not args.no_length_norm))
     backend.save_lda(lda, args.out_lda)
     backend.save_plda(plda, args.out_plda)
-    n_iter = len(plda.loglik_history)
-    status = "converged" if n_iter < backend.PLDA_MAX_ITER else "stopped without converging"
-    print(f"LDA output dimension {lda.output_dim}; PLDA {status} after {n_iter} EM iterations")
+    print(f"LDA output dimension {lda.output_dim}; PLDA fit: {plda.describe_fit()}")
     return 0
 
 

@@ -203,24 +203,34 @@ def test_criterion_3_metric_oracle_equivalence(rng):
 
 
 def test_criterion_4_em_monotonicity(rng):
+    # Each model is sampled twice: with one session count for every identity
+    # (fitted in closed form, one history entry) and with ragged counts of
+    # 1-6 (fitted by EM). The ragged samples come from their own generator,
+    # so the common-count samples are the same draws from `rng` as ever.
+    ragged_rng = np.random.default_rng(4)
     worst_drop = 0.0
+    em_lengths = []
     for k in range(10):
         d = int(rng.integers(2, 6))
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         b = q @ np.diag(rng.uniform(0.3, 2.0, d)) @ q.T
         w = np.diag(rng.uniform(0.2, 1.0, d))
         mu = rng.standard_normal(d)
-        recs = []
         n_sessions = int(rng.integers(2, 6))
-        for i in range(60):
-            y = mu + np.linalg.cholesky(b) @ rng.standard_normal(d)
-            for j in range(n_sessions):
-                x = y + np.linalg.cholesky(w) @ rng.standard_normal(d)
-                recs.append(EmbeddingRecord(f"d{k}_s{i}_{j}", f"id{i}", "voice", x))
-        ll = fit_plda(EmbeddingStore(recs)).loglik_history
-        drops = [a - b_ for a, b_ in zip(ll, ll[1:])]
-        if drops:
-            worst_drop = max(worst_drop, max(drops))
+        ragged = ragged_rng.integers(1, 7, size=60)
+        for tag, gen, counts in (("d", rng, [n_sessions] * 60), ("r", ragged_rng, ragged)):
+            recs = []
+            for i in range(60):
+                y = mu + np.linalg.cholesky(b) @ gen.standard_normal(d)
+                for j in range(counts[i]):
+                    x = y + np.linalg.cholesky(w) @ gen.standard_normal(d)
+                    recs.append(EmbeddingRecord(f"{tag}{k}_s{i}_{j}", f"id{i}", "voice", x))
+            ll = fit_plda(EmbeddingStore(recs)).loglik_history
+            if tag == "r":
+                em_lengths.append(len(ll))
+            drops = [a - b_ for a, b_ in zip(ll, ll[1:])]
+            if drops:
+                worst_drop = max(worst_drop, max(drops))
 
     # recovery at spec scale: 500 identities x 10 sessions
     d = 4
@@ -238,10 +248,12 @@ def test_criterion_4_em_monotonicity(rng):
     b_err = np.linalg.norm(model.B - b_true) / np.linalg.norm(b_true)
     w_err = np.linalg.norm(model.W - w_true) / np.linalg.norm(w_true)
 
-    passed = worst_drop <= 1e-9 and b_err < 0.15 and w_err < 0.15
+    passed = worst_drop <= 1e-9 and min(em_lengths) >= 2 and b_err < 0.15 and w_err < 0.15
     announce(4, "EM monotonicity and recovery", passed,
-             f"worst drop {worst_drop:.2e}, B err {b_err:.3f}, W err {w_err:.3f}")
+             f"worst drop {worst_drop:.2e} over EM runs of {min(em_lengths)}-{max(em_lengths)} "
+             f"iterations, B err {b_err:.3f}, W err {w_err:.3f}")
     assert worst_drop <= 1e-9
+    assert min(em_lengths) >= 2
     assert b_err < 0.15
     assert w_err < 0.15
 

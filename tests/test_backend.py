@@ -94,47 +94,134 @@ class TestLda:
 
 
 def sample_plda_store(rng, mu, b_cov, w_cov, n_identities, n_sessions):
+    """n_sessions: one count for every identity, or a sequence of counts
+    that the identities take in turn (ragged counts, fitted by EM)."""
     d = len(mu)
     bc = np.linalg.cholesky(b_cov)
     wc = np.linalg.cholesky(w_cov)
+    counts = np.atleast_1d(n_sessions)
     recs = []
     for i in range(n_identities):
         y = mu + bc @ rng.standard_normal(d)
-        for j in range(n_sessions):
+        for j in range(counts[i % len(counts)]):
             x = y + wc @ rng.standard_normal(d)
             recs.append(EmbeddingRecord(f"s{i}_{j}", f"id{i}", "voice", x))
     return EmbeddingStore(recs)
 
 
+def plda_loglik(store, mu, b, w):
+    """Marginal log-likelihood of a store under (mu, B, W), summed over
+    identities from each identity's joint Gaussian density."""
+    total = 0.0
+    for x in store.grouped("voice").values():
+        n = x.shape[0]
+        cov = np.kron(np.eye(n), w) + np.kron(np.ones((n, n)), b)
+        total += multivariate_normal.logpdf(x.ravel(), np.tile(mu, n), cov)
+    return total
+
+
+def recovery_errors(rng, n_sessions):
+    """Relative Frobenius errors of B and W fitted to 500 sampled identities."""
+    d = 4
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    b_true = q @ np.diag([2.0, 1.0, 0.5, 0.25]) @ q.T
+    w_true = np.diag([0.6, 0.4, 0.5, 0.3])
+    store = sample_plda_store(rng, rng.standard_normal(d), b_true, w_true, 500, n_sessions)
+    model = fit_plda(store)
+    return (model, np.linalg.norm(model.B - b_true) / np.linalg.norm(b_true),
+            np.linalg.norm(model.W - w_true) / np.linalg.norm(w_true))
+
+
 class TestPlda:
     def test_em_loglik_monotone(self, rng):
-        store = sample_plda_store(rng, np.zeros(3), np.eye(3), 0.5 * np.eye(3), 50, 4)
+        store = sample_plda_store(rng, np.zeros(3), np.eye(3), 0.5 * np.eye(3), 50, (2, 3, 4, 5))
         model = fit_plda(store)
+        assert (model.method, model.converged) == ("EM", True)
         ll = model.loglik_history
         assert len(ll) >= 2
         assert all(b - a >= -1e-9 for a, b in zip(ll, ll[1:]))
 
     def test_stop_at_max_iter_warns(self, rng):
-        store = sample_plda_store(rng, np.zeros(3), np.eye(3), 0.5 * np.eye(3), 50, 4)
+        store = sample_plda_store(rng, np.zeros(3), np.eye(3), 0.5 * np.eye(3), 50, (2, 3, 4, 5))
         with pytest.warns(UserWarning, match="max_iter=2"):
             model = fit_plda(store, max_iter=2)
         assert len(model.loglik_history) == 2
+        assert (model.method, model.converged) == ("EM", False)
+        assert model.describe_fit() == "EM stopped without converging after 2 iterations"
 
     def test_recovers_generating_covariances(self, rng):
-        d = 4
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        b_true = q @ np.diag([2.0, 1.0, 0.5, 0.25]) @ q.T
-        w_true = np.diag([0.6, 0.4, 0.5, 0.3])
-        store = sample_plda_store(rng, rng.standard_normal(d), b_true, w_true, 500, 10)
-        model = fit_plda(store)
-        assert np.linalg.norm(model.B - b_true) / np.linalg.norm(b_true) < 0.15
-        assert np.linalg.norm(model.W - w_true) / np.linalg.norm(w_true) < 0.15
+        model, b_err, w_err = recovery_errors(rng, 10)
+        assert model.method == "closed form"
+        assert b_err < 0.15
+        assert w_err < 0.15
+
+    def test_em_recovers_generating_covariances_from_ragged_counts(self, rng):
+        model, b_err, w_err = recovery_errors(rng, (6, 8, 10, 12, 14))
+        assert (model.method, model.converged) == ("EM", True)
+        assert b_err < 0.15
+        assert w_err < 0.15
 
     def test_single_session_per_identity_still_monotone(self, rng):
         store = sample_plda_store(rng, np.zeros(2), np.eye(2), 0.3 * np.eye(2), 40, 1)
         model = fit_plda(store)
+        assert model.method == "EM"
         ll = model.loglik_history
         assert all(b - a >= -1e-9 for a, b in zip(ll, ll[1:]))
+
+    def test_em_loglik_is_the_marginal_density(self, rng):
+        store = sample_plda_store(rng, np.zeros(2), np.eye(2), 0.5 * np.eye(2), 12, (1, 2, 4))
+        with pytest.warns(UserWarning, match="max_iter"):
+            model = fit_plda(store, max_iter=3)
+            two = fit_plda(store, max_iter=2)
+        # the third entry is the log-likelihood at the parameters after two M-steps
+        assert model.loglik_history[2] == pytest.approx(
+            plda_loglik(store, two.mu, two.B, two.W), rel=1e-12)
+
+    def test_closed_form_loglik_beats_feasible_perturbations(self, rng):
+        store = sample_plda_store(rng, np.zeros(3), np.diag([1.0, 0.2, 0.01]),
+                                  np.diag([0.5, 1.0, 0.8]), 80, 3)
+        model = fit_plda(store)
+        assert model.method == "closed form"
+        assert model.converged
+        assert model.describe_fit() == "closed form"
+        [best] = model.loglik_history
+        assert best == pytest.approx(plda_loglik(store, model.mu, model.B, model.W), rel=1e-12)
+        for _ in range(40):
+            step = 10.0 ** rng.uniform(-4, -1)
+            a = rng.standard_normal((3, 3))
+            b = model.B + step * (a + a.T)
+            eigvals, eigvecs = np.linalg.eigh(b)
+            b = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T  # back to B >= 0
+            c = rng.standard_normal((3, 3))
+            w = model.W + step * (c @ c.T if rng.random() < 0.5 else -0.1 * (c + c.T))
+            mu = model.mu + step * rng.standard_normal(3)
+            assert plda_loglik(store, mu, 0.5 * (b + b.T), w) < best
+
+    def test_closed_form_zero_between_spread_is_singular_b(self, rng, recwarn):
+        # identity means spread along the first axis only
+        recs = []
+        for i in range(200):
+            y = np.array([rng.standard_normal(), 0.0])
+            recs += [EmbeddingRecord(f"v{i}_{j}", f"id{i}", "voice", y + rng.standard_normal(2))
+                     for j in range(4)]
+        model = fit_plda(EmbeddingStore(recs))
+        assert model.method == "closed form"
+        eigvals, eigvecs = np.linalg.eigh(model.B)
+        assert eigvals[0] == pytest.approx(0.0, abs=1e-12)
+        assert abs(eigvecs[1, 0]) > 0.95  # the null direction is the second axis
+        assert eigvals[1] > 0.5
+        assert not recwarn.list
+        assert np.isfinite(plda_llr(model, np.ones(2), np.zeros(2)))
+
+    def test_singular_within_scatter_falls_back_to_em(self, rng):
+        # two identical records per identity: the within scatter is zero
+        recs = []
+        for i in range(20):
+            vec = rng.standard_normal(2)
+            recs += [EmbeddingRecord(f"v{i}_{j}", f"id{i}", "voice", vec) for j in range(2)]
+        with pytest.warns(UserWarning, match="max_iter=5"):
+            model = fit_plda(EmbeddingStore(recs), max_iter=5)
+        assert model.method == "EM"
 
     def test_llr_symmetry(self, rng):
         model = PldaModel(mu=rng.standard_normal(3),

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -270,19 +276,71 @@ class TestConfigKeys:
 
 
 class TestFitBackend:
-    @pytest.mark.parametrize("between_sd,status", [
-        (1.0, "converged after"), (0.0, "stopped without converging after 100")])
-    def test_reports_whether_em_converged(self, tmp_path, capsys, between_sd, status):
-        # with no between-identity spread along the second axis, EM creeps
-        # toward B = 0 there and, on this sample, still gains at the cap
+    @pytest.mark.parametrize("between_sd,counts,status", [
+        (1.0, (3,), "PLDA fit: closed form\n"),
+        (1.0, (2, 3), "PLDA fit: EM converged after 18 iterations\n"),
+        (0.0, (2, 3), "PLDA fit: EM stopped without converging after 100 iterations\n")],
+        ids=["closed-form", "em-converged", "em-capped"])
+    def test_reports_how_plda_was_fitted(self, tmp_path, capsys, between_sd, counts, status):
+        # one session count for every identity gives the closed form; with
+        # ragged counts and no between-identity spread along the second axis,
+        # EM creeps toward B = 0 there and, on this sample, still gains at the cap
         rng = np.random.default_rng(1)
         recs = []
         for i in range(30):
             y = rng.normal(size=2) * (1.0, between_sd)
             recs += [EmbeddingRecord(f"v{i}_{j}", f"id{i}", "voice",
-                                     y + rng.standard_normal(2)) for j in range(3)]
+                                     y + rng.standard_normal(2))
+                     for j in range(counts[i % len(counts)])]
         save_embeddings(EmbeddingStore(recs), tmp_path / "train.tsv")
-        assert main(["fit-backend", "--embeddings", str(tmp_path / "train.tsv"),
-                     "--out-lda", str(tmp_path / "lda"),
-                     "--out-plda", str(tmp_path / "plda")]) == 0
-        assert status in capsys.readouterr().out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit-backend", "--embeddings", str(tmp_path / "train.tsv"),
+                         "--out-lda", str(tmp_path / "lda"),
+                         "--out-plda", str(tmp_path / "plda")]) == 0
+        assert capsys.readouterr().out.endswith(status)
+        capped = [w for w in caught if "max_iter=100" in str(w.message)]
+        assert len(capped) == ("stopped" in status)
+
+
+class TestThreadCountDeterminism:
+    def test_pipeline_outputs_across_blas_thread_counts(self, tmp_path):
+        # The same `avsrkit pipeline` run at one and at two BLAS threads:
+        # report and checkpoints byte-identical, score files within 1e-12 of
+        # their largest magnitude (GEMM sums may be ordered by thread count).
+        data = tmp_path / "data"
+        assert main(["synth", "--n-train", "200", "--n-test", "30", "--sessions", "3",
+                     "--negatives-per-positive", "5", "--seed", "2",
+                     "--out-dir", str(data)]) == 0
+        runs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            config = tmp_path / f"threads{threads}.config"
+            config.write_text("".join(f"{name}_embeddings = {data / name}.embeddings\n"
+                                      for name in ("train", "dev", "eval"))
+                              + f"dev_trials = {data / 'dev.trials'}\n"
+                              + f"eval_trials = {data / 'eval.trials'}\n"
+                              + f"out_dir = {out}\nmax_epochs = 2\n")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+            runs[out] = subprocess.Popen(
+                [sys.executable, "-m", "avsrkit.cli", "pipeline", "--config", str(config)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for proc in runs.values():
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err[-2000:]
+        one, two = runs
+        for name in ("report.tsv", "lda.ckpt", "plda.ckpt", "vfnet.ckpt", "vfnet_training.tsv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        score_files = sorted(p.name for p in one.glob("*.scores"))
+        assert len(score_files) == 12
+        assert score_files == sorted(p.name for p in two.glob("*.scores"))
+        for name in score_files:
+            a = load_scores(one / name)
+            b = load_scores(two / name)
+            assert [(e.enroll_id, e.test_id, e.label) for e in a] == \
+                [(e.enroll_id, e.test_id, e.label) for e in b]
+            sa = np.array([e.score for e in a])
+            sb = np.array([e.score for e in b])
+            np.testing.assert_allclose(sb, sa, rtol=0.0, atol=1e-12 * np.abs(sa).max(),
+                                       err_msg=name)
