@@ -8,7 +8,7 @@ voice and a face belong to the same person.
 import numpy as np
 
 from avsrkit import GenConfig, TrainConfig, generate, oracle_eer, train
-from avsrkit.metrics import matching_accuracy
+from avsrkit.vfnet import matching_accuracy
 from avsrkit.store import build_crossmodal_trials
 from avsrkit.pipeline import split_identities
 

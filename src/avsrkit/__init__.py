@@ -11,18 +11,17 @@ from .store import (EmbeddingRecord, EmbeddingStore, ScoreEntry, ScoreSet,
                     load_scores, load_trials, save_embeddings, save_scores,
                     save_trials)
 from .vfnet import (PairScore, VFNetParams, cosine_similarity, init_params,
-                    load_params, match_one_of_two, pair_forward, pair_grad,
-                    pair_loss, pair_probability, save_params, transform_face,
-                    transform_voice)
-from .training import TrainConfig, TrainReport, retrain_with_extra, train
+                    load_params, pair_forward, pair_probability, save_params,
+                    transform_face, transform_voice)
+from .training import TrainConfig, TrainReport, train
 from .backend import (LdaTransform, PldaModel, PoolingRule, fit_lda, fit_plda,
                       plda_llr, pool_top_fraction, project, project_store,
-                      score_face_trial, score_vfnet_trial)
+                      score_face_trial)
 from .metrics import (DcfParams, MetricReport, act_dcf, auc, compute_metrics,
-                      eer, matching_accuracy, min_dcf, roc_points)
+                      eer, min_dcf, roc_points)
 from .fusion import FusionModel, apply_fusion, fit_fusion
 from .synth import (GenConfig, OracleScorer, generate, generate_av_benchmark,
-                    oracle_eer, oracle_score)
+                    oracle_eer)
 from .pipeline import PipelineConfig, PipelineError, run_pipeline
 
 __version__ = "0.1.0"

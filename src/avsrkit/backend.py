@@ -22,8 +22,7 @@ import scipy.linalg
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .store import EmbeddingStore
-from .vfnet import (VFNetParams, cosine_similarity, pair_probability, transform_face,
-                    transform_voice)
+from .vfnet import cosine_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +148,7 @@ def _floor_psd(mat, floor=1e-10, name="covariance"):
 
 
 PLDA_MAX_ITER = 100
+PLDA_TOL = 1e-6  # EM stops once an iteration gains less log-likelihood than this
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -253,19 +253,18 @@ def _e_step(stats, mu, b, w):
     return float(loglik), posteriors
 
 
-def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER, tol: float = 1e-6,
-             modality: str = "voice") -> PldaModel:
+def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER) -> PldaModel:
     """Maximum-likelihood two-covariance PLDA on LDA-projected voice embeddings.
 
     When every identity has the same session count n >= 2 and the within
     scatter is nonsingular, the fit is closed form (`_closed_form`). Otherwise
     EM runs from moment estimates until the log-likelihood gain drops below
-    tol; stopping at max_iter instead warns. The log-likelihood of each EM
+    PLDA_TOL; stopping at max_iter instead warns. The log-likelihood of each EM
     iteration (the closed form's one value) is recorded on the model, with how
     it was fitted and whether it converged; the EM sequence is non-decreasing
     up to numerical slack.
     """
-    groups = store.grouped(modality)
+    groups = store.grouped("voice")
     if len(groups) < 2:
         raise ValueError("need at least 2 identities to fit PLDA")
     stats = _count_groups(groups)
@@ -292,7 +291,7 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER, tol: float = 
     converged = False
     for _ in range(max_iter):
         loglik, posteriors = _e_step(stats, mu, b, w)
-        if logliks and loglik - logliks[-1] < tol:
+        if logliks and loglik - logliks[-1] < PLDA_TOL:
             # converged; the sub-tolerance evaluation is numerical noise, so
             # the recorded history keeps only the improving iterations
             converged = True
@@ -310,7 +309,7 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER, tol: float = 
         w = _floor_psd(w / n_total, name="within covariance")
     else:
         warnings.warn(f"PLDA EM stopped at max_iter={max_iter} before the "
-                      f"log-likelihood gain fell below tol={tol:g}")
+                      f"log-likelihood gain fell below tol={PLDA_TOL:g}")
 
     return PldaModel(mu=mu, B=b, W=w, loglik_history=logliks, method="EM",
                      converged=converged)
@@ -408,13 +407,3 @@ def score_face_trial(enroll_faces, test_faces, rule: PoolingRule = PoolingRule()
     if norm == 0.0:
         raise ValueError("enrollment template has zero norm")
     return pool_top_fraction(cosine_similarity(template / norm, test_faces), rule)
-
-
-def score_vfnet_trial(params: VFNetParams, enroll_voice, test_faces,
-                      rule: PoolingRule = PoolingRule()) -> float:
-    """Same-person probability of the voice against each test face, pooled."""
-    test_faces = np.asarray(test_faces, dtype=np.float64)
-    if test_faces.size == 0:
-        raise ValueError("test face set must be nonempty")
-    s = cosine_similarity(transform_voice(params, enroll_voice), transform_face(params, test_faces))
-    return pool_top_fraction(pair_probability(s).p_same, rule)

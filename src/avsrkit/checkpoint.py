@@ -27,7 +27,7 @@ def save_checkpoint(path, kind: str, arrays: dict, scalars: dict | None = None) 
         fh.write(MAGIC + "\n")
         fh.write(f"kind\t{kind}\n")
         for name, value in (scalars or {}).items():
-            fh.write(f"scalar\t{name}\t{repr(value)}\n")
+            fh.write(f"scalar\t{name}\t{repr(float(value))}\n")
         for name, arr in arrays.items():
             arr = np.asarray(arr, dtype=np.float64)
             shape = ",".join(str(d) for d in arr.shape)

@@ -258,11 +258,13 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError, store.FormatError, CheckpointError,
-            FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
+        # a pipeline stage reports bad input like a subcommand does
+        cause = exc.cause if isinstance(exc, pipeline.PipelineError) else exc
+        if isinstance(cause, (UsageError, ConfigError, store.FormatError, CheckpointError,
+                              FileNotFoundError, ValueError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

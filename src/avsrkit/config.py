@@ -14,9 +14,8 @@ class ConfigError(ValueError):
     pass
 
 
-# field -> config key, where the key differs from the field name (None: no key)
-_SPELLINGS = {TrainConfig: {"learning_rate": "lr", "rng_seed": "seed", "adam_beta1": None,
-                            "adam_beta2": None, "adam_eps": None}}
+# field -> config key, where the key differs from the field name
+_SPELLINGS = {TrainConfig: {"learning_rate": "lr", "rng_seed": "seed"}}
 
 
 def parse_kv_file(path) -> dict:
@@ -54,8 +53,8 @@ def config_keys(cls) -> dict:
         if dataclasses.is_dataclass(kind):
             keys.update({key: ((f.name,) + path, t)
                          for key, (path, t) in config_keys(kind).items()})
-        elif (key := _SPELLINGS.get(cls, {}).get(f.name, f.name)) is not None:
-            keys[key] = ((f.name,), kind)
+        else:
+            keys[_SPELLINGS.get(cls, {}).get(f.name, f.name)] = ((f.name,), kind)
     return keys
 
 

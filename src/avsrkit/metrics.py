@@ -1,4 +1,4 @@
-"""Detection and matching metrics: ROC points, EER, AUC, minDCF, actDCF.
+"""Detection metrics: ROC points, EER, AUC, minDCF, actDCF.
 
 Convention everywhere: a trial is accepted iff its score >= threshold.
 """
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .store import ScoreSet
-from .vfnet import match_one_of_two
 
 
 @dataclass(frozen=True)
@@ -152,16 +151,3 @@ def compute_metrics(scores: ScoreSet, params: DcfParams = DcfParams()) -> Metric
         n_target=tar.shape[0],
         n_nontarget=non.shape[0],
     )
-
-
-def matching_accuracy(params, triplets) -> float:
-    """Fraction of (voice, matching face, other face) triplets where the
-    network picks the matching face."""
-    triplets = list(triplets)
-    if not triplets:
-        raise ValueError("need at least one triplet")
-    correct = sum(
-        match_one_of_two(params, v, f_same, f_other) == "first"
-        for v, f_same, f_other in triplets
-    )
-    return correct / len(triplets)

@@ -107,10 +107,10 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
                  length_norm: bool = True, systems=("audio", "visual", "vfnet")):
     """Score every trial under each requested system; returns {system: ScoreSet}.
 
-    Each store is grouped by identity once; a trial then scores the two
-    identities' matrices. Raises ValueError naming the trial, identity and
-    modality when a trial's identity has no records of a modality that a
-    requested system reads.
+    Each store is grouped by identity once, and each vfnet branch runs once
+    per identity; a trial then scores the two identities' matrices. Raises
+    ValueError naming the trial, identity and modality when a trial's
+    identity has no records of a modality that a requested system reads.
     """
     groups = ({}, {})  # enrollment and test side: modality -> identity -> rows
     for k, (side, side_store) in enumerate((("enroll", enroll), ("test", test))):
@@ -126,7 +126,9 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
         e_proj, t_proj = (backend.project_store(lda, side.restrict("voice"), length_norm)
                           .grouped("voice") for side in (enroll, test))
     if "vfnet" in systems:
-        voice_templates = {i: x.mean(axis=0) for i, x in e_side["voice"].items()}
+        voice_out = {i: vfnet.transform_voice(params, x.mean(axis=0))
+                     for i, x in e_side["voice"].items()}
+        face_out = {i: vfnet.transform_face(params, x) for i, x in t_side["face"].items()}
 
     def score(system, t):
         if system == "audio":
@@ -134,8 +136,8 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
         if system == "visual":
             return backend.score_face_trial(e_side["face"][t.enroll_id],
                                             t_side["face"][t.test_id], rule)
-        return backend.score_vfnet_trial(params, voice_templates[t.enroll_id],
-                                         t_side["face"][t.test_id], rule)
+        s = vfnet.cosine_similarity(voice_out[t.enroll_id], face_out[t.test_id])
+        return backend.pool_top_fraction(vfnet.pair_probability(s).p_same, rule)
 
     return {system: ScoreSet(ScoreEntry(t.enroll_id, t.test_id, score(system, t), t.label)
                              for t in trials)

@@ -19,6 +19,7 @@ import numpy as np
 
 MODALITIES = ("voice", "face")
 LABELS = ("target", "nontarget")
+MAX_TARGETS_PER_IDENTITY = 50
 
 
 class FormatError(ValueError):
@@ -277,7 +278,7 @@ def load_scores(path) -> ScoreSet:
 def save_scores(scores: ScoreSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in scores:
-            line = f"{e.enroll_id}\t{e.test_id}\t{repr(e.score)}"
+            line = f"{e.enroll_id}\t{e.test_id}\t{repr(float(e.score))}"
             if e.label is not None:
                 line += f"\t{e.label}"
             fh.write(line + "\n")
@@ -287,13 +288,13 @@ def build_crossmodal_trials(
     store: EmbeddingStore,
     negatives_per_positive: int,
     rng_seed: int,
-    max_targets_per_identity: int = 50,
 ) -> TrialSet:
     """Labeled voice-face trials: same-identity targets plus shuffled negatives.
 
-    Targets enumerate all (voice, face) record pairs sharing an identity,
-    capped per identity; negatives are sampled uniformly over cross-identity
-    pairs without replacement. Deterministic given the seed.
+    Targets enumerate all (voice, face) record pairs sharing an identity, at
+    most MAX_TARGETS_PER_IDENTITY per identity; negatives are sampled
+    uniformly over cross-identity pairs without replacement. Deterministic
+    given the seed.
     """
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
@@ -313,8 +314,8 @@ def build_crossmodal_trials(
     for identity in sorted(by_identity):
         vids, fids = by_identity[identity]
         pairs = [(v, f) for v in vids for f in fids]
-        if len(pairs) > max_targets_per_identity:
-            idx = rng.choice(len(pairs), size=max_targets_per_identity, replace=False)
+        if len(pairs) > MAX_TARGETS_PER_IDENTITY:
+            idx = rng.choice(len(pairs), size=MAX_TARGETS_PER_IDENTITY, replace=False)
             pairs = [pairs[i] for i in sorted(idx)]
         targets.extend(pairs)
 

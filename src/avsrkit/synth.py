@@ -123,11 +123,6 @@ class OracleScorer:
         return -0.5 * (q_same - q_diff) - 0.5 * self._logdet_gap
 
 
-def oracle_score(config: GenConfig, e_v, e_f) -> float:
-    """One-shot convenience wrapper around OracleScorer."""
-    return OracleScorer(config).score(e_v, e_f)
-
-
 def oracle_eer(config: GenConfig, n_trials: int = 20000, seed: int = 12345) -> float:
     """Monte-Carlo EER of the Bayes scorer; the benchmark's noise floor."""
     from .metrics import _eer_arrays

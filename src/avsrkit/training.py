@@ -18,6 +18,12 @@ from .vfnet import (VFNetParams, batch_loss_grad, init_params, transform_face,
                     transform_voice)
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class TrainingError(RuntimeError):
     pass
 
@@ -30,9 +36,6 @@ class TrainConfig:
     patience: int = 6
     rng_seed: int = 0
     optimizer: str = "adam"  # "adam" or "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden_dim: int = 256
     output_dim: int = 128
 
@@ -47,8 +50,6 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must be in [0, 1)")
 
 
 @dataclass
@@ -91,13 +92,13 @@ class _Optimizer:
             else:
                 m = getattr(self.m, f.name)
                 v = getattr(self.v, f.name)
-                m *= c.adam_beta1
-                m += (1.0 - c.adam_beta1) * g
-                v *= c.adam_beta2
-                v += (1.0 - c.adam_beta2) * g * g
-                m_hat = m / (1.0 - c.adam_beta1 ** self.t)
-                v_hat = v / (1.0 - c.adam_beta2 ** self.t)
-                p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+                v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+                p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _validation_scores(params: VFNetParams, voices, faces):
@@ -120,7 +121,7 @@ def _tiled_permutation(rng, n, total):
 
 
 def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
-          config: TrainConfig, initial_params: VFNetParams | None = None) -> TrainReport:
+          config: TrainConfig) -> TrainReport:
     """Train on labeled cross-modal trials; keep the best-validation epoch.
 
     Each batch holds batch_size // 2 targets and as many nontargets; the
@@ -131,11 +132,8 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     vv, vf, v_same = _gather_pairs(store, valid_trials)
     train_list = list(train_trials)
 
-    if initial_params is None:
-        params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
-                             output_dim=config.output_dim, seed=config.rng_seed)
-    else:
-        params = initial_params.copy()
+    params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
+                         output_dim=config.output_dim, seed=config.rng_seed)
     rng = np.random.default_rng([config.rng_seed, 7])
     optimizer = _Optimizer(config, params)
 
@@ -187,21 +185,6 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
 
     return TrainReport(train_loss=train_losses, validation_eer=valid_eers,
                        best_epoch=best_epoch, final_params=best_params)
-
-
-def retrain_with_extra(params: VFNetParams, store: EmbeddingStore,
-                       train_trials: TrialSet, valid_trials: TrialSet,
-                       store_extra: EmbeddingStore, trials_extra: TrialSet,
-                       config: TrainConfig) -> TrainReport:
-    """Continue training from fitted params on base plus extra trials.
-
-    Record ids must be disjoint between the two stores; an empty extra set
-    reduces to continuing training on the base data alone.
-    """
-    merged_store = EmbeddingStore(list(store) + list(store_extra))
-    merged_trials = TrialSet(list(train_trials) + list(trials_extra))
-    return train(merged_store, merged_trials, valid_trials, config,
-                 initial_params=params)
 
 
 def save_report(report: TrainReport, path) -> None:

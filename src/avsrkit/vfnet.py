@@ -17,8 +17,6 @@ from scipy.special import expit
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
-PAIR_LABELS = ("same", "different")
-
 
 @dataclass
 class VFNetParams:
@@ -150,15 +148,6 @@ def pair_probability(similarity) -> PairScore:
     return PairScore(similarity=s, p_same=p_same, p_diff=1.0 - p_same)
 
 
-def pair_loss(score: PairScore, label: str) -> float:
-    """Cross-entropy of the pair prediction against a same/different label."""
-    if label not in PAIR_LABELS:
-        raise ValueError(f"unknown label {label!r}")
-    x = 2.0 * score.similarity - 1.0
-    # -log p_same = log(1 + e^-x); -log p_diff = log(1 + e^x)
-    return float(np.logaddexp(0.0, -x) if label == "same" else np.logaddexp(0.0, x))
-
-
 def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
     """Mean pair loss and its gradient over a batch of (voice, face) pairs.
 
@@ -207,29 +196,23 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
     return float(losses.mean()), grads
 
 
-def pair_grad(params: VFNetParams, e_v, e_f, label: str):
-    """Loss and exact gradient for a single labeled pair."""
-    if label not in PAIR_LABELS:
-        raise ValueError(f"unknown label {label!r}")
-    e_v = np.asarray(e_v, dtype=np.float64)
-    e_f = np.asarray(e_f, dtype=np.float64)
-    return batch_loss_grad(params, e_v[None, :], e_f[None, :],
-                           np.array([label == "same"]))
-
-
 def pair_forward(params: VFNetParams, e_v, e_f) -> PairScore:
     """Full forward pass: transform both embeddings and score the pair."""
     s = cosine_similarity(transform_voice(params, e_v), transform_face(params, e_f))
     return pair_probability(s)
 
 
-def match_one_of_two(params: VFNetParams, e_v, e_f_a, e_f_b) -> str:
-    """Pick the candidate face more similar to the voice; ties go to 'first'.
-
-    Both faces pass through the same face branch. The decision is identical
-    to comparing p_same values since p_same is strictly increasing in S.
+def matching_accuracy(params: VFNetParams, triplets) -> float:
+    """Fraction of (voice, matching face, other face) triplets where the voice
+    is at least as similar to the matching face as to the other (a tie counts
+    as a match). Each branch runs once over all the triplets. The decision is
+    the same as comparing p_same values, since p_same is increasing in S.
     """
-    u = transform_voice(params, e_v)
-    s_a = cosine_similarity(u, transform_face(params, e_f_a))
-    s_b = cosine_similarity(u, transform_face(params, e_f_b))
-    return "first" if s_a >= s_b else "second"
+    triplets = list(triplets)
+    if not triplets:
+        raise ValueError("need at least one triplet")
+    voices, faces, others = (np.array(x) for x in zip(*triplets))
+    u = transform_voice(params, voices)
+    f = transform_face(params, np.concatenate([faces, others]))
+    n = len(triplets)
+    return float(np.mean(cosine_similarity(u, f[:n]) >= cosine_similarity(u, f[n:])))

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from avsrkit.backend import PoolingRule, fit_plda, pool_top_fraction
-from avsrkit.metrics import (DcfParams, act_dcf, eer, matching_accuracy,
-                             min_dcf, _eer_arrays)
+from avsrkit.metrics import DcfParams, act_dcf, eer, min_dcf, _eer_arrays
 from avsrkit.pipeline import (PipelineConfig, build_identity_trials,
                               run_pipeline, split_identities)
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
@@ -23,7 +22,8 @@ from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
                            save_trials)
 from avsrkit.synth import GenConfig, generate, generate_av_benchmark, oracle_eer
 from avsrkit.training import TrainConfig, train, _validation_scores
-from avsrkit.vfnet import VFNetParams, pair_grad, pair_probability
+from avsrkit.vfnet import (VFNetParams, batch_loss_grad, matching_accuracy,
+                           pair_probability)
 from conftest import ACCEPTANCE_RESULTS, make_score_set
 from oracles import brute_act_dcf, brute_auc, brute_eer, brute_min_dcf
 
@@ -134,10 +134,11 @@ def test_criterion_1_gradient_correctness(rng):
         for f in fields(VFNetParams):
             arr = getattr(params, f.name)
             arr += 0.1 * rng.standard_normal(arr.shape)
-        e_v = rng.standard_normal(dim)
-        e_f = rng.standard_normal(dim)
-        label = "same" if k % 2 == 0 else "different"
-        _, grads = pair_grad(params, e_v, e_f, label)
+        # one pair, as a batch of one row
+        e_v = rng.standard_normal((1, dim))
+        e_f = rng.standard_normal((1, dim))
+        same = [k % 2 == 0]
+        _, grads = batch_loss_grad(params, e_v, e_f, same)
         for f in fields(VFNetParams):
             arr = getattr(params, f.name)
             analytic = getattr(grads, f.name)
@@ -145,9 +146,9 @@ def test_criterion_1_gradient_correctness(rng):
                 idx = tuple(int(rng.integers(s)) for s in arr.shape)
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = pair_grad(params, e_v, e_f, label)
+                lp, _ = batch_loss_grad(params, e_v, e_f, same)
                 arr[idx] = orig - h
-                lm, _ = pair_grad(params, e_v, e_f, label)
+                lm, _ = batch_loss_grad(params, e_v, e_f, same)
                 arr[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 scale = max(abs(analytic[idx]), 1e-6)

@@ -5,8 +5,9 @@ from scipy.stats import multivariate_normal
 from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, fit_lda,
                              fit_plda, load_lda, load_plda, plda_llr,
                              pool_top_fraction, project_store, save_lda,
-                             save_plda, score_face_trial, score_vfnet_trial)
-from avsrkit.store import EmbeddingRecord, EmbeddingStore
+                             save_plda, score_face_trial)
+from avsrkit.pipeline import score_trials
+from avsrkit.store import EmbeddingRecord, EmbeddingStore, Trial, TrialSet
 from avsrkit.vfnet import init_params, pair_forward
 
 
@@ -44,12 +45,14 @@ class TestLda:
         assert fit_lda(store, 10).output_dim == 2
 
     def test_paper_scale_dimension(self, rng):
-        # 300 classes of 512-d data reduced to 150
+        # 300 classes of 512-d data reduced to 150; 600 records leave the
+        # within-class scatter rank 300, so the fit regularizes it and warns
         means = rng.standard_normal((300, 512)) * 3.0
         x = means[:, None, :] + rng.standard_normal((300, 2, 512))
         recs = [EmbeddingRecord(f"r{c}_{i}", f"id{c}", "voice", x[c, i])
                 for c in range(300) for i in range(2)]
-        lda = fit_lda(EmbeddingStore(recs), 150)
+        with pytest.warns(UserWarning, match="within-class scatter is singular"):
+            lda = fit_lda(EmbeddingStore(recs), 150)
         assert lda.output_dim == 150
 
     def test_projected_within_class_covariance_is_identity(self, rng):
@@ -324,6 +327,16 @@ class TestFaceTrial:
     def test_zero_template_rejected(self):
         with pytest.raises(ValueError, match="template"):
             score_face_trial([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 1.0]])
+
+
+def score_vfnet_trial(params, voice, faces, rule=PoolingRule()):
+    """The vfnet score of one trial: an enrollment voice against test faces."""
+    enroll = EmbeddingStore([EmbeddingRecord("v", "a", "voice", voice)])
+    test = EmbeddingStore(EmbeddingRecord(f"f{j}", "b", "face", face)
+                          for j, face in enumerate(faces))
+    scored = score_trials(TrialSet([Trial("a", "b")]), enroll, test, None, None,
+                          params, rule, systems=("vfnet",))
+    return scored["vfnet"].entries[0].score
 
 
 class TestVfnetTrial:

@@ -303,6 +303,55 @@ class TestFitBackend:
         assert len(capped) == ("stopped" in status)
 
 
+class TestPipelineExitCodes:
+    """Bad input found inside a pipeline stage exits 1 and names the stage;
+    a runtime failure there exits 2."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--n-train", "40", "--n-test", "4", "--sessions", "3",
+                     "--negatives-per-positive", "1", "--out-dir", str(data)]) == 0
+        config = tmp_path / "pipeline.config"
+        config.write_text("".join(f"{name}_embeddings = {data / name}.embeddings\n"
+                                  for name in ("train", "dev", "eval"))
+                          + f"dev_trials = {data / 'dev.trials'}\n"
+                          + f"eval_trials = {data / 'eval.trials'}\n"
+                          + f"out_dir = {tmp_path / 'out'}\nmax_epochs = 1\n")
+        return data, ["pipeline", "--config", str(config)]
+
+    def test_malformed_embedding_line_exits_1(self, data, capsys):
+        data, argv = data
+        path = data / "dev.embeddings"
+        n_lines = len(path.read_text().splitlines())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("broken line\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage 'load-data' failed: ")
+        assert f"dev.embeddings:{n_lines + 1}: expected 4 tab-separated fields" in err
+
+    def test_trial_naming_absent_identity_exits_1(self, data, capsys):
+        data, argv = data
+        with open(data / "dev.trials", "a", encoding="utf-8") as fh:
+            fh.write("nobody\tdev0\tnontarget\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage 'score-dev' failed: ")
+        assert "enroll identity 'nobody' has no" in err
+
+    def test_runtime_failure_exits_2(self, data, capsys, monkeypatch):
+        from avsrkit import training
+
+        def diverge(*args, **kwargs):
+            raise training.TrainingError("non-finite loss in epoch 0, batch 0")
+
+        monkeypatch.setattr(training, "train", diverge)
+        assert main(data[1]) == 2
+        assert capsys.readouterr().err.startswith(
+            "failure: pipeline stage 'train-vfnet' failed: non-finite loss")
+
+
 class TestThreadCountDeterminism:
     def test_pipeline_outputs_across_blas_thread_counts(self, tmp_path):
         # The same `avsrkit pipeline` run at one and at two BLAS threads:

@@ -154,3 +154,10 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
         assert loaded.effective_prior == model.effective_prior
+
+    def test_numpy_scalar_bias_round_trips(self, tmp_path):
+        model = FusionModel(weights=[2.0], bias=np.float64(0.25), effective_prior=0.05)
+        path = tmp_path / "fusion.ckpt"
+        save_fusion(model, path)
+        assert "scalar\tbias\t0.25\n" in path.read_text()
+        assert load_fusion(path).bias == 0.25

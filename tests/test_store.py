@@ -97,6 +97,12 @@ class TestScoreSet:
         assert loaded == ss
         assert loaded.entries[0].score == tricky
 
+    def test_numpy_scalar_score_written_as_number(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        save_scores(ScoreSet([ScoreEntry("a", "b", np.float64(1.5), "target")]), path)
+        assert path.read_text() == "a\tb\t1.5\ttarget\n"
+        assert load_scores(path).entries[0].score == 1.5
+
     def test_labeled_parse(self, tmp_path):
         p = tmp_path / "s.tsv"
         p.write_text("a\tb\t0.5\ttarget\na\tc\t-0.5\tnontarget\n")
@@ -155,16 +161,17 @@ class TestBuildCrossmodalTrials:
             assert t.label == ("target" if same else "nontarget")
 
     def test_target_cap(self, rng):
+        # idA has 8 x 8 = 64 voice-face pairs, above the cap of 50
         recs = [EmbeddingRecord(f"v{j}", "idA", "voice", rng.standard_normal(2))
-                for j in range(10)]
+                for j in range(8)]
         recs += [EmbeddingRecord(f"f{j}", "idA", "face", rng.standard_normal(2))
-                 for j in range(10)]
-        recs += [EmbeddingRecord("vB", "idB", "voice", rng.standard_normal(2)),
-                 EmbeddingRecord("fB", "idB", "face", rng.standard_normal(2))]
-        trials = build_crossmodal_trials(EmbeddingStore(recs), 1, 0,
-                                         max_targets_per_identity=5)
+                 for j in range(8)]
+        recs += [EmbeddingRecord(f"vB{j}", "idB", "voice", rng.standard_normal(2))
+                 for j in range(8)]
+        recs += [EmbeddingRecord("fB", "idB", "face", rng.standard_normal(2))]
+        trials = build_crossmodal_trials(EmbeddingStore(recs), 1, 0)
         targets = [t for t in trials if t.label == "target"]
-        assert len(targets) == 5 + 1
+        assert len(targets) == 50 + 8
 
     def test_single_identity_fails(self):
         store = EmbeddingStore([

@@ -3,8 +3,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from avsrkit.synth import (GenConfig, OracleScorer, generate,
-                           generate_av_benchmark, mixing_maps, oracle_eer,
-                           oracle_score)
+                           generate_av_benchmark, mixing_maps, oracle_eer)
 
 SMALL = GenConfig(d_id=2, d_voice=4, d_face=4, n_identities_train=20,
                   n_identities_test=10, rng_seed=5)
@@ -101,7 +100,7 @@ class TestOracle:
             z = np.concatenate([e_v, e_f])
             expected = multivariate_normal.logpdf(z, np.zeros(5), same) \
                 - multivariate_normal.logpdf(z, np.zeros(5), diff)
-            assert oracle_score(config, e_v, e_f) == pytest.approx(expected, abs=1e-8)
+            assert OracleScorer(config).score(e_v, e_f) == pytest.approx(expected, abs=1e-8)
 
     def test_batch_agrees_with_single(self, rng):
         scorer = OracleScorer(SMALL)

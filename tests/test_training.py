@@ -6,8 +6,7 @@ import pytest
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
                            build_crossmodal_trials)
 from avsrkit.synth import GenConfig, generate
-from avsrkit.training import (TrainConfig, retrain_with_extra, save_report,
-                              train)
+from avsrkit.training import TrainConfig, save_report, train
 from avsrkit.vfnet import VFNetParams
 
 SMALL_CONFIG = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=5,
@@ -108,53 +107,6 @@ class TestTrain:
         unlabeled = TrialSet([Trial(t.enroll_id, t.test_id) for t in tr])
         with pytest.raises(ValueError):
             train(store, unlabeled, va, SMALL_CONFIG)
-
-
-class TestRetrain:
-    def test_empty_extra_continues_base_training(self):
-        store, tr, va = small_data()
-        base = train(store, tr, va, SMALL_CONFIG)
-        empty_store = EmbeddingStore([])
-        empty_trials = TrialSet([])
-        cont = retrain_with_extra(base.final_params, store, tr, va,
-                                  empty_store, empty_trials, SMALL_CONFIG)
-        direct = train(store, tr, va, SMALL_CONFIG,
-                       initial_params=base.final_params)
-        assert cont.train_loss == direct.train_loss
-        assert params_equal(cont.final_params, direct.final_params)
-
-    def test_reproducible(self):
-        store, tr, va = small_data()
-        extra_store, _, _ = generate(GenConfig(
-            d_id=2, d_voice=8, d_face=8, n_identities_train=5,
-            n_identities_test=2, rng_seed=123))
-        extra_store = EmbeddingStore([
-            EmbeddingRecord("x_" + r.record_id, "x_" + r.identity_id,
-                            r.modality, r.vector) for r in extra_store])
-        extra_trials = build_crossmodal_trials(extra_store, 1, rng_seed=9)
-        base = train(store, tr, va, SMALL_CONFIG)
-        r1 = retrain_with_extra(base.final_params, store, tr, va,
-                                extra_store, extra_trials, SMALL_CONFIG)
-        r2 = retrain_with_extra(base.final_params, store, tr, va,
-                                extra_store, extra_trials, SMALL_CONFIG)
-        assert r1.train_loss == r2.train_loss
-        assert params_equal(r1.final_params, r2.final_params)
-
-    def test_extra_data_changes_outcome(self):
-        store, tr, va = small_data()
-        extra_store, _, _ = generate(GenConfig(
-            d_id=2, d_voice=8, d_face=8, n_identities_train=5,
-            n_identities_test=2, rng_seed=123))
-        extra_store = EmbeddingStore([
-            EmbeddingRecord("x_" + r.record_id, "x_" + r.identity_id,
-                            r.modality, r.vector) for r in extra_store])
-        extra_trials = build_crossmodal_trials(extra_store, 1, rng_seed=9)
-        base = train(store, tr, va, SMALL_CONFIG)
-        with_extra = retrain_with_extra(base.final_params, store, tr, va,
-                                        extra_store, extra_trials, SMALL_CONFIG)
-        without = train(store, tr, va, SMALL_CONFIG,
-                        initial_params=base.final_params)
-        assert not params_equal(with_extra.final_params, without.final_params)
 
 
 class TestConfigValidation:

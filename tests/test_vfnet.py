@@ -4,11 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from avsrkit.vfnet import (PAIR_LABELS, VFNetParams, cosine_similarity,
-                           init_params, load_params, match_one_of_two,
-                           pair_forward, pair_grad, pair_loss,
-                           pair_probability, save_params, transform_face,
-                           transform_voice)
+from avsrkit.vfnet import (VFNetParams, batch_loss_grad, cosine_similarity,
+                           init_params, load_params, matching_accuracy,
+                           pair_forward, pair_probability, save_params,
+                           transform_face, transform_voice)
 
 
 def toy_params():
@@ -21,6 +20,21 @@ def toy_params():
                    [1.0, -1.0, 0.0]])
     b2 = np.zeros(2)
     return VFNetParams(w1, b1, w2, b2, w1.copy(), b1.copy(), w2.copy(), b2.copy())
+
+
+def linear_pair(s):
+    """A network that passes 2-d inputs through (its face branch negated when
+    s < 0) and a (voice, face) pair whose similarity is s."""
+    eye, zero = np.eye(2), np.zeros(2)
+    face_w2 = eye if s >= 0.0 else -eye
+    params = VFNetParams(eye, zero, eye, zero, eye, zero, face_w2, zero)
+    c = abs(s)
+    return params, np.array([1.0, 0.0]), np.array([c, math.sqrt(1.0 - c * c)])
+
+
+def pair_loss_grad(params, e_v, e_f, same):
+    """Loss and gradient of one labeled pair, a batch of one row."""
+    return batch_loss_grad(params, [e_v], [e_f], [same])
 
 
 def random_params(rng, dim=6):
@@ -132,20 +146,20 @@ class TestPairProbability:
 
 class TestPairLoss:
     def test_half_probability(self):
-        assert pair_loss(pair_probability(0.5), "same") == \
-            pytest.approx(math.log(2.0), abs=1e-12)
+        loss, _ = pair_loss_grad(*linear_pair(0.5), True)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_s_one_same(self):
-        assert pair_loss(pair_probability(1.0), "same") == \
-            pytest.approx(0.313262, abs=1e-6)
+        loss, _ = pair_loss_grad(*linear_pair(1.0), True)
+        assert loss == pytest.approx(0.313262, abs=1e-6)
 
     def test_perfect_prediction_limit(self):
-        # far beyond the cosine range, but the formula is total in S
-        assert pair_loss(pair_probability(40.0), "same") < 1e-12
-
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            pair_loss(pair_probability(0.0), "positive")
+        # cosine is bounded, so the best a pair can reach is S = 1 for a
+        # same pair and S = -1 for a different pair: softplus(-1), softplus(-3)
+        same, _ = pair_loss_grad(*linear_pair(1.0), True)
+        different, _ = pair_loss_grad(*linear_pair(-1.0), False)
+        assert same == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-12)
+        assert different == pytest.approx(math.log1p(math.exp(-3.0)), abs=1e-12)
 
 
 class TestPairGrad:
@@ -153,35 +167,37 @@ class TestPairGrad:
         params = random_params(rng)
         e_v = rng.standard_normal(6)
         e_f = rng.standard_normal(6)
-        loss, _ = pair_grad(params, e_v, e_f, "same")
-        assert loss == pytest.approx(
-            pair_loss(pair_forward(params, e_v, e_f), "same"), abs=1e-12)
+        x = 2.0 * pair_forward(params, e_v, e_f).similarity - 1.0
+        assert pair_loss_grad(params, e_v, e_f, True)[0] == \
+            pytest.approx(np.logaddexp(0.0, -x), abs=1e-12)
+        assert pair_loss_grad(params, e_v, e_f, False)[0] == \
+            pytest.approx(np.logaddexp(0.0, x), abs=1e-12)
 
     def test_gradients_finite(self, rng):
         for _ in range(5):
             params = random_params(rng)
-            _, g = pair_grad(params, rng.standard_normal(6), rng.standard_normal(6),
-                             "different")
+            _, g = pair_loss_grad(params, rng.standard_normal(6), rng.standard_normal(6),
+                                  False)
             for f in fields(VFNetParams):
                 assert np.all(np.isfinite(getattr(g, f.name)))
 
     def test_matches_central_differences(self, rng):
         h = 1e-5
-        for label in PAIR_LABELS:
+        for same in (True, False):
             for _ in range(10):
                 params = random_params(rng)
                 e_v = rng.standard_normal(6)
                 e_f = rng.standard_normal(6)
-                _, g = pair_grad(params, e_v, e_f, label)
+                _, g = pair_loss_grad(params, e_v, e_f, same)
                 for _ in range(10):
                     f = fields(VFNetParams)[int(rng.integers(8))]
                     arr = getattr(params, f.name)
                     idx = tuple(int(rng.integers(s)) for s in arr.shape)
                     orig = arr[idx]
                     arr[idx] = orig + h
-                    lp, _ = pair_grad(params, e_v, e_f, label)
+                    lp, _ = pair_loss_grad(params, e_v, e_f, same)
                     arr[idx] = orig - h
-                    lm, _ = pair_grad(params, e_v, e_f, label)
+                    lm, _ = pair_loss_grad(params, e_v, e_f, same)
                     arr[idx] = orig
                     fd = (lp - lm) / (2.0 * h)
                     analytic = getattr(g, f.name)[idx]
@@ -195,8 +211,8 @@ class TestPairGrad:
         h = 1e-7
         for s in [-0.8, 0.0, 0.9]:
             p = pair_probability(s).p_same
-            numeric = (pair_loss(pair_probability(s + h), "same")
-                       - pair_loss(pair_probability(s - h), "same")) / (2.0 * h)
+            numeric = (pair_loss_grad(*linear_pair(s + h), True)[0]
+                       - pair_loss_grad(*linear_pair(s - h), True)[0]) / (2.0 * h)
             assert numeric == pytest.approx(-2.0 * (1.0 - p), abs=1e-6)
 
 
@@ -204,17 +220,17 @@ class TestMatching:
     def test_tie_goes_first(self, rng):
         params = random_params(rng)
         face = rng.standard_normal(6)
-        assert match_one_of_two(params, rng.standard_normal(6), face, face) == "first"
+        assert matching_accuracy(params, [(rng.standard_normal(6), face, face)]) == 1.0
 
     def test_orders_by_similarity(self, rng):
         params = random_params(rng)
-        e_v = rng.standard_normal(6)
-        # search for a pair of faces with distinct similarities
-        f_a, f_b = rng.standard_normal(6), rng.standard_normal(6)
-        s_a = cosine_similarity(transform_voice(params, e_v), transform_face(params, f_a))
-        s_b = cosine_similarity(transform_voice(params, e_v), transform_face(params, f_b))
-        expected = "first" if s_a >= s_b else "second"
-        assert match_one_of_two(params, e_v, f_a, f_b) == expected
+        triplets = [tuple(rng.standard_normal((3, 6))) for _ in range(20)]
+        u = [transform_voice(params, e_v) for e_v, _, _ in triplets]
+        wins = [cosine_similarity(u_i, transform_face(params, f_a))
+                >= cosine_similarity(u_i, transform_face(params, f_b))
+                for u_i, (_, f_a, f_b) in zip(u, triplets)]
+        assert 0 < sum(wins) < 20
+        assert matching_accuracy(params, triplets) == sum(wins) / 20
 
     def test_agrees_with_p_same_comparison(self, rng):
         params = random_params(rng)
@@ -222,20 +238,23 @@ class TestMatching:
             e_v = rng.standard_normal(6)
             f_a = rng.standard_normal(6)
             f_b = rng.standard_normal(6)
-            by_p = "first" if pair_forward(params, e_v, f_a).p_same >= \
-                pair_forward(params, e_v, f_b).p_same else "second"
-            assert match_one_of_two(params, e_v, f_a, f_b) == by_p
+            by_p = pair_forward(params, e_v, f_a).p_same >= \
+                pair_forward(params, e_v, f_b).p_same
+            assert matching_accuracy(params, [(e_v, f_a, f_b)]) == float(by_p)
 
     def test_invariant_under_face_rescaling(self, rng):
         # positive homogeneity needs zero biases: relu(a x) = a relu(x) but
         # relu(a x + b) != a relu(x + b)
         params = init_params(input_dim=6, hidden_dim=16, output_dim=4, seed=3)
-        for _ in range(20):
-            e_v = rng.standard_normal(6)
-            f_a = rng.standard_normal(6)
-            f_b = rng.standard_normal(6)
-            base = match_one_of_two(params, e_v, f_a, f_b)
-            assert match_one_of_two(params, e_v, 3.7 * f_a, 0.02 * f_b) == base
+        triplets = [tuple(rng.standard_normal((3, 6))) for _ in range(20)]
+        base = matching_accuracy(params, triplets)
+        assert 0.0 < base < 1.0
+        assert matching_accuracy(params, [(e_v, 3.7 * f_a, 0.02 * f_b)
+                                          for e_v, f_a, f_b in triplets]) == base
+
+    def test_rejects_no_triplets(self):
+        with pytest.raises(ValueError, match="triplet"):
+            matching_accuracy(toy_params(), [])
 
 
 class TestCheckpoint:
