@@ -31,8 +31,8 @@ print(f"actDCF = {act_dcf(scores, params):.4f} at the Bayes threshold "
 
 # the raw scores are not llrs, so actDCF is much worse than minDCF.
 # an affine shift moves them onto the right scale:
-shifted = ScoreSet([ScoreEntry(e.enroll_id, e.test_id, 2.0 * e.score - 2.0, e.label)
-                    for e in scores])
+shifted = ScoreSet.from_columns(scores.enroll_ids, scores.test_ids, 2.0 * scores.scores - 2.0,
+                               scores.labels)
 print("\n=== after a hand-tuned affine map (see the fusion demo for the "
       "principled version) ===")
 print(f"minDCF = {min_dcf(shifted, params)[0]:.4f}  (unchanged: monotone invariant)")

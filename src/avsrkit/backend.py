@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .store import EmbeddingStore
+from .store import EmbeddingStore, RowError
 from .vfnet import cosine_similarity
 
 
@@ -94,7 +94,8 @@ def project(lda: LdaTransform, x, length_norm: bool = True) -> np.ndarray:
     if length_norm:
         norm = np.linalg.norm(y, axis=-1, keepdims=True)
         if not norm.all():
-            raise ValueError(f"row {int(np.argmin(norm))} projects to the zero vector")
+            row = int(np.argmin(norm))
+            raise RowError(row, f"row {row} projects to the zero vector")
         y = y / norm
     return y
 
@@ -102,22 +103,15 @@ def project(lda: LdaTransform, x, length_norm: bool = True) -> np.ndarray:
 def project_store(lda: LdaTransform, store: EmbeddingStore,
                   length_norm: bool = True) -> EmbeddingStore:
     """Apply an LDA transform to every record, optionally length-normalizing."""
-    from .store import EmbeddingRecord
-
-    records = list(store)
-    if not records:
+    if not len(store):
         return store
-    x = np.array([rec.vector for rec in records])
     try:
-        vecs = project(lda, x, length_norm)
-    except ValueError:
-        zero = np.linalg.norm(lda(x), axis=1) == 0.0
-        if not (length_norm and zero.any()):
-            raise
-        raise ValueError(f"record {records[int(np.argmax(zero))].record_id!r} "
+        vectors = project(lda, store.vectors, length_norm)
+    except RowError as exc:
+        raise ValueError(f"record {store.record_ids[exc.row]!r} "
                          "projects to the zero vector") from None
-    return EmbeddingStore(EmbeddingRecord(rec.record_id, rec.identity_id, rec.modality, vec)
-                          for rec, vec in zip(records, vecs))
+    return EmbeddingStore.from_columns(store.record_ids, store.identity_ids,
+                                       store.modalities, vectors)
 
 
 def save_lda(lda: LdaTransform, path) -> None:

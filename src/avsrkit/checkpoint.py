@@ -31,7 +31,7 @@ def save_checkpoint(path, kind: str, arrays: dict, scalars: dict | None = None) 
         for name, arr in arrays.items():
             arr = np.asarray(arr, dtype=np.float64)
             shape = ",".join(str(d) for d in arr.shape)
-            values = " ".join(repr(float(v)) for v in arr.ravel())
+            values = " ".join(map(repr, arr.ravel().tolist()))
             fh.write(f"array\t{name}\t{shape}\t{values}\n")
 
 

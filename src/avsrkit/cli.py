@@ -76,7 +76,6 @@ def build_parser():
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
     p.add_argument("--out-params", required=True, help="checkpoint output path")
     p.add_argument("--out-report", help="per-epoch TSV output path")
 

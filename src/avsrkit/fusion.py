@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .metrics import DcfParams
-from .store import ScoreEntry, ScoreSet
+from .store import ScoreSet
 
 WEIGHT_NORM_CAP = 1e3
 MAX_ITER = 100
@@ -39,26 +39,23 @@ class FusionModel:
         if not 0.0 < self.effective_prior < 1.0:
             raise ValueError("effective_prior must be in (0, 1)")
 
-    @property
-    def n_systems(self) -> int:
-        return self.weights.shape[0]
 
-
-def _aligned_matrix(system_scores, require_labels):
-    """Stack per-system scores into (n_trials, n_systems); checks alignment."""
+def _aligned_matrix(system_scores):
+    """Stack per-system scores into (n_trials, n_systems). Every system must
+    score system 1's trial list and, where both label a trial, agree with
+    system 1's label, which the fit and the fused set use."""
     if not system_scores:
         raise ValueError("need at least one system")
     ref = system_scores[0]
-    keys = [(e.enroll_id, e.test_id) for e in ref]
     for k, other in enumerate(system_scores[1:], start=2):
-        if [(e.enroll_id, e.test_id) for e in other] != keys:
+        if (other.enroll_ids, other.test_ids) != (ref.enroll_ids, ref.test_ids):
             raise ValueError(f"system {k} trial list does not match system 1")
-    mat = np.array([[e.score for e in s] for s in system_scores], dtype=np.float64).T
-    labels = None
-    if require_labels:
-        _, is_target = ref.scores_and_labels()
-        labels = is_target
-    return mat, labels, ref
+        for e, t, ours, theirs in zip(ref.enroll_ids, ref.test_ids, ref.labels, other.labels):
+            if ours != theirs and None not in (ours, theirs):
+                raise ValueError(f"system {k} labels trial ({e}, {t}) {theirs!r}, "
+                                 f"system 1 labels it {ours!r}")
+    # stacked (k, n), then transposed: another layout can change the bits of mat @ w
+    return np.array([s.scores for s in system_scores]).T
 
 
 def _objective(theta, x, is_target, prior):
@@ -84,7 +81,9 @@ def fit_fusion(system_scores, params: DcfParams = DcfParams()) -> FusionModel:
     optimum to infinity: the fit then warns, and the weight norm is capped at
     1e3.
     """
-    mat, is_target, _ = _aligned_matrix(list(system_scores), require_labels=True)
+    system_scores = list(system_scores)
+    mat = _aligned_matrix(system_scores)
+    _, is_target = system_scores[0].scores_and_labels()
     prior = params.effective_prior
 
     # Newton steps are affine-invariant, so standardizing each system changes
@@ -136,16 +135,13 @@ def fit_fusion(system_scores, params: DcfParams = DcfParams()) -> FusionModel:
 
 
 def apply_fusion(model: FusionModel, system_scores) -> ScoreSet:
-    """Per-trial fused llr w . s + b; labels carried over from the inputs."""
+    """Per-trial fused llr w . s + b; trial ids and labels are system 1's."""
     system_scores = list(system_scores)
-    if len(system_scores) != model.n_systems:
-        raise ValueError(f"model expects {model.n_systems} systems, got {len(system_scores)}")
-    mat, _, ref = _aligned_matrix(system_scores, require_labels=False)
-    fused = mat @ model.weights + model.bias
-    return ScoreSet([
-        ScoreEntry(e.enroll_id, e.test_id, float(s), e.label)
-        for e, s in zip(ref, fused)
-    ])
+    if len(system_scores) != len(model.weights):
+        raise ValueError(f"model expects {len(model.weights)} systems, got {len(system_scores)}")
+    fused = _aligned_matrix(system_scores) @ model.weights + model.bias
+    ref = system_scores[0]
+    return ScoreSet.from_columns(ref.enroll_ids, ref.test_ids, fused, ref.labels)
 
 
 def save_fusion(model: FusionModel, path) -> None:

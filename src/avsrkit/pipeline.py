@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend, fusion, metrics, store, training, vfnet
-from .store import EmbeddingStore, ScoreEntry, ScoreSet, Trial, TrialSet
+from .store import EmbeddingStore, ScoreSet, Trial, TrialSet
 
 REPORT_SYSTEMS = (
     ("audio", ("audio",)),
@@ -56,7 +56,7 @@ class PipelineConfig:
 def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positive: int,
                           rng_seed: int) -> TrialSet:
     """Identity-level trials: one target per identity plus sampled nontargets."""
-    identities = sorted(embedding_store.identities())
+    identities = sorted(set(embedding_store.identity_ids))
     if len(identities) < 2:
         raise ValueError("need at least 2 identities")
     rng = np.random.default_rng(rng_seed)
@@ -79,21 +79,21 @@ def split_enroll_test(embedding_store: EmbeddingStore):
     """Per identity and modality, first half of records (by id) enrolls,
     the rest tests. Every identity needs >= 2 records per modality."""
     groups = {identity: {"voice": [], "face": []}
-              for identity in embedding_store.identities()}
-    for rec in sorted(embedding_store, key=lambda r: r.record_id):
-        groups[rec.identity_id][rec.modality].append(rec)
+              for identity in dict.fromkeys(embedding_store.identity_ids)}
+    for i in sorted(range(len(embedding_store)), key=embedding_store.record_ids.__getitem__):
+        groups[embedding_store.identity_ids[i]][embedding_store.modalities[i]].append(i)
     enroll, test = [], []
     for identity, by_modality in groups.items():
-        for modality, recs in by_modality.items():
-            if len(recs) < 2:
+        for modality, rows in by_modality.items():
+            if len(rows) < 2:
                 raise ValueError(
-                    f"identity {identity!r} has {len(recs)} {modality} records; "
+                    f"identity {identity!r} has {len(rows)} {modality} records; "
                     "need >= 2 to split into enrollment and test"
                 )
-            cut = math.ceil(len(recs) / 2)
-            enroll.extend(recs[:cut])
-            test.extend(recs[cut:])
-    return EmbeddingStore(enroll), EmbeddingStore(test)
+            cut = math.ceil(len(rows) / 2)
+            enroll.extend(rows[:cut])
+            test.extend(rows[cut:])
+    return embedding_store.subset(enroll), embedding_store.subset(test)
 
 
 # the modality each system reads on the (enrollment, test) side of a trial
@@ -139,22 +139,22 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
         s = vfnet.cosine_similarity(voice_out[t.enroll_id], face_out[t.test_id])
         return backend.pool_top_fraction(vfnet.pair_probability(s).p_same, rule)
 
-    return {system: ScoreSet(ScoreEntry(t.enroll_id, t.test_id, score(system, t), t.label)
-                             for t in trials)
-            for system in systems}
+    columns = ([t.enroll_id for t in trials], [t.test_id for t in trials])
+    return {system: ScoreSet.from_columns(*columns, [score(system, t) for t in trials],
+                                          [t.label for t in trials]) for system in systems}
 
 
 def split_identities(embedding_store: EmbeddingStore, valid_fraction: float, seed: int):
     """Identity-disjoint (train, valid) stores; validation must not share
     identities with training or early stopping cannot see identity overfit."""
-    ids = sorted(embedding_store.identities())
+    ids = sorted(set(embedding_store.identity_ids))
     rng = np.random.default_rng([seed, 11])
     perm = rng.permutation(len(ids))
     n_valid = max(2, int(valid_fraction * len(ids)))
     valid_ids = {ids[i] for i in perm[:n_valid]}
-    train_part = EmbeddingStore(r for r in embedding_store if r.identity_id not in valid_ids)
-    valid_part = EmbeddingStore(r for r in embedding_store if r.identity_id in valid_ids)
-    return train_part, valid_part
+    in_valid = [identity in valid_ids for identity in embedding_store.identity_ids]
+    return (embedding_store.subset(i for i, valid in enumerate(in_valid) if not valid),
+            embedding_store.subset(i for i, valid in enumerate(in_valid) if valid))
 
 
 def run_pipeline(config: PipelineConfig) -> str:

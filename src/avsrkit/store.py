@@ -12,7 +12,6 @@ Scores are written with ``repr()`` so binary64 values round-trip bit-exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,14 @@ class FormatError(ValueError):
     """A file violated one of the text formats above."""
 
 
+class RowError(ValueError):
+    """Row ``row`` is invalid; ``first`` is the earlier row it clashes with, if any."""
+
+    def __init__(self, row: int, message: str, first: int | None = None):
+        super().__init__(message)
+        self.row, self.first = row, first
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     record_id: str
@@ -33,73 +40,95 @@ class EmbeddingRecord:
     modality: str  # "voice" or "face"
     vector: np.ndarray
 
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"record {self.record_id!r} has non-finite coordinates")
-        object.__setattr__(self, "vector", vec)
+
+def _check_known(column, known, what):
+    """Raise a RowError at the first value of column that is not in known."""
+    unknown = set(column).difference(known)
+    if unknown:
+        row = next(i for i, value in enumerate(column) if value in unknown)
+        raise RowError(row, f"unknown {what} {column[row]!r}")
 
 
 class EmbeddingStore:
-    """Immutable collection of embedding records with a uniform dimension."""
+    """Immutable embeddings of one dimension, held as columns: the read-only
+    (N, D) float64 ``vectors`` and the ``record_ids``, ``identity_ids`` and
+    ``modalities`` tuples. Built from EmbeddingRecord rows, which iteration
+    yields back, or by ``from_columns``; both validate alike."""
 
     def __init__(self, records):
-        self._records = {}
-        self._dim = None
-        for rec in records:
-            if rec.record_id in self._records:
-                raise ValueError(f"duplicate record_id {rec.record_id!r}")
-            if self._dim is None:
-                self._dim = rec.vector.shape[0]
-            elif rec.vector.shape[0] != self._dim:
-                raise ValueError(
-                    f"record {rec.record_id!r} has dimension "
-                    f"{rec.vector.shape[0]}, store dimension is {self._dim}"
-                )
-            self._records[rec.record_id] = rec
+        records = list(records)
+        self._fill([r.record_id for r in records], [r.identity_id for r in records],
+                   [r.modality for r in records], [r.vector for r in records])
+
+    @classmethod
+    def from_columns(cls, record_ids, identity_ids, modalities, vectors) -> "EmbeddingStore":
+        """vectors: an (N, D) matrix, or N vectors of D coordinates each."""
+        store = cls.__new__(cls)
+        store._fill(record_ids, identity_ids, modalities, vectors)
+        return store
+
+    def _fill(self, record_ids, identity_ids, modalities, vectors):
+        self.record_ids = tuple(record_ids)
+        self.identity_ids = tuple(identity_ids)
+        self.modalities = tuple(modalities)
+        n = len(self.record_ids)
+        if {len(self.identity_ids), len(self.modalities), len(vectors)} != {n}:
+            raise ValueError("store columns differ in length")
+        dim = len(vectors[0]) if n else 0
+        for i, vector in enumerate(vectors):
+            if len(vector) != dim:
+                raise RowError(i, f"record {self.record_ids[i]!r} has dimension {len(vector)}, "
+                                  f"store dimension is {dim}")
+        self.vectors = np.array(vectors, dtype=np.float64).reshape(n, dim)
+        self.vectors.flags.writeable = False
+        _check_known(self.modalities, MODALITIES, "modality")
+        self._index = {}  # record id -> row
+        for i, record_id in enumerate(self.record_ids):
+            if self._index.setdefault(record_id, i) != i:
+                raise RowError(i, f"duplicate record_id {record_id!r}", self._index[record_id])
+        finite = np.isfinite(self.vectors).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise RowError(row, f"record {self.record_ids[row]!r} has non-finite coordinates")
 
     def __len__(self):
-        return len(self._records)
+        return len(self.record_ids)
 
     def __iter__(self):
-        return iter(self._records.values())
-
-    def __contains__(self, record_id):
-        return record_id in self._records
+        return map(EmbeddingRecord, self.record_ids, self.identity_ids, self.modalities,
+                   self.vectors)
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
+        if not len(self):
             raise ValueError("dimension of an empty store is undefined")
-        return self._dim
+        return self.vectors.shape[1]
 
-    def get(self, record_id: str) -> EmbeddingRecord:
+    def rows(self, record_ids) -> np.ndarray:
+        """The (n, D) vectors of the given record ids, in their order."""
         try:
-            return self._records[record_id]
-        except KeyError:
-            raise KeyError(f"no record {record_id!r} in store") from None
+            return self.vectors[[self._index[record_id] for record_id in record_ids]]
+        except KeyError as exc:
+            raise KeyError(f"no record {exc.args[0]!r} in store") from None
 
-    def records(self, modality=None):
-        """Records, optionally of one modality, in insertion order."""
-        return [rec for rec in self._records.values()
-                if modality is None or rec.modality == modality]
+    def subset(self, indices) -> "EmbeddingStore":
+        """The store of the rows at the given indices, in their order."""
+        indices = list(indices)
+        return EmbeddingStore.from_columns(
+            [self.record_ids[i] for i in indices], [self.identity_ids[i] for i in indices],
+            [self.modalities[i] for i in indices], self.vectors[indices])
+
+    def restrict(self, modality: str) -> "EmbeddingStore":
+        return self.subset([i for i, m in enumerate(self.modalities) if m == modality])
 
     def grouped(self, modality):
         """identity -> (n, D) matrix of its records of one modality, rows in
         insertion order; identities in first-seen order."""
         rows = {}
-        for rec in self.records(modality):
-            rows.setdefault(rec.identity_id, []).append(rec.vector)
-        return {identity: np.array(vecs) for identity, vecs in rows.items()}
-
-    def identities(self):
-        """Distinct identity ids, in first-seen order."""
-        return list(dict.fromkeys(rec.identity_id for rec in self._records.values()))
-
-    def restrict(self, modality: str) -> "EmbeddingStore":
-        return EmbeddingStore(self.records(modality=modality))
+        for i, (identity, m) in enumerate(zip(self.identity_ids, self.modalities)):
+            if m == modality:
+                rows.setdefault(identity, []).append(i)
+        return {identity: self.vectors[idx] for identity, idx in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -114,17 +143,14 @@ class TrialSet:
 
     def __init__(self, trials):
         trials = list(trials)
-        seen = set()
-        for t in trials:
-            key = (t.enroll_id, t.test_id)
-            if key in seen:
-                raise ValueError(f"duplicate trial {key}")
-            seen.add(key)
-            if t.label is not None and t.label not in LABELS:
-                raise ValueError(f"unknown label {t.label!r}")
-        n_labeled = sum(t.label is not None for t in trials)
-        if n_labeled not in (0, len(trials)):
-            raise ValueError("trial set is partially labeled")
+        _check_known([t.label for t in trials], (None,) + LABELS, "label")
+        rows = {}  # (enroll id, test id) -> row
+        for i, t in enumerate(trials):
+            first = rows.setdefault((t.enroll_id, t.test_id), i)
+            if first != i:
+                raise RowError(i, f"duplicate trial ({t.enroll_id}, {t.test_id})", first)
+            if (t.label is None) != (trials[0].label is None):
+                raise RowError(i, "trial set is partially labeled")
         self.trials = trials
 
     def __len__(self):
@@ -150,29 +176,46 @@ class ScoreEntry:
 
 
 class ScoreSet:
-    """Aligned trial scores, optionally labeled."""
+    """Immutable trial scores, optionally labeled, held as columns: the
+    ``enroll_ids``, ``test_ids`` and ``labels`` (None for unlabeled) tuples and
+    the read-only float64 ``scores`` array. Built from ScoreEntry rows, which
+    iteration yields back in order, or from the columns."""
 
     def __init__(self, entries):
         entries = list(entries)
-        for e in entries:
-            if not math.isfinite(e.score):
-                raise ValueError(f"non-finite score for trial ({e.enroll_id}, {e.test_id})")
-            if e.label is not None and e.label not in LABELS:
-                raise ValueError(f"unknown label {e.label!r}")
-        self.entries = entries
+        self._fill([e.enroll_id for e in entries], [e.test_id for e in entries],
+                   [e.score for e in entries], [e.label for e in entries])
+
+    @classmethod
+    def from_columns(cls, enroll_ids, test_ids, scores, labels) -> "ScoreSet":
+        score_set = cls.__new__(cls)
+        score_set._fill(enroll_ids, test_ids, scores, labels)
+        return score_set
+
+    def _fill(self, enroll_ids, test_ids, scores, labels):
+        self.enroll_ids = tuple(enroll_ids)
+        self.test_ids = tuple(test_ids)
+        self.scores = np.array(scores, dtype=np.float64)
+        self.scores.flags.writeable = False
+        self.labels = tuple(labels)
+        if {len(self.test_ids), len(self.scores), len(self.labels)} != {len(self.enroll_ids)}:
+            raise ValueError("score set columns differ in length")
+        finite = np.isfinite(self.scores)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise RowError(i, f"non-finite score for trial ({self.enroll_ids[i]}, "
+                              f"{self.test_ids[i]})")
+        _check_known(self.labels, (None,) + LABELS, "label")
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.enroll_ids)
 
     def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, ScoreSet) and self.entries == other.entries
+        return map(ScoreEntry, self.enroll_ids, self.test_ids, self.scores.tolist(), self.labels)
 
     @property
     def labeled(self) -> bool:
-        return bool(self.entries) and all(e.label is not None for e in self.entries)
+        return bool(self.labels) and None not in self.labels
 
     def scores_and_labels(self):
         """(scores, is_target) arrays for metric computation.
@@ -181,11 +224,10 @@ class ScoreSet:
         """
         if not self.labeled:
             raise ValueError("score set is not fully labeled")
-        scores = np.array([e.score for e in self.entries], dtype=np.float64)
-        is_target = np.array([e.label == "target" for e in self.entries], dtype=bool)
+        is_target = np.array([label == "target" for label in self.labels], dtype=bool)
         if not is_target.any() or is_target.all():
             raise ValueError("need at least one target and one nontarget score")
-        return scores, is_target
+        return self.scores, is_target
 
 
 def _parse_lines(path):
@@ -197,55 +239,47 @@ def _parse_lines(path):
             yield lineno, line.split("\t")
 
 
+def _build(path, linenos, build, *columns):
+    """build(*columns), with a RowError raised as a FormatError naming file and line."""
+    try:
+        return build(*columns)
+    except RowError as exc:
+        first = "" if exc.first is None else f", first on line {linenos[exc.first]}"
+        raise FormatError(f"{path}:{linenos[exc.row]}: {exc}{first}") from None
+
+
 def load_embeddings(path) -> EmbeddingStore:
     """Parse an embedding file; dimension is inferred from the first record."""
-    records = []
-    dim = None
-    seen = set()
+    linenos, columns = [], ([], [], [], [])  # record ids, identity ids, modalities, vectors
     for lineno, fields in _parse_lines(path):
         if len(fields) != 4:
             raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        record_id, identity_id, modality, coords = fields
-        if modality not in MODALITIES:
-            raise FormatError(f"{path}:{lineno}: unknown modality {modality!r}")
-        if record_id in seen:
-            raise FormatError(f"{path}:{lineno}: duplicate record_id {record_id!r}")
-        seen.add(record_id)
         try:
-            vec = np.array([float(c) for c in coords.split(",")], dtype=np.float64)
+            fields[3] = np.fromiter(map(float, fields[3].split(",")), dtype=np.float64)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: malformed coordinate list") from None
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(f"{path}:{lineno}: non-finite coordinate")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise FormatError(
-                f"{path}:{lineno}: dimension {vec.shape[0]} does not match store dimension {dim}"
-            )
-        records.append(EmbeddingRecord(record_id, identity_id, modality, vec))
-    return EmbeddingStore(records)
+        linenos.append(lineno)
+        for column, value in zip(columns, fields):
+            column.append(value)
+    return _build(path, linenos, EmbeddingStore.from_columns, *columns)
 
 
 def save_embeddings(store: EmbeddingStore, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in store:
-            coords = ",".join(repr(float(c)) for c in rec.vector)
-            fh.write(f"{rec.record_id}\t{rec.identity_id}\t{rec.modality}\t{coords}\n")
+        for record_id, identity_id, modality, row in zip(
+                store.record_ids, store.identity_ids, store.modalities, store.vectors):
+            coords = ",".join(map(repr, row.tolist()))
+            fh.write(f"{record_id}\t{identity_id}\t{modality}\t{coords}\n")
 
 
 def load_trials(path) -> TrialSet:
-    trials = []
+    linenos, trials = [], []
     for lineno, fields in _parse_lines(path):
-        if len(fields) == 2:
-            trials.append(Trial(fields[0], fields[1]))
-        elif len(fields) == 3:
-            if fields[2] not in LABELS:
-                raise FormatError(f"{path}:{lineno}: unknown label {fields[2]!r}")
-            trials.append(Trial(fields[0], fields[1], fields[2]))
-        else:
+        if len(fields) not in (2, 3):
             raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
-    return TrialSet(trials)
+        linenos.append(lineno)
+        trials.append(Trial(*fields))
+    return _build(path, linenos, TrialSet, trials)
 
 
 def save_trials(trials: TrialSet, path) -> None:
@@ -258,30 +292,26 @@ def save_trials(trials: TrialSet, path) -> None:
 
 
 def load_scores(path) -> ScoreSet:
-    entries = []
+    linenos, enroll_ids, test_ids, scores, labels = [], [], [], [], []
     for lineno, fields in _parse_lines(path):
         if len(fields) not in (3, 4):
             raise FormatError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
         try:
-            score = float(fields[2])
+            scores.append(float(fields[2]))
         except ValueError:
             raise FormatError(f"{path}:{lineno}: malformed score {fields[2]!r}") from None
-        label = None
-        if len(fields) == 4:
-            if fields[3] not in LABELS:
-                raise FormatError(f"{path}:{lineno}: unknown label {fields[3]!r}")
-            label = fields[3]
-        entries.append(ScoreEntry(fields[0], fields[1], score, label))
-    return ScoreSet(entries)
+        linenos.append(lineno)
+        enroll_ids.append(fields[0])
+        test_ids.append(fields[1])
+        labels.append(fields[3] if len(fields) == 4 else None)
+    return _build(path, linenos, ScoreSet.from_columns, enroll_ids, test_ids, scores, labels)
 
 
 def save_scores(scores: ScoreSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for e in scores:
-            line = f"{e.enroll_id}\t{e.test_id}\t{repr(float(e.score))}"
-            if e.label is not None:
-                line += f"\t{e.label}"
-            fh.write(line + "\n")
+        for e, t, s, label in zip(scores.enroll_ids, scores.test_ids, scores.scores.tolist(),
+                                  scores.labels):
+            fh.write(f"{e}\t{t}\t{s!r}\n" if label is None else f"{e}\t{t}\t{s!r}\t{label}\n")
 
 
 def build_crossmodal_trials(
@@ -299,16 +329,14 @@ def build_crossmodal_trials(
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    voices = store.records(modality="voice")
-    faces = store.records(modality="face")
-    if not voices or not faces:
+    voices, faces = store.restrict("voice"), store.restrict("face")
+    if not len(voices) or not len(faces):
         raise ValueError("store must contain both voice and face records")
 
     by_identity = {}
-    for v in voices:
-        by_identity.setdefault(v.identity_id, ([], []))[0].append(v.record_id)
-    for f in faces:
-        by_identity.setdefault(f.identity_id, ([], []))[1].append(f.record_id)
+    for side, part in enumerate((voices, faces)):
+        for record_id, identity in zip(part.record_ids, part.identity_ids):
+            by_identity.setdefault(identity, ([], []))[side].append(record_id)
 
     targets = []
     for identity in sorted(by_identity):
@@ -319,8 +347,8 @@ def build_crossmodal_trials(
             pairs = [pairs[i] for i in sorted(idx)]
         targets.extend(pairs)
 
-    identity_of = {rec.record_id: rec.identity_id for rec in store}
-    if len({identity_of[v] for v, _ in targets} | {f.identity_id for f in faces}) < 2:
+    identity_of = dict(zip(store.record_ids, store.identity_ids))
+    if len({identity_of[v] for v, _ in targets} | set(faces.identity_ids)) < 2:
         raise ValueError("need at least 2 identities to form negative trials")
 
     n_negatives = negatives_per_positive * len(targets)
@@ -331,13 +359,11 @@ def build_crossmodal_trials(
         raise ValueError(
             f"requested {n_negatives} negatives but only {n_cross} cross-identity pairs exist"
         )
-    voice_ids = [v.record_id for v in voices]
-    face_ids = [f.record_id for f in faces]
     chosen = set()
     negatives = []
     while len(negatives) < n_negatives:
-        v = voice_ids[rng.integers(len(voice_ids))]
-        f = face_ids[rng.integers(len(face_ids))]
+        v = voices.record_ids[rng.integers(len(voices))]
+        f = faces.record_ids[rng.integers(len(faces))]
         if identity_of[v] == identity_of[f] or (v, f) in chosen:
             continue
         chosen.add((v, f))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .store import EmbeddingRecord, EmbeddingStore
+from .store import EmbeddingStore
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,20 @@ def mixing_maps(config: GenConfig):
 def _make_split(config, a_voice, a_face, prefix, n_identities, stream):
     rng = np.random.default_rng([config.rng_seed, stream])
     sigma = config.session_noise_sigma
-    records = []
+    n_voice, n_face = config.voice_sessions_per_identity, config.face_sessions_per_identity
     width = len(str(n_identities - 1))
+    record_ids, identity_ids, vectors = [], [], []
     for i in range(n_identities):
         identity = f"{prefix}{i:0{width}d}"
         z = rng.standard_normal(config.d_id)
-        for j in range(config.voice_sessions_per_identity):
-            vec = a_voice @ z + sigma * rng.standard_normal(config.d_voice)
-            records.append(EmbeddingRecord(f"{identity}_v{j}", identity, "voice", vec))
-        for j in range(config.face_sessions_per_identity):
-            vec = a_face @ z + sigma * rng.standard_normal(config.d_face)
-            records.append(EmbeddingRecord(f"{identity}_f{j}", identity, "face", vec))
-    return EmbeddingStore(records)
+        # one (n, d) draw is the stream of n draws of d
+        vectors.extend(a_voice @ z + sigma * rng.standard_normal((n_voice, config.d_voice)))
+        vectors.extend(a_face @ z + sigma * rng.standard_normal((n_face, config.d_face)))
+        record_ids += [f"{identity}_{tag}{j}" for tag, n in (("v", n_voice), ("f", n_face))
+                       for j in range(n)]
+        identity_ids += [identity] * (n_voice + n_face)
+    modalities = (["voice"] * n_voice + ["face"] * n_face) * n_identities
+    return EmbeddingStore.from_columns(record_ids, identity_ids, modalities, vectors)
 
 
 def generate(config: GenConfig):

@@ -1,14 +1,14 @@
 """Mini-batch trainer for the voice-face network.
 
-Batches are balanced (equal target/nontarget halves), the optimizer is Adam
-or plain SGD, and model selection uses held-out validation EER with early
-stopping. Everything is a deterministic function of (data, config, seed).
+Batches are balanced (equal target/nontarget halves), the optimizer is Adam,
+and model selection uses held-out validation EER with early stopping.
+Everything is a deterministic function of (data, config, seed).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class TrainConfig:
     max_epochs: int = 40
     patience: int = 6
     rng_seed: int = 0
-    optimizer: str = "adam"  # "adam" or "sgd"
     hidden_dim: int = 256
     output_dim: int = 128
 
@@ -48,8 +47,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -63,42 +60,27 @@ class TrainReport:
 def _gather_pairs(store: EmbeddingStore, trials: TrialSet):
     if not trials.labeled:
         raise ValueError("training trials must be labeled")
-    voices = []
-    faces = []
-    same = []
-    for t in trials:
-        voices.append(store.get(t.enroll_id).vector)
-        faces.append(store.get(t.test_id).vector)
-        same.append(t.label == "target")
-    return np.array(voices), np.array(faces), np.array(same, dtype=bool)
+    return (store.rows([t.enroll_id for t in trials]), store.rows([t.test_id for t in trials]),
+            np.array([t.label == "target" for t in trials], dtype=bool))
 
 
-class _Optimizer:
-    def __init__(self, config: TrainConfig, params: VFNetParams):
-        self.config = config
+class _Adam:
+    def __init__(self, learning_rate: float, params: VFNetParams):
+        self.learning_rate = learning_rate
         self.t = 0
-        if config.optimizer == "adam":
-            self.m = params.zeros_like()
-            self.v = params.zeros_like()
+        self.m = params.zeros_like()
+        self.v = params.zeros_like()
 
     def step(self, params: VFNetParams, grads: VFNetParams):
-        c = self.config
         self.t += 1
-        for f in dc_fields(VFNetParams):
-            p = getattr(params, f.name)
-            g = getattr(grads, f.name)
-            if c.optimizer == "sgd":
-                p -= c.learning_rate * g
-            else:
-                m = getattr(self.m, f.name)
-                v = getattr(self.v, f.name)
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
-                v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
-                p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for p, g, m, v in zip(*(x.as_dict().values() for x in (params, grads, self.m, self.v))):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _validation_scores(params: VFNetParams, voices, faces):
@@ -130,12 +112,11 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     """
     tv, tf, t_same = _gather_pairs(store, train_trials)
     vv, vf, v_same = _gather_pairs(store, valid_trials)
-    train_list = list(train_trials)
 
     params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
                          output_dim=config.output_dim, seed=config.rng_seed)
     rng = np.random.default_rng([config.rng_seed, 7])
-    optimizer = _Optimizer(config, params)
+    optimizer = _Adam(config.learning_rate, params)
 
     tar_idx = np.flatnonzero(t_same)
     non_idx = np.flatnonzero(~t_same)
@@ -160,7 +141,7 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
             loss, grads = batch_loss_grad(params, tv[idx], tf[idx], t_same[idx])
             if not math.isfinite(loss):
                 examples = ", ".join(
-                    f"({train_list[i].enroll_id}, {train_list[i].test_id})"
+                    f"({train_trials.trials[i].enroll_id}, {train_trials.trials[i].test_id})"
                     for i in idx[:3]
                 )
                 raise TrainingError(

@@ -55,8 +55,8 @@ def trained_model():
     report = train(train_store, train_trials, valid_trials, config)
 
     test_trials = build_crossmodal_trials(test_store, 1, BENCH.rng_seed + 2)
-    voices = np.array([test_store.get(t.enroll_id).vector for t in test_trials])
-    faces = np.array([test_store.get(t.test_id).vector for t in test_trials])
+    voices = test_store.rows([t.enroll_id for t in test_trials])
+    faces = test_store.rows([t.test_id for t in test_trials])
     same = np.array([t.label == "target" for t in test_trials])
     scores = _validation_scores(report.final_params, voices, faces)
     held_out_eer = _eer_arrays(scores[same], scores[~same])

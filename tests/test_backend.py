@@ -30,8 +30,8 @@ class TestLda:
                                 EmbeddingRecord("b", "id1", "voice", np.array([0.0, 3.0]))])
         with pytest.raises(ValueError, match="record 'b' projects to the zero vector"):
             project_store(lda, store)
-        np.testing.assert_array_equal(project_store(lda, store, length_norm=False).get("b").vector,
-                                      [0.0])
+        np.testing.assert_array_equal(project_store(lda, store, length_norm=False).rows(["b"]),
+                                      [[0.0]])
 
     def test_fisher_direction_two_classes(self, rng):
         store = gaussian_class_store(rng, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], 3000)
@@ -336,7 +336,7 @@ def score_vfnet_trial(params, voice, faces, rule=PoolingRule()):
                           for j, face in enumerate(faces))
     scored = score_trials(TrialSet([Trial("a", "b")]), enroll, test, None, None,
                           params, rule, systems=("vfnet",))
-    return scored["vfnet"].entries[0].score
+    return scored["vfnet"].scores[0]
 
 
 class TestVfnetTrial:

@@ -169,6 +169,22 @@ class TestFuse:
         assert code == 1
         assert "same systems" in capsys.readouterr().err
 
+    def test_disagreeing_labels_exit_1(self, tmp_path, capsys):
+        # the same trials with every label flipped in the second system
+        paths = []
+        for k, labels in enumerate([("target", "nontarget"), ("nontarget", "target")]):
+            paths.append(tmp_path / f"dev{k}.tsv")
+            save_scores(ScoreSet([ScoreEntry("a", "a", 1.0, labels[0]),
+                                  ScoreEntry("a", "b", -1.0, labels[1])]), paths[-1])
+        code = main(["fuse", "--dev-scores", *map(str, paths),
+                     "--eval-scores", *map(str, paths),
+                     "--out-model", str(tmp_path / "m.ckpt"),
+                     "--out-scores", str(tmp_path / "f.tsv")])
+        assert code == 1
+        assert "system 2 labels trial (a, a) 'nontarget', system 1 labels it 'target'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "f.tsv").exists()
+
 
 class TestConfigKeys:
     def test_pipeline_unknown_keys_named(self, tmp_path, capsys):
@@ -199,15 +215,15 @@ class TestConfigKeys:
 
 
     def test_every_key_accepted(self, tmp_path, capsys):
-        # all 21 pipeline keys parse; the run then stops at the missing inputs
+        # all 20 pipeline keys parse; the run then stops at the missing inputs
         cfg = tmp_path / "pipeline.config"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in [
             ("train_embeddings", "t"), ("dev_embeddings", "d"), ("eval_embeddings", "e"),
             ("dev_trials", "dt"), ("eval_trials", "et"), ("out_dir", "o"), ("lda_dim", 4),
             ("length_norm", "off"), ("pool_fraction", 0.5), ("negatives_per_positive", 2),
             ("p_target", 0.1), ("c_miss", 2), ("c_fa", 3), ("lr", 0.01), ("batch_size", 8),
-            ("max_epochs", 2), ("patience", 1), ("seed", 4), ("optimizer", "sgd"),
-            ("hidden_dim", 5), ("output_dim", 3)]))
+            ("max_epochs", 2), ("patience", 1), ("seed", 4), ("hidden_dim", 5),
+            ("output_dim", 3)]))
         assert main(["pipeline", "--config", str(cfg)]) == 1
         assert "config key train_embeddings does not name an existing file" in \
             capsys.readouterr().err
@@ -215,7 +231,7 @@ class TestConfigKeys:
     def test_train_vfnet_every_key_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "train.config"
         cfg.write_text("lr = 0.01\nbatch_size = 8\nmax_epochs = 2\npatience = 1\n"
-                       "seed = 4\noptimizer = sgd\nhidden_dim = 5\noutput_dim = 3\n")
+                       "seed = 4\nhidden_dim = 5\noutput_dim = 3\n")
         missing = str(tmp_path / "missing")
         assert main(["train-vfnet", "--config", str(cfg), "--embeddings", missing,
                      "--train-trials", missing, "--valid-trials", missing,

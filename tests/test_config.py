@@ -48,15 +48,15 @@ class TestParseBool:
 
 class TestConfigBuilders:
     def test_train_overrides(self):
-        config = build(TrainConfig, entries(lr="0.01", seed="7", optimizer="sgd"), "t")
+        config = build(TrainConfig, entries(lr="0.01", seed="7", hidden_dim="16"), "t")
         assert config.learning_rate == 0.01
         assert config.rng_seed == 7
-        assert config.optimizer == "sgd"
+        assert config.hidden_dim == 16
         assert config.batch_size == 256  # default untouched
 
     def test_train_validation_still_applies(self):
         with pytest.raises(ValueError):
-            build(TrainConfig, entries(optimizer="rmsprop"), "t")
+            build(TrainConfig, entries(batch_size="1"), "t")
 
     def test_dcf_overrides(self):
         params = build(DcfParams, entries(p_target="0.01", c_fa="2"), "d")
@@ -67,8 +67,8 @@ class TestConfigBuilders:
 
 class TestBuild:
     def test_accepted_keys(self):
-        train = {"lr", "batch_size", "max_epochs", "patience", "seed", "optimizer",
-                 "hidden_dim", "output_dim"}
+        train = {"lr", "batch_size", "max_epochs", "patience", "seed", "hidden_dim",
+                 "output_dim"}
         assert set(config_keys(TrainConfig)) == train
         assert set(config_keys(DcfParams)) == {"p_target", "c_miss", "c_fa"}
         assert set(config_keys(GenConfig)) == {
@@ -79,7 +79,7 @@ class TestBuild:
             "train_embeddings", "dev_embeddings", "eval_embeddings", "dev_trials",
             "eval_trials", "out_dir", "lda_dim", "length_norm", "pool_fraction",
             "negatives_per_positive"}
-        assert len(config_keys(PipelineConfig)) == 21
+        assert len(config_keys(PipelineConfig)) == 20
 
     def test_nested_keys_in_one_pass(self):
         config = build(PipelineConfig, {"lda_dim": ("4", 1), "length_norm": ("no", 2),
@@ -115,6 +115,10 @@ class TestBuild:
     def test_post_init_error_prefixed_with_source(self):
         with pytest.raises(ConfigError, match=r"^command line: p_target must be in \(0, 1\)$"):
             build(PipelineConfig, entries(p_target=2.0), "command line")
+
+    def test_removed_optimizer_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="t: unknown config key 'optimizer'"):
+            build(TrainConfig, entries(optimizer="adam"), "t")
 
     def test_hidden_train_fields_not_keys(self):
         with pytest.raises(ConfigError, match="adam_eps"):

@@ -7,6 +7,7 @@ from scipy.special import expit, logit
 from avsrkit.fusion import (FusionModel, apply_fusion, fit_fusion,
                             load_fusion, save_fusion)
 from avsrkit.metrics import DcfParams, act_dcf, eer, min_dcf
+from avsrkit.store import ScoreSet
 from conftest import make_score_set
 
 
@@ -72,6 +73,24 @@ class TestFitFusion:
         ss2 = make_score_set([1.0], [0.0, -1.0])
         with pytest.raises(ValueError, match="system 2"):
             fit_fusion([ss1, ss2])
+
+    def test_disagreeing_labels_rejected(self, rng):
+        ss = make_score_set(rng.normal(1, 1, 3), rng.normal(0, 1, 4))
+        flipped = ScoreSet.from_columns(ss.enroll_ids, ss.test_ids, ss.scores,
+                                        ss.labels[:5] + ("target", "nontarget"))
+        message = r"system 2 labels trial \(n2, n2x\) 'target', system 1 labels it 'nontarget'"
+        with pytest.raises(ValueError, match=message):
+            fit_fusion([ss, flipped])
+        model = FusionModel(weights=[1.0, 1.0], bias=0.0, effective_prior=0.5)
+        with pytest.raises(ValueError, match=message):
+            apply_fusion(model, [ss, flipped])
+
+    def test_unlabeled_system_takes_labels_of_system_1(self, rng):
+        ss = make_score_set(rng.normal(1, 1, 3), rng.normal(0, 1, 4))
+        unlabeled = ScoreSet.from_columns(ss.enroll_ids, ss.test_ids, ss.scores, [None] * 7)
+        model = FusionModel(weights=[1.0, 1.0], bias=0.0, effective_prior=0.5)
+        assert apply_fusion(model, [ss, unlabeled]).labels == ss.labels
+        assert apply_fusion(model, [unlabeled, ss]).labels == (None,) * 7
 
     def test_unlabeled_rejected(self):
         from avsrkit.store import ScoreEntry, ScoreSet

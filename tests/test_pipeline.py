@@ -85,9 +85,9 @@ class TestScoreTrials:
         got = score_trials(trials, enroll, test, lda, plda, params, rule)
 
         def rows(s, identity, modality):
-            return [r.vector for r in s.records(modality) if r.identity_id == identity]
+            return [r.vector for r in s if (r.identity_id, r.modality) == (identity, modality)]
 
-        for k, t in enumerate(trials):
+        for t, *entries in zip(trials, *(got[s] for s in ("audio", "visual", "vfnet"))):
             e_voices = [project(lda, v) for v in rows(enroll, t.enroll_id, "voice")]
             t_voices = [project(lda, v) for v in rows(test, t.test_id, "voice")]
             audio = np.mean([plda_llr(plda, ev, tv) for ev in e_voices for tv in t_voices])
@@ -96,12 +96,11 @@ class TestScoreTrials:
             template = np.mean(rows(enroll, t.enroll_id, "voice"), axis=0)
             vf = pool_top_fraction([pair_forward(params, template, f).p_same
                                     for f in t_faces], rule)
-            for system, want, tol in (("audio", audio, 1e-9 * abs(audio)),
-                                      ("visual", visual, 1e-12), ("vfnet", vf, 1e-12)):
-                entry = got[system].entries[k]
+            for entry, want, tol in zip(entries, (audio, visual, vf),
+                                        (1e-9 * abs(audio), 1e-12, 1e-12)):
                 assert (entry.enroll_id, entry.test_id, entry.label) == \
                     (t.enroll_id, t.test_id, t.label)
-                assert abs(entry.score - want) <= tol, (system, t)
+                assert abs(entry.score - want) <= tol, (entry, t)
 
     @pytest.mark.parametrize("system,modality", [
         ("audio", "voice"), ("visual", "face"), ("vfnet", "face")])

@@ -21,8 +21,8 @@ class TestLoadEmbeddings:
         s = load_embeddings(p)
         assert len(s) == 2
         assert s.dim == 4
-        assert s.get("a").modality == "voice"
-        np.testing.assert_array_equal(s.get("b").vector, [0.5, 0.5, 0.5, 0.5])
+        assert s.modalities == ("voice", "face")
+        np.testing.assert_array_equal(s.rows(["b"]), [[0.5, 0.5, 0.5, 0.5]])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         p = write(tmp_path / "e.tsv",
@@ -65,8 +65,9 @@ class TestLoadEmbeddings:
         path = tmp_path / "rt.tsv"
         save_embeddings(s, path)
         loaded = load_embeddings(path)
-        for rec in recs:
-            np.testing.assert_array_equal(loaded.get(rec.record_id).vector, rec.vector)
+        assert loaded.record_ids == s.record_ids
+        np.testing.assert_array_equal(loaded.rows([r.record_id for r in recs]),
+                                      [r.vector for r in recs])
 
 
 class TestTrialSet:
@@ -77,6 +78,22 @@ class TestTrialSet:
     def test_partial_labels_rejected(self):
         with pytest.raises(ValueError, match="partially"):
             TrialSet([Trial("a", "b", "target"), Trial("a", "c")])
+
+    def test_duplicate_line_names_both_lines(self, tmp_path):
+        p = write(tmp_path / "t.tsv", "a\tb\n# note\na\tc\na\tb\n")
+        with pytest.raises(FormatError, match=r"t\.tsv:4: duplicate trial \(a, b\), "
+                                              r"first on line 1$"):
+            load_trials(p)
+
+    def test_partially_labeled_file_names_line(self, tmp_path):
+        p = write(tmp_path / "t.tsv", "a\tb\ttarget\na\tc\ttarget\na\td\n")
+        with pytest.raises(FormatError, match=r"t\.tsv:3: trial set is partially labeled$"):
+            load_trials(p)
+
+    def test_unknown_label_names_line(self, tmp_path):
+        p = write(tmp_path / "t.tsv", "a\tb\ttarget\na\tc\tmaybe\n")
+        with pytest.raises(FormatError, match=r"t\.tsv:2: unknown label 'maybe'$"):
+            load_trials(p)
 
     def test_roundtrip(self, tmp_path):
         ts = TrialSet([Trial("a", "b", "target"), Trial("a", "c", "nontarget")])
@@ -94,21 +111,21 @@ class TestScoreSet:
         path = tmp_path / "s.tsv"
         save_scores(ss, path)
         loaded = load_scores(path)
-        assert loaded == ss
-        assert loaded.entries[0].score == tricky
+        assert list(loaded) == list(ss)
+        assert loaded.scores[0] == tricky
 
     def test_numpy_scalar_score_written_as_number(self, tmp_path):
         path = tmp_path / "s.tsv"
         save_scores(ScoreSet([ScoreEntry("a", "b", np.float64(1.5), "target")]), path)
         assert path.read_text() == "a\tb\t1.5\ttarget\n"
-        assert load_scores(path).entries[0].score == 1.5
+        assert load_scores(path).scores[0] == 1.5
 
     def test_labeled_parse(self, tmp_path):
         p = tmp_path / "s.tsv"
         p.write_text("a\tb\t0.5\ttarget\na\tc\t-0.5\tnontarget\n")
         ss = load_scores(p)
         assert ss.labeled
-        assert ss.entries[0].label == "target"
+        assert ss.labels == ("target", "nontarget")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GenConfig(d_id=100, d_voice=64, d_face=64)
 
+    def test_unequal_voice_and_face_dimensions_named(self):
+        # a store holds one dimension; the first face record is named
+        config = GenConfig(d_id=2, d_voice=3, d_face=2, n_identities_train=3,
+                           n_identities_test=2)
+        with pytest.raises(ValueError, match="record 'trn0_f0' has dimension 2, "
+                                             "store dimension is 3"):
+            generate(config)
+
     def test_marginal_covariance_matches_model(self):
         # law of large numbers: voice covariance approaches A A^T + sigma^2 I
         config = GenConfig(d_id=3, d_voice=6, d_face=6, n_identities_train=5000,

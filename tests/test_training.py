@@ -42,8 +42,7 @@ class TestTrain:
         ])
         trials = TrialSet([Trial("v1", "f1", "target"), Trial("v2", "f2", "nontarget")])
         config = TrainConfig(learning_rate=0.05, batch_size=2, max_epochs=100,
-                             patience=100, optimizer="sgd", hidden_dim=8,
-                             output_dim=4)
+                             patience=100, hidden_dim=8, output_dim=4)
         report = train(store, trials, trials, config)
         assert report.train_loss[-1] < 0.32
         assert report.train_loss[-1] < report.train_loss[0]
@@ -113,10 +112,6 @@ class TestConfigValidation:
     def test_negative_learning_rate(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
-
-    def test_bad_optimizer(self):
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="rmsprop")
 
     def test_tiny_batch(self):
         with pytest.raises(ValueError):
