@@ -2,7 +2,10 @@
 
 Batches are balanced (equal target/nontarget halves), the optimizer is Adam,
 and model selection uses held-out validation EER with early stopping.
-Everything is a deterministic function of (data, config, seed).
+Training is mixed precision: the forward and backward passes run on float32
+rows, while the master weights, Adam's moments, validation and the returned
+parameters stay float64 (Micikevicius et al. 2018). Everything is a
+deterministic function of (data, config, seed).
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import numpy as np
 
 from .metrics import _eer_arrays
 from .store import EmbeddingStore, TrialSet
-from .vfnet import (VFNetParams, batch_loss_grad, init_params, transform_face,
-                    transform_voice)
+from .vfnet import (VFNetParams, batch_loss_grad, cosine_similarity, init_params,
+                    transform_face, transform_voice)
 
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
@@ -57,41 +60,65 @@ class TrainReport:
     final_params: VFNetParams
 
 
-def _gather_pairs(store: EmbeddingStore, trials: TrialSet):
+def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64):
+    """(voice rows, face rows, target mask) of labeled trials, the rows in
+    ``dtype``. Raises TrainingError naming a record that ``dtype`` cannot hold."""
     if not trials.labeled:
         raise ValueError("training trials must be labeled")
-    return (store.rows([t.enroll_id for t in trials]), store.rows([t.test_id for t in trials]),
-            np.array([t.label == "target" for t in trials], dtype=bool))
+    limit = np.finfo(dtype).max
+    rows = []
+    for ids in ([t.enroll_id for t in trials], [t.test_id for t in trials]):
+        x = store.rows(ids)
+        over = np.flatnonzero(np.abs(x).max(axis=1) > limit)
+        if over.size:
+            raise TrainingError(f"record {ids[over[0]]} has values beyond the "
+                                f"{np.dtype(dtype).name} range (|x| > {limit:.4g})")
+        rows.append(x.astype(dtype, copy=False))
+    return (*rows, np.array([t.label == "target" for t in trials], dtype=bool))
 
 
 class _Adam:
+    """Adam on float64 moments, updating them and the parameters in place
+    through two preallocated scratch buffers per parameter array. The
+    operations keep the textbook order, bias corrections included, so the
+    steps have the bits of the allocating form."""
+
     def __init__(self, learning_rate: float, params: VFNetParams):
         self.learning_rate = learning_rate
         self.t = 0
         self.m = params.zeros_like()
         self.v = params.zeros_like()
+        self._scratch = [(np.empty_like(p), np.empty_like(p))
+                         for p in params.as_dict().values()]
 
     def step(self, params: VFNetParams, grads: VFNetParams):
         self.t += 1
-        for p, g, m, v in zip(*(x.as_dict().values() for x in (params, grads, self.m, self.v))):
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        for p, g, m, v, (a, b) in zip(*(x.as_dict().values()
+                                        for x in (params, grads, self.m, self.v)),
+                                      self._scratch):
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += a
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            a *= g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            v += a
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=a)
+            a *= self.learning_rate
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            p -= a
 
 
 def _validation_scores(params: VFNetParams, voices, faces):
     """Cosine scores for all validation pairs in one vectorized pass."""
-    u = transform_voice(params, voices)
-    f = transform_face(params, faces)
-    nu = np.linalg.norm(u, axis=1)
-    nf = np.linalg.norm(f, axis=1)
-    nu[nu == 0.0] = 1.0
-    nf[nf == 0.0] = 1.0
-    return np.einsum("ij,ij->i", u, f) / (nu * nf)
+    return cosine_similarity(transform_voice(params, voices), transform_face(params, faces))
 
 
 def _tiled_permutation(rng, n, total):
@@ -107,10 +134,12 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     """Train on labeled cross-modal trials; keep the best-validation epoch.
 
     Each batch holds batch_size // 2 targets and as many nontargets; the
-    batch gradient is the mean pair gradient. Raises TrainingError with the
-    batch index and example trial ids if the loss goes non-finite.
+    batch gradient is the mean pair gradient, computed on float32 rows and
+    applied to float64 weights. Raises TrainingError naming a training record
+    that float32 cannot hold, and with the epoch, the batch and example trial
+    ids if a batch's loss or gradient goes non-finite.
     """
-    tv, tf, t_same = _gather_pairs(store, train_trials)
+    tv, tf, t_same = _gather_pairs(store, train_trials, np.float32)
     vv, vf, v_same = _gather_pairs(store, valid_trials)
 
     params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
@@ -139,13 +168,15 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
             idx = np.concatenate([t_stream[b * half:(b + 1) * half],
                                   n_stream[b * half:(b + 1) * half]])
             loss, grads = batch_loss_grad(params, tv[idx], tf[idx], t_same[idx])
-            if not math.isfinite(loss):
+            bad = grads.non_finite()
+            if not math.isfinite(loss) or bad:
+                what = "loss" if not math.isfinite(loss) else f"gradient of {bad[0]}"
                 examples = ", ".join(
                     f"({train_trials.trials[i].enroll_id}, {train_trials.trials[i].test_id})"
                     for i in idx[:3]
                 )
                 raise TrainingError(
-                    f"non-finite loss in epoch {epoch}, batch {b}; example pairs: {examples}"
+                    f"non-finite {what} in epoch {epoch}, batch {b}; example pairs: {examples}"
                 )
             optimizer.step(params, grads)
             epoch_loss += loss

@@ -5,6 +5,10 @@ shared 128-d space (FC1 with ReLU, FC2 linear). A pair is scored by cosine
 similarity S, mapped through a two-way softmax over (S, 1-S) to a same-person
 probability, and trained with cross-entropy. Gradients are exact reverse-mode,
 written out by hand.
+
+Parameters are always float64. ``batch_loss_grad`` runs its matrix products in
+the precision of the rows it is given (float32 rows for mixed-precision
+training, float64 for exact checks); everything else computes in float64.
 """
 
 from __future__ import annotations
@@ -33,10 +37,7 @@ class VFNetParams:
 
     def __post_init__(self):
         for f in fields(self):
-            arr = np.asarray(getattr(self, f.name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in {f.name}")
-            setattr(self, f.name, arr)
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
         if self.voice_w2.shape[1] != self.voice_w1.shape[0]:
             raise ValueError("voice branch layer shapes do not chain")
         if self.face_w2.shape[1] != self.face_w1.shape[0]:
@@ -54,6 +55,10 @@ class VFNetParams:
 
     def zeros_like(self) -> "VFNetParams":
         return VFNetParams(*(np.zeros_like(getattr(self, f.name)) for f in fields(self)))
+
+    def non_finite(self) -> list:
+        """Names of the arrays that hold a NaN or an infinity."""
+        return [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name)).all()]
 
 
 def init_params(input_dim: int = 512, hidden_dim: int = 256, output_dim: int = 128,
@@ -80,7 +85,11 @@ def load_params(path) -> VFNetParams:
     kind, arrays, _ = load_checkpoint(path)
     if kind != "vfnet":
         raise CheckpointError(f"{path}: expected kind 'vfnet', found {kind!r}")
-    return VFNetParams(**arrays)
+    params = VFNetParams(**arrays)
+    bad = params.non_finite()
+    if bad:
+        raise CheckpointError(f"{path}: non-finite values in {bad[0]}")
+    return params
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,14 @@ class PairScore:
 
 
 def _branch_forward(w1, b1, w2, b2, x):
-    """Returns (output, pre-activation, hidden activation); x is (n, d_in)."""
-    h = x @ w1.T + b1
-    a = np.maximum(h, 0.0)
-    return a @ w2.T + b2, h, a
+    """Returns (output, hidden activation); x is (n, d_in). Each layer's
+    bias and ReLU act in place on its product, to keep temporaries few."""
+    a = x @ w1.T
+    a += b1
+    np.maximum(a, 0.0, out=a)
+    out = a @ w2.T
+    out += b2
+    return out, a
 
 
 def _transform(params: VFNetParams, branch: str, x) -> np.ndarray:
@@ -104,7 +117,7 @@ def _transform(params: VFNetParams, branch: str, x) -> np.ndarray:
         raise ValueError(f"expected {branch} embedding of dimension {params.input_dim}, "
                          f"got shape {x.shape}")
     w1, b1, w2, b2 = (getattr(params, f"{branch}_{name}") for name in ("w1", "b1", "w2", "b2"))
-    out, _, _ = _branch_forward(w1, b1, w2, b2, np.atleast_2d(x))
+    out, _ = _branch_forward(w1, b1, w2, b2, np.atleast_2d(x))
     return out if x.ndim == 2 else out[0]
 
 
@@ -152,18 +165,23 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
     """Mean pair loss and its gradient over a batch of (voice, face) pairs.
 
     voices/faces are (n, d_in); same_mask is boolean (n,). Returns
-    (mean_loss, grads) with grads shaped like params. Raises if any
-    transformed vector has zero norm (cosine gradient undefined there).
+    (mean_loss, grads) with grads shaped like params. The branch passes run
+    in the rows' precision: float32 rows give float32 matrix products, any
+    other rows float64. The loss of each pair, their mean and the returned
+    gradients are float64 either way. Raises if any transformed vector has
+    zero norm (cosine gradient undefined there).
     """
-    voices = np.asarray(voices, dtype=np.float64)
-    faces = np.asarray(faces, dtype=np.float64)
+    voices = np.asarray(voices)
+    dtype = np.float32 if voices.dtype == np.float32 else np.float64
+    voices = voices.astype(dtype, copy=False)
+    faces = np.asarray(faces).astype(dtype, copy=False)
     same_mask = np.asarray(same_mask, dtype=bool)
     n = voices.shape[0]
+    vw1, vb1, vw2, vb2, fw1, fb1, fw2, fb2 = (
+        w.astype(dtype, copy=False) for w in params.as_dict().values())
 
-    u, hv, av = _branch_forward(params.voice_w1, params.voice_b1,
-                                params.voice_w2, params.voice_b2, voices)
-    f, hf, af = _branch_forward(params.face_w1, params.face_b1,
-                                params.face_w2, params.face_b2, faces)
+    u, av = _branch_forward(vw1, vb1, vw2, vb2, voices)
+    f, af = _branch_forward(fw1, fb1, fw2, fb2, faces)
     nu = np.linalg.norm(u, axis=1)
     nf = np.linalg.norm(f, axis=1)
     if np.any(nu == 0.0):
@@ -172,27 +190,26 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
         raise ValueError(f"zero-norm transformed face at batch index {int(np.argmin(nf))}")
 
     s = np.einsum("ij,ij->i", u, f) / (nu * nf)
-    x = 2.0 * s - 1.0
+    x = 2.0 * s.astype(np.float64, copy=False) - 1.0
     losses = np.where(same_mask, np.logaddexp(0.0, -x), np.logaddexp(0.0, x))
     p = expit(x)
     # d loss / dS: -2(1-p) for same pairs, 2p for different pairs
-    ds = np.where(same_mask, -2.0 * (1.0 - p), 2.0 * p) / n
+    ds = (np.where(same_mask, -2.0 * (1.0 - p), 2.0 * p) / n).astype(dtype, copy=False)
 
     inv = 1.0 / (nu * nf)
-    gu = ds[:, None] * (f * inv[:, None] - (s / nu**2)[:, None] * u)
-    gf = ds[:, None] * (u * inv[:, None] - (s / nf**2)[:, None] * f)
+    gu = f * inv[:, None]
+    gu -= (s / nu**2)[:, None] * u
+    gu *= ds[:, None]
+    gf = u * inv[:, None]
+    gf -= (s / nf**2)[:, None] * f
+    gf *= ds[:, None]
 
-    def branch_back(g_out, w2, h, a, x_in):
-        gw2 = g_out.T @ a
-        gb2 = g_out.sum(axis=0)
-        gh = (g_out @ w2) * (h > 0.0)
-        gw1 = gh.T @ x_in
-        gb1 = gh.sum(axis=0)
-        return gw1, gb1, gw2, gb2
+    def branch_back(g_out, w2, a, x_in):
+        gh = g_out @ w2
+        gh *= a > 0.0  # the ReLU mask: a > 0 exactly where its input is
+        return gh.T @ x_in, gh.sum(axis=0), g_out.T @ a, g_out.sum(axis=0)
 
-    vw1, vb1, vw2, vb2 = branch_back(gu, params.voice_w2, hv, av, voices)
-    fw1, fb1, fw2, fb2 = branch_back(gf, params.face_w2, hf, af, faces)
-    grads = VFNetParams(vw1, vb1, vw2, vb2, fw1, fb1, fw2, fb2)
+    grads = VFNetParams(*branch_back(gu, vw2, av, voices), *branch_back(gf, fw2, af, faces))
     return float(losses.mean()), grads
 
 

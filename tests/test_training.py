@@ -6,8 +6,9 @@ import pytest
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
                            build_crossmodal_trials)
 from avsrkit.synth import GenConfig, generate
-from avsrkit.training import TrainConfig, save_report, train
-from avsrkit.vfnet import VFNetParams
+from avsrkit.training import (TrainConfig, TrainingError, _Adam, _validation_scores,
+                               save_report, train)
+from avsrkit.vfnet import VFNetParams, batch_loss_grad, init_params
 
 SMALL_CONFIG = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=5,
                            patience=5, hidden_dim=16, output_dim=8)
@@ -54,7 +55,6 @@ class TestTrain:
         config = replace(SMALL_CONFIG, learning_rate=0.0, max_epochs=3,
                          batch_size=60)
         report = train(store, tr, va, config)
-        from avsrkit.vfnet import init_params
         init = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
                            output_dim=config.output_dim, seed=config.rng_seed)
         assert params_equal(report.final_params, init)
@@ -106,6 +106,92 @@ class TestTrain:
         unlabeled = TrialSet([Trial(t.enroll_id, t.test_id) for t in tr])
         with pytest.raises(ValueError):
             train(store, unlabeled, va, SMALL_CONFIG)
+
+    def test_float64_master_weights_and_moments(self):
+        store, tr, va = small_data()
+        report = train(store, tr, va, SMALL_CONFIG)
+        params = report.final_params
+        voices = store.rows([t.enroll_id for t in tr]).astype(np.float32)
+        faces = store.rows([t.test_id for t in tr]).astype(np.float32)
+        _, grads = batch_loss_grad(params, voices, faces, [t.label == "target" for t in tr])
+        optimizer = _Adam(1e-3, params)
+        optimizer.step(params, grads)
+        for arrays in (params, grads, optimizer.m, optimizer.v):
+            assert all(arr.dtype == np.float64 for arr in arrays.as_dict().values())
+
+
+def scaled_store(scale, seed=0):
+    """Four training identities with every embedding multiplied by scale."""
+    gen = GenConfig(d_id=2, d_voice=8, d_face=8, n_identities_train=4,
+                    n_identities_test=2, rng_seed=seed)
+    store, _, _ = generate(gen)
+    return EmbeddingStore.from_columns(store.record_ids, store.identity_ids,
+                                       store.modalities, store.vectors * scale)
+
+
+class TestNumericFailures:
+    CONFIG = TrainConfig(learning_rate=1e3, batch_size=4, max_epochs=40, patience=40,
+                         hidden_dim=8, output_dim=4)
+
+    def test_diverging_training_raises_training_error(self):
+        # finite in float32, but after one step of 1e3 the branch outputs'
+        # squared norms overflow float32 and the loss goes NaN
+        store = scaled_store(1e15)
+        trials = build_crossmodal_trials(store, 1, rng_seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=r"non-finite (loss|gradient of \w+) in "
+                               r"epoch \d+, batch \d+; example pairs: \(\w+, \w+\)"):
+                train(store, trials, trials, self.CONFIG)
+
+    def test_row_beyond_float32_named_before_training(self):
+        store = scaled_store(1.0)
+        vectors = store.vectors.copy()
+        face = store.modalities.index("face")
+        vectors[face, 0] = 1e39  # finite in float64, inf in float32
+        store = EmbeddingStore.from_columns(store.record_ids, store.identity_ids,
+                                            store.modalities, vectors)
+        trials = build_crossmodal_trials(store, 1, rng_seed=0)
+        assert store.record_ids[face] in {t.test_id for t in trials}
+        with pytest.raises(TrainingError, match=f"record {store.record_ids[face]} has "
+                           "values beyond the float32 range"):
+            train(store, trials, trials, self.CONFIG)
+
+
+class TestValidationScores:
+    def test_zero_norm_output_rejected(self):
+        store, _, va = small_data()
+        params = init_params(input_dim=store.dim, hidden_dim=4, output_dim=3)
+        params.face_w2[:] = 0.0  # every face output is the zero bias
+        rows = store.rows([t.test_id for t in va])
+        with pytest.raises(ValueError, match="zero norm"):
+            _validation_scores(params, rows, rows)
+
+
+class TestAdam:
+    def allocating_step(self, t, lr, params, grads, m, v):
+        """The textbook step with a temporary per operation."""
+        for p, g, m_i, v_i in zip(*(x.as_dict().values() for x in (params, grads, m, v))):
+            m_i *= 0.9
+            m_i += (1.0 - 0.9) * g
+            v_i *= 0.999
+            v_i += (1.0 - 0.999) * g * g
+            m_hat = m_i / (1.0 - 0.9 ** t)
+            v_hat = v_i / (1.0 - 0.999 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+    def test_in_place_step_matches_allocating_step_bitwise(self, rng):
+        params = init_params(input_dim=7, hidden_dim=5, output_dim=3, seed=1)
+        expected = params.copy()
+        m, v = params.zeros_like(), params.zeros_like()
+        optimizer = _Adam(3e-4, params)
+        for t in range(1, 6):
+            grads = VFNetParams(*(rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
+                                  for a in params.as_dict().values()))
+            optimizer.step(params, grads)
+            self.allocating_step(t, 3e-4, expected, grads, m, v)
+        assert params_equal(params, expected)
+        assert params_equal(optimizer.m, m)
+        assert params_equal(optimizer.v, v)
 
 
 class TestConfigValidation:

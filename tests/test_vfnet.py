@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from avsrkit.vfnet import (VFNetParams, batch_loss_grad, cosine_similarity,
                            init_params, load_params, matching_accuracy,
@@ -216,6 +217,82 @@ class TestPairGrad:
             assert numeric == pytest.approx(-2.0 * (1.0 - p), abs=1e-6)
 
 
+def float64_batch_loss_grad(params, voices, faces, same_mask):
+    """batch_loss_grad as written before mixed precision, float64 throughout."""
+    voices = np.asarray(voices, dtype=np.float64)
+    faces = np.asarray(faces, dtype=np.float64)
+    same_mask = np.asarray(same_mask, dtype=bool)
+    n = voices.shape[0]
+
+    def forward(w1, b1, w2, b2, x):
+        h = x @ w1.T + b1
+        a = np.maximum(h, 0.0)
+        return a @ w2.T + b2, h, a
+
+    def back(g_out, w2, h, a, x_in):
+        gh = (g_out @ w2) * (h > 0.0)
+        return gh.T @ x_in, gh.sum(axis=0), g_out.T @ a, g_out.sum(axis=0)
+
+    p = params
+    u, hv, av = forward(p.voice_w1, p.voice_b1, p.voice_w2, p.voice_b2, voices)
+    f, hf, af = forward(p.face_w1, p.face_b1, p.face_w2, p.face_b2, faces)
+    nu = np.linalg.norm(u, axis=1)
+    nf = np.linalg.norm(f, axis=1)
+    s = np.einsum("ij,ij->i", u, f) / (nu * nf)
+    x = 2.0 * s - 1.0
+    losses = np.where(same_mask, np.logaddexp(0.0, -x), np.logaddexp(0.0, x))
+    q = expit(x)
+    ds = np.where(same_mask, -2.0 * (1.0 - q), 2.0 * q) / n
+    inv = 1.0 / (nu * nf)
+    gu = ds[:, None] * (f * inv[:, None] - (s / nu**2)[:, None] * u)
+    gf = ds[:, None] * (u * inv[:, None] - (s / nf**2)[:, None] * f)
+    return (float(losses.mean()),
+            [*back(gu, p.voice_w2, hv, av, voices), *back(gf, p.face_w2, hf, af, faces)])
+
+
+class TestPrecision:
+    """Float32 rows run the branches in float32; the loss, the gradients and
+    everything computed from float64 rows stay float64."""
+
+    def batch(self, rng, n=64, dim=16):
+        params = init_params(input_dim=dim, hidden_dim=32, output_dim=8,
+                             seed=int(rng.integers(1 << 30)))
+        voices = rng.standard_normal((n, dim))
+        faces = 0.5 * voices + rng.standard_normal((n, dim))
+        return params, voices, faces, rng.random(n) < 0.5
+
+    def test_float32_rows_match_float64(self, rng):
+        for _ in range(5):
+            params, voices, faces, same = self.batch(rng)
+            loss64, g64 = batch_loss_grad(params, voices, faces, same)
+            loss32, g32 = batch_loss_grad(params, voices.astype(np.float32),
+                                          faces.astype(np.float32), same)
+            assert isinstance(loss32, float)
+            assert abs(loss32 - loss64) < 1e-6
+            for f in fields(VFNetParams):
+                exact, mixed = getattr(g64, f.name), getattr(g32, f.name)
+                assert mixed.dtype == np.float64
+                assert np.abs(mixed - exact).max() <= 1e-4 * np.abs(exact).max()
+
+    def test_float64_rows_keep_the_float64_bits(self, rng):
+        for _ in range(5):
+            params, voices, faces, same = self.batch(rng)
+            loss, grads = batch_loss_grad(params, voices, faces, same)
+            want_loss, want_grads = float64_batch_loss_grad(params, voices, faces, same)
+            assert loss == want_loss
+            for f, want in zip(fields(VFNetParams), want_grads):
+                np.testing.assert_array_equal(getattr(grads, f.name), want)
+
+    def test_parameters_are_not_cast(self, rng):
+        params, voices, faces, same = self.batch(rng)
+        before = params.copy()
+        batch_loss_grad(params, voices.astype(np.float32), faces.astype(np.float32), same)
+        for f in fields(VFNetParams):
+            arr = getattr(params, f.name)
+            assert arr.dtype == np.float64
+            np.testing.assert_array_equal(arr, getattr(before, f.name))
+
+
 class TestMatching:
     def test_tie_goes_first(self, rng):
         params = random_params(rng)
@@ -266,6 +343,15 @@ class TestCheckpoint:
         for f in fields(VFNetParams):
             np.testing.assert_array_equal(getattr(loaded, f.name),
                                           getattr(params, f.name))
+
+    def test_non_finite_value_rejected(self, tmp_path, rng):
+        from avsrkit.checkpoint import CheckpointError
+        params = random_params(rng)
+        params.face_b2[1] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_params(params, path)
+        with pytest.raises(CheckpointError, match="non-finite values in face_b2"):
+            load_params(path)
 
     def test_wrong_kind_rejected(self, tmp_path, rng):
         from avsrkit.backend import save_lda, LdaTransform
