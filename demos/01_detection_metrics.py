@@ -39,9 +39,10 @@ print(f"minDCF = {min_dcf(shifted, params)[0]:.4f}  (unchanged: monotone invaria
 print(f"actDCF = {act_dcf(shifted, params):.4f}  (much closer to minDCF)")
 
 print("\n=== a few ROC operating points ===")
-points = roc_points(scores)
-for t, p_miss, p_fa in points[:: max(1, len(points) // 8)]:
-    print(f"threshold {t:8.3f}: p_miss {p_miss:.3f}  p_fa {p_fa:.3f}")
+thresholds, p_miss, p_fa = roc_points(scores)
+step = max(1, len(thresholds) // 8)
+for t, pm, pf in zip(thresholds[::step], p_miss[::step], p_fa[::step]):
+    print(f"threshold {t:8.3f}: p_miss {pm:.3f}  p_fa {pf:.3f}")
 
 report = compute_metrics(scores, params)
 print(f"\nfull report: {report.n_target} targets, {report.n_nontarget} nontargets, "

@@ -191,7 +191,9 @@ def _cmd_fuse(args):
     if len(args.dev_scores) != len(args.eval_scores):
         raise UsageError("--dev-scores and --eval-scores must list the same systems")
     params = _config(metrics.DcfParams, args)
-    dev = [store.load_scores(p) for p in args.dev_scores]
+    # the fit takes its labels from the first system
+    dev = [store.load_scores(p, require_labels=k == 0)
+           for k, p in enumerate(args.dev_scores)]
     eval_ = [store.load_scores(p) for p in args.eval_scores]
     model = fusion.fit_fusion(dev, params)
     fused = fusion.apply_fusion(model, eval_)
@@ -204,7 +206,7 @@ def _cmd_fuse(args):
 
 def _cmd_eval(args):
     params = _config(metrics.DcfParams, args)
-    scores = store.load_scores(args.scores)
+    scores = store.load_scores(args.scores, require_labels=True)
     report = metrics.compute_metrics(scores, params)
     header = "eer\tauc\tmin_dcf\tact_dcf\tmin_dcf_threshold\tbayes_threshold"
     line = (f"{report.eer:.6f}\t{report.auc:.6f}\t{report.min_dcf:.6f}\t"
@@ -216,10 +218,10 @@ def _cmd_eval(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(header + "\n" + line + "\n")
     if args.det_points:
+        columns = (a.tolist() for a in metrics.roc_points(scores))
         with open(args.det_points, "w", encoding="utf-8") as fh:
-            fh.write("threshold\tp_miss\tp_fa\n")
-            for t, pm, pf in metrics.roc_points(scores):
-                fh.write(f"{t}\t{pm}\t{pf}\n")
+            fh.write("threshold\tp_miss\tp_fa\n" + "".join(
+                f"{t!r}\t{pm!r}\t{pf!r}\n" for t, pm, pf in zip(*columns)))
     return 0
 
 

@@ -50,6 +50,8 @@ def _aligned_matrix(system_scores):
     for k, other in enumerate(system_scores[1:], start=2):
         if (other.enroll_ids, other.test_ids) != (ref.enroll_ids, ref.test_ids):
             raise ValueError(f"system {k} trial list does not match system 1")
+        if other.labels == ref.labels:
+            continue
         for e, t, ours, theirs in zip(ref.enroll_ids, ref.test_ids, ref.labels, other.labels):
             if ours != theirs and None not in (ours, theirs):
                 raise ValueError(f"system {k} labels trial ({e}, {t}) {theirs!r}, "

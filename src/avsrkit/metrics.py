@@ -60,17 +60,17 @@ def _split_scores(scores: ScoreSet):
 
 
 def roc_points(scores: ScoreSet):
-    """Operating points (threshold, p_miss, p_fa) over all distinct thresholds.
+    """Operating points as (thresholds, p_miss, p_fa) arrays over all distinct
+    thresholds, in increasing order.
 
     p_miss is non-decreasing and p_fa non-increasing along increasing
     threshold; the -inf/+inf endpoints (0,1) and (1,0) are always included.
     """
-    tar, non = _split_scores(scores)
-    return list(zip(*(a.tolist() for a in _roc_arrays(tar, non))))
+    return _roc_arrays(*_split_scores(scores))
 
 
 def _roc_arrays(tar, non):
-    """(thresholds, p_miss, p_fa) arrays of roc_points, endpoints included."""
+    """roc_points of target and nontarget score arrays."""
     thresholds = np.unique(np.concatenate([tar, non]))
     # at threshold t: miss iff target score < t, false alarm iff nontarget >= t
     n_miss = np.searchsorted(np.sort(tar), thresholds, side="left")

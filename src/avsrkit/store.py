@@ -12,12 +12,14 @@ Scores are written with ``repr()`` so binary64 values round-trip bit-exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 MODALITIES = ("voice", "face")
 LABELS = ("target", "nontarget")
+_LABEL_OBJECTS = {label: label for label in LABELS}
 MAX_TARGETS_PER_IDENTITY = 50
 
 
@@ -239,13 +241,22 @@ def _parse_lines(path):
             yield lineno, line.split("\t")
 
 
-def _build(path, linenos, build, *columns):
-    """build(*columns), with a RowError raised as a FormatError naming file and line."""
+@contextmanager
+def _at_lines(path, linenos):
+    """Raise a RowError from the block as a FormatError naming file and line."""
     try:
-        return build(*columns)
+        yield
     except RowError as exc:
         first = "" if exc.first is None else f", first on line {linenos[exc.first]}"
         raise FormatError(f"{path}:{linenos[exc.row]}: {exc}{first}") from None
+
+
+def _check_filled(**columns):
+    """Raise a RowError at the first empty value of the named columns."""
+    empty = [(column.index(""), name) for name, column in columns.items() if "" in column]
+    if empty:
+        row, name = min(empty, key=lambda found: found[0])
+        raise RowError(row, f"empty {name}")
 
 
 def load_embeddings(path) -> EmbeddingStore:
@@ -261,7 +272,9 @@ def load_embeddings(path) -> EmbeddingStore:
         linenos.append(lineno)
         for column, value in zip(columns, fields):
             column.append(value)
-    return _build(path, linenos, EmbeddingStore.from_columns, *columns)
+    with _at_lines(path, linenos):
+        _check_filled(record_id=columns[0], identity_id=columns[1])
+        return EmbeddingStore.from_columns(*columns)
 
 
 def save_embeddings(store: EmbeddingStore, path) -> None:
@@ -279,7 +292,10 @@ def load_trials(path) -> TrialSet:
             raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
         linenos.append(lineno)
         trials.append(Trial(*fields))
-    return _build(path, linenos, TrialSet, trials)
+    with _at_lines(path, linenos):
+        _check_filled(enroll_id=[t.enroll_id for t in trials],
+                      test_id=[t.test_id for t in trials])
+        return TrialSet(trials)
 
 
 def save_trials(trials: TrialSet, path) -> None:
@@ -291,20 +307,67 @@ def save_trials(trials: TrialSet, path) -> None:
                 fh.write(f"{t.enroll_id}\t{t.test_id}\t{t.label}\n")
 
 
-def load_scores(path) -> ScoreSet:
-    linenos, enroll_ids, test_ids, scores, labels = [], [], [], [], []
-    for lineno, fields in _parse_lines(path):
-        if len(fields) not in (3, 4):
-            raise FormatError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
-        try:
-            scores.append(float(fields[2]))
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed score {fields[2]!r}") from None
-        linenos.append(lineno)
-        enroll_ids.append(fields[0])
-        test_ids.append(fields[1])
-        labels.append(fields[3] if len(fields) == 4 else None)
-    return _build(path, linenos, ScoreSet.from_columns, enroll_ids, test_ids, scores, labels)
+def load_scores(path, require_labels=False) -> ScoreSet:
+    """Parse a score file. require_labels: every line must carry a label, as
+    metrics and fusion fits need (a FormatError names the first that does not).
+
+    The file is read whole and taken apart by column. Its tabs and line
+    breaks are located in its bytes; splitting the text at all of them gives
+    the pieces, and the breaks give each line's field count and the index of
+    its first piece. Only an error goes back to single lines, to name the
+    first bad one.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    is_sep = raw == ord("\t")
+    is_sep |= raw == ord("\n")
+    seps = np.flatnonzero(is_sep)  # the tabs and line breaks
+    del is_sep
+    breaks = np.flatnonzero(raw[seps] == ord("\n"))  # the line breaks among seps
+    first = np.append(0, breaks + 1)  # line i's pieces are first[i] .. first[i] + width[i] - 1
+    width = np.append(breaks, seps.size) - first + 1
+    line_breaks = seps[breaks]
+    begin, end = np.append(0, line_breaks + 1), np.append(line_breaks, raw.size)
+    is_data = begin < end
+    is_data[is_data] = raw[begin[is_data]] != ord("#")
+    del raw
+    rows = np.flatnonzero(is_data)
+    linenos = rows + 1
+    width, first = width[rows], first[rows]
+    # lines before the first with a wrong field count; a bad score among
+    # them comes first in the file
+    wrong = np.flatnonzero((width < 3) | (width > 4))
+    n = int(wrong[0]) if wrong.size else rows.size
+    text = text.replace("\n", "\t")  # rebound, so the file's text is freed before the split
+    pieces = text.split("\t")
+    del text
+    pieces.append(None)  # the label of a line without one
+
+    def column(index):
+        return list(map(pieces.__getitem__, index.tolist()))
+
+    score_text = column(first[:n] + 2)
+    try:
+        scores = np.fromiter(map(float, score_text), dtype=np.float64, count=n)
+    except ValueError:
+        for row, value in enumerate(score_text):
+            try:
+                float(value)
+            except ValueError:
+                raise FormatError(f"{path}:{linenos[row]}: malformed score {value!r}") from None
+    if n < rows.size:
+        raise FormatError(f"{path}:{linenos[n]}: expected 3 or 4 fields, got {width[n]}")
+    enroll_ids, test_ids = column(first), column(first + 1)
+    # the known labels as one shared object each, not one string per line
+    labels = column(np.where(width == 4, first + 3, len(pieces) - 1))
+    labels = list(map(_LABEL_OBJECTS.get, labels, labels))
+    with _at_lines(path, linenos):
+        _check_filled(enroll_id=enroll_ids, test_id=test_ids)
+        score_set = ScoreSet.from_columns(enroll_ids, test_ids, scores, labels)
+        if require_labels and None in labels:
+            raise RowError(labels.index(None), "score set is not fully labeled")
+    return score_set
 
 
 def save_scores(scores: ScoreSet, path) -> None:

@@ -89,6 +89,14 @@ class TestEval:
                         [np.inf, 1.0, 0.0]]
 
 
+    def test_unlabeled_line_named(self, tmp_path, capsys):
+        path = tmp_path / "m.scores"
+        path.write_text("a\ta\t2.0\ttarget\n# note\na\tb\t-2.0\n", encoding="utf-8")
+        assert main(["eval", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:3: score set is not fully labeled\n"
+
+
 class TestScoreVfnet:
     def test_single_face_matches_pair_probability(self, tmp_path, capsys):
         params = init_params(input_dim=4, hidden_dim=6, output_dim=3, seed=0)
@@ -184,6 +192,21 @@ class TestFuse:
         assert "system 2 labels trial (a, a) 'nontarget', system 1 labels it 'target'" in \
             capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "f.tsv").exists()
+
+    def test_unlabeled_dev_line_named(self, tmp_path, capsys):
+        labeled, unlabeled = tmp_path / "dev0.tsv", tmp_path / "dev1.tsv"
+        rows = ["a\ta\t1.0\ttarget", "a\tb\t-1.0\tnontarget", "b\tb\t-0.5\ttarget",
+                "b\ta\t0.5\tnontarget"]
+        labeled.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        rows[1] = "a\tb\t-1.0"
+        unlabeled.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        args = ["--eval-scores", str(labeled), str(labeled),
+                "--out-model", str(tmp_path / "m.ckpt"), "--out-scores", str(tmp_path / "f.tsv")]
+        assert main(["fuse", "--dev-scores", str(unlabeled), str(labeled), *args]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {unlabeled}:2: score set is not fully labeled\n"
+        # the fit takes its labels from system 1, so system 2 may leave them out
+        assert main(["fuse", "--dev-scores", str(labeled), str(unlabeled), *args]) == 0
 
 
 class TestConfigKeys:

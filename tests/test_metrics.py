@@ -22,23 +22,22 @@ def random_score_set(rng, max_size=100):
 
 class TestRocPoints:
     def test_separable_reaches_origin(self):
-        points = roc_points(make_score_set([0.9, 0.8], [0.1, 0.2]))
-        assert any(pm == 0.0 and pf == 0.0 for _, pm, pf in points)
+        _, p_miss, p_fa = roc_points(make_score_set([0.9, 0.8], [0.1, 0.2]))
+        assert np.any((p_miss == 0.0) & (p_fa == 0.0))
 
     def test_all_equal_scores(self):
-        points = roc_points(make_score_set([0.5], [0.5, 0.5]))
-        assert points[0][1:] == (0.0, 1.0)
-        assert points[-1][1:] == (1.0, 0.0)
-        assert len(points) == 3  # endpoints plus the single tie threshold
+        thresholds, p_miss, p_fa = roc_points(make_score_set([0.5], [0.5, 0.5]))
+        assert (p_miss[0], p_fa[0]) == (0.0, 1.0)
+        assert (p_miss[-1], p_fa[-1]) == (1.0, 0.0)
+        assert len(thresholds) == 3  # endpoints plus the single tie threshold
 
     def test_monotone_on_random_sets(self, rng):
         for _ in range(200):
             tar, non = random_score_set(rng)
-            points = roc_points(make_score_set(tar, non))
-            for (t1, m1, f1), (t2, m2, f2) in zip(points, points[1:]):
-                assert t1 < t2
-                assert m2 >= m1
-                assert f2 <= f1
+            thresholds, p_miss, p_fa = roc_points(make_score_set(tar, non))
+            assert np.all(thresholds[1:] > thresholds[:-1])
+            assert np.all(p_miss[1:] >= p_miss[:-1])
+            assert np.all(p_fa[1:] <= p_fa[:-1])
 
     def test_requires_labels(self):
         from avsrkit.store import ScoreEntry, ScoreSet

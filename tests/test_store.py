@@ -57,6 +57,13 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match="modality"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("line, column", [("\ts\tvoice\t1,2", "record_id"),
+                                              ("a\t\tvoice\t1,2", "identity_id")])
+    def test_empty_id_names_line_and_column(self, tmp_path, line, column):
+        p = write(tmp_path / "e.tsv", f"b\ts\tface\t1,2\n{line}\n")
+        with pytest.raises(FormatError, match=rf"e\.tsv:2: empty {column}$"):
+            load_embeddings(p)
+
     def test_roundtrip(self, tmp_path, rng):
         recs = [EmbeddingRecord(f"r{i}", f"id{i % 3}", "voice" if i % 2 else "face",
                                 rng.standard_normal(8))
@@ -95,6 +102,14 @@ class TestTrialSet:
         with pytest.raises(FormatError, match=r"t\.tsv:2: unknown label 'maybe'$"):
             load_trials(p)
 
+    @pytest.mark.parametrize("text, column", [("a\tc\n\tb\n", "enroll_id"),
+                                              ("a\tc\na\t\n", "test_id"),
+                                              ("a\tc\ttarget\na\t\ttarget\n", "test_id")])
+    def test_empty_id_names_line_and_column(self, tmp_path, text, column):
+        p = write(tmp_path / "t.tsv", text)
+        with pytest.raises(FormatError, match=rf"t\.tsv:2: empty {column}$"):
+            load_trials(p)
+
     def test_roundtrip(self, tmp_path):
         ts = TrialSet([Trial("a", "b", "target"), Trial("a", "c", "nontarget")])
         path = tmp_path / "t.tsv"
@@ -126,6 +141,20 @@ class TestScoreSet:
         ss = load_scores(p)
         assert ss.labeled
         assert ss.labels == ("target", "nontarget")
+
+    @pytest.mark.parametrize("line, column", [("\tb\t1.5\ttarget", "enroll_id"),
+                                              ("a\t\t1.5\ttarget", "test_id"),
+                                              ("\t\t1.5", "enroll_id")])
+    def test_empty_id_names_line_and_column(self, tmp_path, line, column):
+        p = write(tmp_path / "s.tsv", f"a\tb\t0.5\tnontarget\n# note\n{line}\n")
+        with pytest.raises(FormatError, match=rf"s\.tsv:3: empty {column}$"):
+            load_scores(p)
+
+    def test_required_labels_name_first_unlabeled_line(self, tmp_path):
+        p = write(tmp_path / "s.tsv", "a\tb\t0.5\ttarget\n\na\tc\t1.5\na\td\t2.5\n")
+        assert load_scores(p).labels == ("target", None, None)
+        with pytest.raises(FormatError, match=r"s\.tsv:3: score set is not fully labeled$"):
+            load_scores(p, require_labels=True)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
