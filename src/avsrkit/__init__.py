@@ -15,7 +15,7 @@ from .vfnet import (PairScore, VFNetParams, cosine_similarity, init_params,
                     transform_face, transform_voice)
 from .training import TrainConfig, TrainReport, train
 from .backend import (LdaTransform, PldaModel, PoolingRule, fit_lda, fit_plda,
-                      plda_llr, pool_top_fraction, project, project_store,
+                      plda_group_llr, plda_llr, pool_cosines, project, project_store,
                       score_face_trial)
 from .metrics import (DcfParams, MetricReport, act_dcf, auc, compute_metrics,
                       eer, min_dcf, roc_points)

@@ -3,12 +3,13 @@
 Speaker side: LDA dimensionality reduction followed by a two-covariance PLDA
 (identity mean y ~ N(mu, B), observation x ~ N(y, W)) fitted by maximum
 likelihood, in closed form when every identity has the same session count
-and by EM otherwise, scored with the closed-form pair log-likelihood ratio, a
-quadratic form that scores all enrollment x test pairs of two groups as one
-matrix.
+and by EM otherwise. It scores in the basis where W = I and B is diagonal,
+so a whole split's table of identity-pair mean log-likelihood ratios comes
+from each identity's mean vector and mean quadratic term.
 
-Face side: cosine similarity of all test faces against a mean enrollment
-template, with the pooled average of the top fraction of per-face scores.
+Face side: each enrollment template's cosine with every test face of an
+identity, pooled as the mean of the top fraction; the cross-modal network's
+scores are pooled alike.
 """
 
 from __future__ import annotations
@@ -310,41 +311,42 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER) -> PldaModel:
 
 
 def _plda_scoring_cache(model: PldaModel):
-    """(Q, P, k) of the LLR as the quadratic form x1'Q x1 + x2'Q x2 + 2 x1'P x2 + k
-    in mean-centred vectors (Garcia-Romero & Espy-Wilson 2011)."""
+    """(V, q, p, k) of the LLR in the basis where W = I and B is diagonal (Ioffe
+    2006): with (lambda, V) = eigh(B, W) and y = V'(x - mu), a pair's LLR is
+    sum_j q_j (y1_j^2 + y2_j^2) + 2 p_j y1_j y2_j + k, elementwise per dimension."""
     if model._scoring_cache is None:
-        d = model.dim
-        total = model.B + model.W
-        same = np.block([[total, model.B], [model.B, total]])
-        same_inv = np.linalg.inv(same)
-        _, logdet_same = np.linalg.slogdet(same)
-        _, logdet_total = np.linalg.slogdet(total)
-        model._scoring_cache = (-0.5 * (same_inv[:d, :d] - np.linalg.inv(total)),
-                                -0.5 * same_inv[:d, d:],
-                                -0.5 * (logdet_same - 2.0 * logdet_total))
+        lam, v = scipy.linalg.eigh(model.B, model.W)
+        same = 1.0 + 2.0 * lam  # per dimension, det [[1+lambda, lambda], [lambda, 1+lambda]]
+        model._scoring_cache = (v, -0.5 * ((1.0 + lam) / same - 1.0 / (1.0 + lam)),
+                                0.5 * lam / same,
+                                -0.5 * float(np.sum(np.log(same / (1.0 + lam) ** 2))))
     return model._scoring_cache
 
 
-def plda_llr(model: PldaModel, e1, e2):
-    """log p(e1, e2 | same identity) - log p(e1, e2 | different identities).
+def plda_group_llr(model: PldaModel, groups1, groups2) -> np.ndarray:
+    """(len(groups1), len(groups2)) table of each pair of (n, d) groups' mean
+    LLR over its n1 x n2 record pairs: exactly mean q(y1) + mean q(y2) +
+    2 m1' diag(p) m2 + k, with m a group's mean y. The cross term is an
+    elementwise reduction, not a matrix product, so that its bits do not
+    depend on the BLAS thread count."""
+    v, q, p, k = _plda_scoring_cache(model)
 
-    Closed form from the joint Gaussians: under "same" the pair is
-    N([mu; mu], [[B+W, B], [B, B+W]]); under "different" the blocks are
-    independent, each N(mu, B+W). Two (d,) vectors give a float; (n1, d) and
-    (n2, d) rows (a vector counting as one row) give the (n1, n2) matrix of
-    every pair's ratio.
-    """
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    for e in (e1, e2):
-        if e.ndim not in (1, 2) or e.shape[-1] != model.dim:
-            raise ValueError(f"expected vectors of dimension {model.dim}, got shape {e.shape}")
-    q, p, k = _plda_scoring_cache(model)
-    x1 = np.atleast_2d(e1) - model.mu
-    x2 = np.atleast_2d(e2) - model.mu
-    q1 = np.einsum("ij,ij->i", x1 @ q, x1)
-    q2 = np.einsum("ij,ij->i", x2 @ q, x2)
-    llr = q1[:, None] + q2[None, :] + 2.0 * (x1 @ p) @ x2.T + k
+    def stats(groups):  # each group's mean q(y) and mean y
+        ys = [(np.asarray(x, dtype=np.float64) - model.mu) @ v for x in groups]
+        return (np.array([np.einsum("ij,ij,j->", y, y, q) / len(y) for y in ys]),
+                np.array([y.mean(axis=0) for y in ys]))
+
+    (q1, m1), (q2, m2) = stats(groups1), stats(groups2)
+    return q1[:, None] + q2[None, :] + 2.0 * np.einsum("ij,kj->ik", m1 * p, m2) + k
+
+
+def plda_llr(model: PldaModel, e1, e2):
+    """log p(e1, e2 | same identity) - log p(e1, e2 | different identities),
+    with the pair N([mu; mu], [[B+W, B], [B, B+W]]) under "same" and two
+    independent N(mu, B+W) under "different". Two (d,) vectors give a float,
+    (n1, d) and (n2, d) rows the (n1, n2) matrix: one row per group."""
+    e1, e2 = np.asarray(e1, dtype=np.float64), np.asarray(e2, dtype=np.float64)
+    llr = plda_group_llr(model, np.atleast_2d(e1)[:, None], np.atleast_2d(e2)[:, None])
     return float(llr[0, 0]) if e1.ndim == e2.ndim == 1 else llr
 
 
@@ -382,22 +384,22 @@ class PoolingRule:
         return max(1, k)
 
 
-def pool_top_fraction(scores, rule: PoolingRule = PoolingRule()) -> float:
-    """Mean of the k largest scores, k = max(1, ceil(fraction * N))."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("cannot pool an empty score list")
-    return float(np.sort(scores)[-rule.k(scores.size):].mean())
+def pool_cosines(templates, groups, rule: PoolingRule = PoolingRule(),
+                 link=None) -> np.ndarray:
+    """(len(templates), len(groups)) table: each (D,) template's cosine with
+    every row of an (n, D) group, mapped through link (an elementwise
+    function) if given, pooled as the mean of the k = rule.k(n) largest."""
+    templates = np.asarray(templates, dtype=np.float64)
+    if not np.linalg.norm(templates, axis=1).all():
+        raise ValueError("enrollment template has zero norm")
+    table = np.empty((len(templates), len(groups)))
+    for j, x in enumerate(groups):
+        s = cosine_similarity(templates[:, None], np.asarray(x, dtype=np.float64)[None])
+        s = s if link is None else link(s)
+        table[:, j] = np.sort(s, axis=1)[:, -rule.k(len(x)):].mean(axis=1)
+    return table
 
 
 def score_face_trial(enroll_faces, test_faces, rule: PoolingRule = PoolingRule()) -> float:
     """Cosine of each test face against the mean enrollment template, pooled."""
-    enroll_faces = np.asarray(enroll_faces, dtype=np.float64)
-    test_faces = np.asarray(test_faces, dtype=np.float64)
-    if enroll_faces.size == 0 or test_faces.size == 0:
-        raise ValueError("enrollment and test face sets must be nonempty")
-    template = enroll_faces.mean(axis=0)
-    norm = np.linalg.norm(template)
-    if norm == 0.0:
-        raise ValueError("enrollment template has zero norm")
-    return pool_top_fraction(cosine_similarity(template / norm, test_faces), rule)
+    return float(pool_cosines([np.mean(enroll_faces, axis=0)], [test_faces], rule)[0, 0])

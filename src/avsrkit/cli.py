@@ -156,11 +156,8 @@ def _cmd_train_vfnet(args):
 
 
 def _cmd_fit_backend(args):
-    emb = store.load_embeddings(args.embeddings).restrict("voice")
-    lda = backend.fit_lda(emb, args.lda_dim)
-    plda = backend.fit_plda(backend.project_store(lda, emb, not args.no_length_norm))
-    backend.save_lda(lda, args.out_lda)
-    backend.save_plda(plda, args.out_plda)
+    lda, plda = pipeline.fit_backend(store.load_embeddings(args.embeddings), args.lda_dim,
+                                     not args.no_length_norm, args.out_lda, args.out_plda)
     print(f"LDA output dimension {lda.output_dim}; PLDA fit: {plda.describe_fit()}")
     return 0
 
@@ -187,12 +184,21 @@ def _cmd_score(args):
     return 0
 
 
+def _labeled_scores(path):
+    """A score file for a metric or a fusion fit: every line labeled, both classes present."""
+    scores = store.load_scores(path, require_labels=True)
+    if len(set(scores.labels)) < 2:
+        problem = "need at least one target and one nontarget score" if len(scores) else "no scores"
+        raise store.FormatError(f"{path}: {problem}")
+    return scores
+
+
 def _cmd_fuse(args):
     if len(args.dev_scores) != len(args.eval_scores):
         raise UsageError("--dev-scores and --eval-scores must list the same systems")
     params = _config(metrics.DcfParams, args)
     # the fit takes its labels from the first system
-    dev = [store.load_scores(p, require_labels=k == 0)
+    dev = [_labeled_scores(p) if k == 0 else store.load_scores(p)
            for k, p in enumerate(args.dev_scores)]
     eval_ = [store.load_scores(p) for p in args.eval_scores]
     model = fusion.fit_fusion(dev, params)
@@ -206,7 +212,7 @@ def _cmd_fuse(args):
 
 def _cmd_eval(args):
     params = _config(metrics.DcfParams, args)
-    scores = store.load_scores(args.scores, require_labels=True)
+    scores = _labeled_scores(args.scores)
     report = metrics.compute_metrics(scores, params)
     header = "eer\tauc\tmin_dcf\tact_dcf\tmin_dcf_threshold\tbayes_threshold"
     line = (f"{report.eer:.6f}\t{report.auc:.6f}\t{report.min_dcf:.6f}\t"

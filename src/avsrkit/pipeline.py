@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,40 +108,40 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
                  length_norm: bool = True, systems=("audio", "visual", "vfnet")):
     """Score every trial under each requested system; returns {system: ScoreSet}.
 
-    Each store is grouped by identity once, and each vfnet branch runs once
-    per identity; a trial then scores the two identities' matrices. Raises
-    ValueError naming the trial, identity and modality when a trial's
-    identity has no records of a modality that a requested system reads.
+    Each system scores one enrollment x test identity table (audio by
+    `backend.plda_group_llr`, visual and vfnet by `backend.pool_cosines`, each
+    vfnet branch run once per identity), and a trial takes its entry. A trial
+    whose identity lacks a modality a requested system reads raises ValueError.
     """
-    groups = ({}, {})  # enrollment and test side: modality -> identity -> rows
+    if not len(trials):
+        return {system: ScoreSet([]) for system in systems}
+    ids = ([t.enroll_id for t in trials], [t.test_id for t in trials])
+    # each side's identities, sorted, and each trial's row or column among them
+    (e_ids, e_at), (t_ids, t_at) = (np.unique(side, return_inverse=True) for side in ids)
+    groups = e_side, t_side = ({}, {})  # modality -> each identity's rows, in table order
     for k, (side, side_store) in enumerate((("enroll", enroll), ("test", test))):
         for modality in sorted({_READS[s][k] for s in systems}):
-            groups[k][modality] = side_store.grouped(modality)
+            grouped = side_store.grouped(modality)
             for t in trials:
-                identity = (t.enroll_id, t.test_id)[k]
-                if identity not in groups[k][modality]:
+                if (identity := (t.enroll_id, t.test_id)[k]) not in grouped:
                     raise ValueError(f"trial ({t.enroll_id}, {t.test_id}): {side} identity "
                                      f"{identity!r} has no {modality} records")
-    e_side, t_side = groups
+            groups[k][modality] = [grouped[i] for i in (e_ids, t_ids)[k]]
+    tables = {}
     if "audio" in systems:
         e_proj, t_proj = (backend.project_store(lda, side.restrict("voice"), length_norm)
                           .grouped("voice") for side in (enroll, test))
+        tables["audio"] = backend.plda_group_llr(plda, [e_proj[i] for i in e_ids],
+                                                  [t_proj[i] for i in t_ids])
+    if "visual" in systems:
+        tables["visual"] = backend.pool_cosines([x.mean(axis=0) for x in e_side["face"]],
+                                                t_side["face"], rule)
     if "vfnet" in systems:
-        voice_out = {i: vfnet.transform_voice(params, x.mean(axis=0))
-                     for i, x in e_side["voice"].items()}
-        face_out = {i: vfnet.transform_face(params, x) for i, x in t_side["face"].items()}
-
-    def score(system, t):
-        if system == "audio":
-            return float(backend.plda_llr(plda, e_proj[t.enroll_id], t_proj[t.test_id]).mean())
-        if system == "visual":
-            return backend.score_face_trial(e_side["face"][t.enroll_id],
-                                            t_side["face"][t.test_id], rule)
-        s = vfnet.cosine_similarity(voice_out[t.enroll_id], face_out[t.test_id])
-        return backend.pool_top_fraction(vfnet.pair_probability(s).p_same, rule)
-
-    columns = ([t.enroll_id for t in trials], [t.test_id for t in trials])
-    return {system: ScoreSet.from_columns(*columns, [score(system, t) for t in trials],
+        tables["vfnet"] = backend.pool_cosines(
+            [vfnet.transform_voice(params, x.mean(axis=0)) for x in e_side["voice"]],
+            [vfnet.transform_face(params, x) for x in t_side["face"]], rule,
+            link=lambda s: vfnet.pair_probability(s).p_same)
+    return {system: ScoreSet.from_columns(*ids, tables[system][e_at, t_at],
                                           [t.label for t in trials]) for system in systems}
 
 
@@ -157,6 +158,25 @@ def split_identities(embedding_store: EmbeddingStore, valid_fraction: float, see
             embedding_store.subset(i for i, valid in enumerate(in_valid) if valid))
 
 
+@contextmanager
+def _stage(name):
+    """Re-raise any failure of the block as a PipelineError naming the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
+def fit_backend(train_store: EmbeddingStore, lda_dim: int, length_norm: bool, out_lda, out_plda):
+    """Fit LDA and then PLDA on the training voices, save both; returns (lda, plda)."""
+    voices = train_store.restrict("voice")
+    lda = backend.fit_lda(voices, lda_dim)
+    plda = backend.fit_plda(backend.project_store(lda, voices, length_norm))
+    backend.save_lda(lda, out_lda)
+    backend.save_plda(plda, out_plda)
+    return lda, plda
+
+
 def run_pipeline(config: PipelineConfig) -> str:
     """Execute the full experiment; returns the report path.
 
@@ -165,82 +185,53 @@ def run_pipeline(config: PipelineConfig) -> str:
     """
     os.makedirs(config.out_dir, exist_ok=True)
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise PipelineError(name, exc) from exc
+    def out(name):
+        return os.path.join(config.out_dir, name)
 
-    def load_all():
-        return (store.load_embeddings(config.train_embeddings),
-                store.load_embeddings(config.dev_embeddings),
-                store.load_embeddings(config.eval_embeddings),
-                store.load_trials(config.dev_trials),
-                store.load_trials(config.eval_trials))
+    with _stage("load-data"):
+        train_store, dev_store, eval_store = (store.load_embeddings(path) for path in (
+            config.train_embeddings, config.dev_embeddings, config.eval_embeddings))
+        dev_trials, eval_trials = map(store.load_trials, (config.dev_trials, config.eval_trials))
 
-    train_store, dev_store, eval_store, dev_trials, eval_trials = stage("load-data", load_all)
+    with _stage("fit-backend"):
+        lda, plda = fit_backend(train_store, config.lda_dim, config.length_norm,
+                                out("lda.ckpt"), out("plda.ckpt"))
 
-    def fit_backend_stage():
-        lda = backend.fit_lda(train_store.restrict("voice"), config.lda_dim)
-        plda = backend.fit_plda(
-            backend.project_store(lda, train_store.restrict("voice"), config.length_norm))
-        backend.save_lda(lda, os.path.join(config.out_dir, "lda.ckpt"))
-        backend.save_plda(plda, os.path.join(config.out_dir, "plda.ckpt"))
-        return lda, plda
-
-    lda, plda = stage("fit-backend", fit_backend_stage)
-
-    def train_vfnet_stage():
+    with _stage("train-vfnet"):
         seed = config.train.rng_seed
         fit_store, valid_store = split_identities(train_store, 0.1, seed)
-        train_part = store.build_crossmodal_trials(
-            fit_store, config.negatives_per_positive, seed)
-        valid_part = store.build_crossmodal_trials(
-            valid_store, config.negatives_per_positive, seed + 1)
+        npp = config.negatives_per_positive
+        train_part = store.build_crossmodal_trials(fit_store, npp, seed)
+        valid_part = store.build_crossmodal_trials(valid_store, npp, seed + 1)
         report = training.train(train_store, train_part, valid_part, config.train)
-        vfnet.save_params(report.final_params,
-                          os.path.join(config.out_dir, "vfnet.ckpt"))
-        training.save_report(report, os.path.join(config.out_dir, "vfnet_training.tsv"))
-        return report.final_params
-
-    params = stage("train-vfnet", train_vfnet_stage)
+        params = report.final_params
+        vfnet.save_params(params, out("vfnet.ckpt"))
+        training.save_report(report, out("vfnet_training.tsv"))
 
     rule = backend.PoolingRule(config.pool_fraction)
+    scores = {}
+    for split, split_store, trials in (("dev", dev_store, dev_trials),
+                                       ("eval", eval_store, eval_trials)):
+        with _stage(f"score-{split}"):
+            enroll, test = split_enroll_test(split_store)
+            scores[split] = score_trials(trials, enroll, test, lda, plda, params, rule,
+                                         config.length_norm)
+            for system, score_set in scores[split].items():
+                store.save_scores(score_set, out(f"{split}_{system}.scores"))
 
-    def score_stage(split_store, trials, name):
-        enroll, test = split_enroll_test(split_store)
-        scored = score_trials(trials, enroll, test, lda, plda, params, rule,
-                              config.length_norm)
-        for system, score_set in scored.items():
-            store.save_scores(score_set,
-                              os.path.join(config.out_dir, f"{name}_{system}.scores"))
-        return scored
-
-    dev_scores = stage("score-dev", lambda: score_stage(dev_store, dev_trials, "dev"))
-    eval_scores = stage("score-eval", lambda: score_stage(eval_store, eval_trials, "eval"))
-
-    def fuse_eval_stage():
+    with _stage("fuse-eval"):
         rows = []
         for name, systems in REPORT_SYSTEMS:
-            model = fusion.fit_fusion([dev_scores[s] for s in systems], config.dcf)
-            fused = fusion.apply_fusion(model, [eval_scores[s] for s in systems])
-            store.save_scores(fused,
-                              os.path.join(config.out_dir, f"eval_fused_{name}.scores"))
-            report = metrics.compute_metrics(fused, config.dcf)
-            rows.append((name, report))
-        return rows
+            model = fusion.fit_fusion([scores["dev"][s] for s in systems], config.dcf)
+            fused = fusion.apply_fusion(model, [scores["eval"][s] for s in systems])
+            store.save_scores(fused, out(f"eval_fused_{name}.scores"))
+            rows.append((name, metrics.compute_metrics(fused, config.dcf)))
 
-    rows = stage("fuse-eval", fuse_eval_stage)
-
-    report_path = os.path.join(config.out_dir, "report.tsv")
-
-    def write_report():
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("system\teer\tmin_dcf\tact_dcf\n")
-            for name, rep in rows:
-                fh.write(f"{name}\t{rep.eer:.6f}\t{rep.min_dcf:.6f}\t{rep.act_dcf:.6f}\n")
-
-    stage("write-report", write_report)
+    report_path = out("report.tsv")
+    with _stage("write-report"), open(report_path, "w", encoding="utf-8") as fh:
+        fh.write("system\teer\tmin_dcf\tact_dcf\n")
+        for name, rep in rows:
+            fh.write(f"{name}\t{rep.eer:.6f}\t{rep.min_dcf:.6f}\t{rep.act_dcf:.6f}\n")
     return report_path
 
 

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from avsrkit.backend import PoolingRule, fit_plda, pool_top_fraction
+from avsrkit.backend import PoolingRule, fit_plda, pool_cosines
 from avsrkit.metrics import DcfParams, act_dcf, eer, min_dcf, _eer_arrays
 from avsrkit.pipeline import (PipelineConfig, build_identity_trials,
                               run_pipeline, split_identities)
@@ -329,9 +329,16 @@ def test_criterion_7_calibration(pipeline_runs):
 
 def test_criterion_8_pooling_rule():
     rule = PoolingRule(0.2)
-    a = pool_top_fraction([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], rule)
-    b = pool_top_fraction([0.3], rule)
-    c = pool_top_fraction([0.1, 0.5, 0.9], rule)
+
+    def pool(scores):
+        # every row's cosine with the template is exactly 1; the link scales it
+        scores = np.asarray(scores)
+        return pool_cosines([[1.0]], [np.ones((len(scores), 1))], rule,
+                            link=lambda cosines: cosines * scores)[0, 0]
+
+    a = pool([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    b = pool([0.3])
+    c = pool([0.1, 0.5, 0.9])
     passed = a == 0.95 and b == 0.3 and c == 0.9
     announce(8, "pooling rule", passed, f"got {a}, {b}, {c}")
     assert a == 0.95

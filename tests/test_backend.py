@@ -4,7 +4,7 @@ from scipy.stats import multivariate_normal
 
 from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, fit_lda,
                              fit_plda, load_lda, load_plda, plda_llr,
-                             pool_top_fraction, project_store, save_lda,
+                             pool_cosines, project_store, save_lda,
                              save_plda, score_face_trial)
 from avsrkit.pipeline import score_trials
 from avsrkit.store import EmbeddingRecord, EmbeddingStore, Trial, TrialSet
@@ -280,31 +280,55 @@ class TestPlda:
         np.testing.assert_array_equal(loaded.W, model.W)
 
 
+def pool(scores, rule):
+    """Pool given scores through pool_cosines: every row's cosine with the
+    template is exactly 1, and the link scales it to its score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return pool_cosines([[1.0]], [np.ones((len(scores), 1))], rule,
+                        link=lambda cosines: cosines * scores)[0, 0]
+
+
 class TestPooling:
     def test_top_two_of_ten(self):
         scores = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-        assert pool_top_fraction(scores, PoolingRule(0.2)) == pytest.approx(0.95)
+        assert pool(scores, PoolingRule(0.2)) == pytest.approx(0.95)
 
     def test_singleton_clamps_to_one(self):
-        assert pool_top_fraction([0.3], PoolingRule(0.2)) == 0.3
+        assert pool([0.3], PoolingRule(0.2)) == 0.3
 
     def test_ceiling_rule_three_scores(self):
-        assert pool_top_fraction([0.1, 0.5, 0.9], PoolingRule(0.2)) == 0.9
+        assert pool([0.1, 0.5, 0.9], PoolingRule(0.2)) == 0.9
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pool_top_fraction([], PoolingRule(0.2))
+            pool([], PoolingRule(0.2))
 
     def test_permutation_invariant_and_monotone(self, rng):
         rule = PoolingRule(0.3)
         for _ in range(50):
             scores = rng.standard_normal(int(rng.integers(1, 12)))
-            base = pool_top_fraction(scores, rule)
-            assert pool_top_fraction(rng.permutation(scores), rule) == base
+            base = pool(scores, rule)
+            assert pool(rng.permutation(scores), rule) == base
             bumped = scores.copy()
             i = int(rng.integers(len(scores)))
             bumped[i] += abs(rng.standard_normal())
-            assert pool_top_fraction(bumped, rule) >= base
+            assert pool(bumped, rule) >= base
+
+    def test_table_takes_k_per_group_size(self, rng):
+        # ragged groups in one table: k = 1, 2, 3, 3 for n = 1, 4, 7, 10
+        rule = PoolingRule(0.3)
+        templates = rng.standard_normal((3, 4))
+        groups = [rng.standard_normal((n, 4)) for n in (4, 1, 7, 4, 10)]
+        got = pool_cosines(templates, groups, rule)
+        assert got.shape == (3, 5)
+        for i, t in enumerate(templates):
+            for j, x in enumerate(groups):
+                cos = x @ t / (np.linalg.norm(x, axis=1) * np.linalg.norm(t))
+                k = {1: 1, 4: 2, 7: 3, 10: 3}[len(x)]
+                assert got[i, j] == pytest.approx(np.sort(cos)[-k:].mean(), abs=1e-15)
+        # neither the order of the groups nor of a group's rows matters
+        shuffled = [rng.permutation(x) for x in groups[::-1]]
+        np.testing.assert_array_equal(pool_cosines(templates, shuffled, rule), got[:, ::-1])
 
 
 class TestFaceTrial:
