@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend, fusion, metrics, store, training, vfnet
-from .store import EmbeddingStore, ScoreSet, Trial, TrialSet
+from .store import EmbeddingStore, ScoreSet, TrialSet
 
 REPORT_SYSTEMS = (
     ("audio", ("audio",)),
@@ -61,19 +61,18 @@ def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positiv
     if len(identities) < 2:
         raise ValueError("need at least 2 identities")
     rng = np.random.default_rng(rng_seed)
-    trials = [Trial(i, i, "target") for i in identities]
     n_neg = negatives_per_positive * len(identities)
     max_neg = len(identities) * (len(identities) - 1)
     if n_neg > max_neg:
         raise ValueError(f"requested {n_neg} nontargets but only {max_neg} pairs exist")
-    chosen = set()
-    while len(chosen) < n_neg:
+    chosen = dict.fromkeys(zip(identities, identities))  # targets, then nontargets as drawn
+    while len(chosen) < len(identities) + n_neg:
         a = identities[rng.integers(len(identities))]
         b = identities[rng.integers(len(identities))]
-        if a != b and (a, b) not in chosen:
-            chosen.add((a, b))
-            trials.append(Trial(a, b, "nontarget"))
-    return TrialSet(trials)
+        if a != b:
+            chosen.setdefault((a, b))
+    return TrialSet.from_columns([a for a, _ in chosen], [b for _, b in chosen],
+                                 ["target"] * len(identities) + ["nontarget"] * n_neg)
 
 
 def split_enroll_test(embedding_store: EmbeddingStore):
@@ -115,18 +114,21 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
     """
     if not len(trials):
         return {system: ScoreSet([]) for system in systems}
-    ids = ([t.enroll_id for t in trials], [t.test_id for t in trials])
+    ids = (trials.enroll_ids, trials.test_ids)
     # each side's identities, sorted, and each trial's row or column among them
-    (e_ids, e_at), (t_ids, t_at) = (np.unique(side, return_inverse=True) for side in ids)
+    sides = [np.unique(side, return_inverse=True) for side in ids]
+    (e_ids, e_at), (t_ids, t_at) = sides
     groups = e_side, t_side = ({}, {})  # modality -> each identity's rows, in table order
-    for k, (side, side_store) in enumerate((("enroll", enroll), ("test", test))):
+    for k, (side, side_store, (side_ids, side_at)) in enumerate(
+            zip(("enroll", "test"), (enroll, test), sides)):
         for modality in sorted({_READS[s][k] for s in systems}):
             grouped = side_store.grouped(modality)
-            for t in trials:
-                if (identity := (t.enroll_id, t.test_id)[k]) not in grouped:
-                    raise ValueError(f"trial ({t.enroll_id}, {t.test_id}): {side} identity "
-                                     f"{identity!r} has no {modality} records")
-            groups[k][modality] = [grouped[i] for i in (e_ids, t_ids)[k]]
+            lacks = np.array([identity not in grouped for identity in side_ids])
+            if lacks.any():  # name the first trial, in trial order, that reads a lacking identity
+                row = int(np.argmax(lacks[side_at]))
+                raise ValueError(f"trial ({ids[0][row]}, {ids[1][row]}): {side} identity "
+                                 f"{ids[k][row]!r} has no {modality} records")
+            groups[k][modality] = [grouped[i] for i in side_ids]
     tables = {}
     if "audio" in systems:
         e_proj, t_proj = (backend.project_store(lda, side.restrict("voice"), length_norm)
@@ -141,8 +143,8 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
             [vfnet.transform_voice(params, x.mean(axis=0)) for x in e_side["voice"]],
             [vfnet.transform_face(params, x) for x in t_side["face"]], rule,
             link=lambda s: vfnet.pair_probability(s).p_same)
-    return {system: ScoreSet.from_columns(*ids, tables[system][e_at, t_at],
-                                          [t.label for t in trials]) for system in systems}
+    return {system: ScoreSet.from_columns(*ids, tables[system][e_at, t_at], trials.labels)
+            for system in systems}
 
 
 def split_identities(embedding_store: EmbeddingStore, valid_fraction: float, seed: int):
@@ -203,6 +205,7 @@ def run_pipeline(config: PipelineConfig) -> str:
         npp = config.negatives_per_positive
         train_part = store.build_crossmodal_trials(fit_store, npp, seed)
         valid_part = store.build_crossmodal_trials(valid_store, npp, seed + 1)
+        del fit_store, valid_store  # the trial lists name records of train_store
         report = training.train(train_store, train_part, valid_part, config.train)
         params = report.final_params
         vfnet.save_params(params, out("vfnet.ckpt"))

@@ -106,12 +106,16 @@ class EmbeddingStore:
             raise ValueError("dimension of an empty store is undefined")
         return self.vectors.shape[1]
 
-    def rows(self, record_ids) -> np.ndarray:
-        """The (n, D) vectors of the given record ids, in their order."""
+    def indices(self, record_ids) -> list:
+        """The row indices of the given record ids, in their order."""
         try:
-            return self.vectors[[self._index[record_id] for record_id in record_ids]]
+            return [self._index[record_id] for record_id in record_ids]
         except KeyError as exc:
             raise KeyError(f"no record {exc.args[0]!r} in store") from None
+
+    def rows(self, record_ids) -> np.ndarray:
+        """The (n, D) vectors of the given record ids, in their order."""
+        return self.vectors[self.indices(record_ids)]
 
     def subset(self, indices) -> "EmbeddingStore":
         """The store of the rows at the given indices, in their order."""
@@ -141,32 +145,48 @@ class Trial:
 
 
 class TrialSet:
-    """Ordered list of trials, fully labeled or fully unlabeled."""
+    """Ordered trials, fully labeled or fully unlabeled, held as columns: the
+    ``enroll_ids``, ``test_ids`` and ``labels`` (None for unlabeled) tuples.
+    Built from Trial rows, which iteration yields back in order, or from the
+    columns; both validate alike."""
 
     def __init__(self, trials):
         trials = list(trials)
-        _check_known([t.label for t in trials], (None,) + LABELS, "label")
+        self._fill([t.enroll_id for t in trials], [t.test_id for t in trials],
+                   [t.label for t in trials])
+
+    @classmethod
+    def from_columns(cls, enroll_ids, test_ids, labels) -> "TrialSet":
+        trial_set = cls.__new__(cls)
+        trial_set._fill(enroll_ids, test_ids, labels)
+        return trial_set
+
+    def _fill(self, enroll_ids, test_ids, labels):
+        self.enroll_ids, self.test_ids, self.labels = map(tuple, (enroll_ids, test_ids, labels))
+        if {len(self.test_ids), len(self.labels)} != {len(self.enroll_ids)}:
+            raise ValueError("trial set columns differ in length")
+        _check_known(self.labels, (None,) + LABELS, "label")
         rows = {}  # (enroll id, test id) -> row
-        for i, t in enumerate(trials):
-            first = rows.setdefault((t.enroll_id, t.test_id), i)
+        for i, pair in enumerate(zip(self.enroll_ids, self.test_ids)):
+            first = rows.setdefault(pair, i)
             if first != i:
-                raise RowError(i, f"duplicate trial ({t.enroll_id}, {t.test_id})", first)
-            if (t.label is None) != (trials[0].label is None):
+                raise RowError(i, f"duplicate trial ({pair[0]}, {pair[1]})", first)
+            if (self.labels[i] is None) != (self.labels[0] is None):
                 raise RowError(i, "trial set is partially labeled")
-        self.trials = trials
 
     def __len__(self):
-        return len(self.trials)
+        return len(self.enroll_ids)
 
     def __iter__(self):
-        return iter(self.trials)
+        return map(Trial, self.enroll_ids, self.test_ids, self.labels)
 
     def __eq__(self, other):
-        return isinstance(other, TrialSet) and self.trials == other.trials
+        return isinstance(other, TrialSet) and (self.enroll_ids, self.test_ids, self.labels) == \
+            (other.enroll_ids, other.test_ids, other.labels)
 
     @property
     def labeled(self) -> bool:
-        return bool(self.trials) and self.trials[0].label is not None
+        return bool(self.labels) and self.labels[0] is not None
 
 
 @dataclass(frozen=True)
@@ -286,25 +306,22 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
 
 
 def load_trials(path) -> TrialSet:
-    linenos, trials = [], []
+    linenos, columns = [], ([], [], [])  # enroll ids, test ids, labels
     for lineno, fields in _parse_lines(path):
         if len(fields) not in (2, 3):
             raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
         linenos.append(lineno)
-        trials.append(Trial(*fields))
+        for column, value in zip(columns, fields + [None]):  # no label: None
+            column.append(value)
     with _at_lines(path, linenos):
-        _check_filled(enroll_id=[t.enroll_id for t in trials],
-                      test_id=[t.test_id for t in trials])
-        return TrialSet(trials)
+        _check_filled(enroll_id=columns[0], test_id=columns[1])
+        return TrialSet.from_columns(*columns)
 
 
 def save_trials(trials: TrialSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for t in trials:
-            if t.label is None:
-                fh.write(f"{t.enroll_id}\t{t.test_id}\n")
-            else:
-                fh.write(f"{t.enroll_id}\t{t.test_id}\t{t.label}\n")
+        for e, t, label in zip(trials.enroll_ids, trials.test_ids, trials.labels):
+            fh.write(f"{e}\t{t}\n" if label is None else f"{e}\t{t}\t{label}\n")
 
 
 def load_scores(path, require_labels=False) -> ScoreSet:
@@ -422,16 +439,11 @@ def build_crossmodal_trials(
         raise ValueError(
             f"requested {n_negatives} negatives but only {n_cross} cross-identity pairs exist"
         )
-    chosen = set()
-    negatives = []
-    while len(negatives) < n_negatives:
+    chosen = dict.fromkeys(targets)  # the trials: targets, then negatives as drawn
+    while len(chosen) < len(targets) + n_negatives:
         v = voices.record_ids[rng.integers(len(voices))]
         f = faces.record_ids[rng.integers(len(faces))]
-        if identity_of[v] == identity_of[f] or (v, f) in chosen:
-            continue
-        chosen.add((v, f))
-        negatives.append((v, f))
-
-    trials = [Trial(v, f, "target") for v, f in targets]
-    trials += [Trial(v, f, "nontarget") for v, f in negatives]
-    return TrialSet(trials)
+        if identity_of[v] != identity_of[f]:
+            chosen.setdefault((v, f))
+    return TrialSet.from_columns([v for v, _ in chosen], [f for _, f in chosen],
+                                 ["target"] * len(targets) + ["nontarget"] * n_negatives)

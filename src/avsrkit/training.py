@@ -61,20 +61,21 @@ class TrainReport:
 
 
 def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64):
-    """(voice rows, face rows, target mask) of labeled trials, the rows in
-    ``dtype``. Raises TrainingError naming a record that ``dtype`` cannot hold."""
+    """(rows, voice_at, face_at, same) of labeled trials: each record the
+    trials use, once, in ``dtype``; each trial's voice and face row among
+    them; the target mask. Raises TrainingError naming the first record, in
+    trial order and voices first, that ``dtype`` cannot hold."""
     if not trials.labeled:
         raise ValueError("training trials must be labeled")
+    ids = trials.enroll_ids + trials.test_ids
+    used, at = np.unique(store.indices(ids), return_inverse=True)
     limit = np.finfo(dtype).max
-    rows = []
-    for ids in ([t.enroll_id for t in trials], [t.test_id for t in trials]):
-        x = store.rows(ids)
-        over = np.flatnonzero(np.abs(x).max(axis=1) > limit)
-        if over.size:
-            raise TrainingError(f"record {ids[over[0]]} has values beyond the "
-                                f"{np.dtype(dtype).name} range (|x| > {limit:.4g})")
-        rows.append(x.astype(dtype, copy=False))
-    return (*rows, np.array([t.label == "target" for t in trials], dtype=bool))
+    over = (store.vectors.max(axis=1)[used] > limit) | (store.vectors.min(axis=1)[used] < -limit)
+    if over.any():
+        raise TrainingError(f"record {ids[np.argmax(over[at])]} has values beyond the "
+                            f"{np.dtype(dtype).name} range (|x| > {limit:.4g})")
+    same = np.array([label == "target" for label in trials.labels], dtype=bool)
+    return store.vectors[used].astype(dtype, copy=False), at[:len(trials)], at[len(trials):], same
 
 
 class _Adam:
@@ -116,17 +117,18 @@ class _Adam:
             p -= a
 
 
-def _validation_scores(params: VFNetParams, voices, faces):
-    """Cosine scores for all validation pairs in one vectorized pass."""
-    return cosine_similarity(transform_voice(params, voices), transform_face(params, faces))
+def _pair_scores(params: VFNetParams, rows, voice_at, face_at):
+    """Cosine scores of the pairs (rows[voice_at], rows[face_at]); each branch
+    runs once on the distinct rows it reads."""
+    voices, v_at = np.unique(voice_at, return_inverse=True)
+    faces, f_at = np.unique(face_at, return_inverse=True)
+    return cosine_similarity(transform_voice(params, rows[voices])[v_at],
+                             transform_face(params, rows[faces])[f_at])
 
 
 def _tiled_permutation(rng, n, total):
     """Deterministic index stream of the given length cycling fresh shuffles."""
-    out = []
-    while len(out) < total:
-        out.extend(rng.permutation(n))
-    return np.array(out[:total])
+    return np.concatenate([rng.permutation(n) for _ in range(-(-total // n))])[:total]
 
 
 def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
@@ -139,8 +141,8 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     that float32 cannot hold, and with the epoch, the batch and example trial
     ids if a batch's loss or gradient goes non-finite.
     """
-    tv, tf, t_same = _gather_pairs(store, train_trials, np.float32)
-    vv, vf, v_same = _gather_pairs(store, valid_trials)
+    rows, voice_at, face_at, t_same = _gather_pairs(store, train_trials, np.float32)
+    valid_rows, valid_voice_at, valid_face_at, v_same = _gather_pairs(store, valid_trials)
 
     params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
                          output_dim=config.output_dim, seed=config.rng_seed)
@@ -167,14 +169,13 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
         for b in range(n_batches):
             idx = np.concatenate([t_stream[b * half:(b + 1) * half],
                                   n_stream[b * half:(b + 1) * half]])
-            loss, grads = batch_loss_grad(params, tv[idx], tf[idx], t_same[idx])
+            loss, grads = batch_loss_grad(params, rows[voice_at[idx]], rows[face_at[idx]],
+                                          t_same[idx])
             bad = grads.non_finite()
             if not math.isfinite(loss) or bad:
                 what = "loss" if not math.isfinite(loss) else f"gradient of {bad[0]}"
-                examples = ", ".join(
-                    f"({train_trials.trials[i].enroll_id}, {train_trials.trials[i].test_id})"
-                    for i in idx[:3]
-                )
+                examples = ", ".join(f"({train_trials.enroll_ids[i]}, {train_trials.test_ids[i]})"
+                                     for i in idx[:3])
                 raise TrainingError(
                     f"non-finite {what} in epoch {epoch}, batch {b}; example pairs: {examples}"
                 )
@@ -182,7 +183,7 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
             epoch_loss += loss
         train_losses.append(epoch_loss / n_batches)
 
-        scores = _validation_scores(params, vv, vf)
+        scores = _pair_scores(params, valid_rows, valid_voice_at, valid_face_at)
         valid_eer = _eer_arrays(scores[v_same], scores[~v_same])
         valid_eers.append(valid_eer)
         if valid_eer < best_eer:

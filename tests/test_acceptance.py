@@ -21,7 +21,7 @@ from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
                            build_crossmodal_trials, save_embeddings,
                            save_trials)
 from avsrkit.synth import GenConfig, generate, generate_av_benchmark, oracle_eer
-from avsrkit.training import TrainConfig, train, _validation_scores
+from avsrkit.training import TrainConfig, train, _gather_pairs, _pair_scores
 from avsrkit.vfnet import (VFNetParams, batch_loss_grad, matching_accuracy,
                            pair_probability)
 from conftest import ACCEPTANCE_RESULTS, make_score_set
@@ -55,10 +55,8 @@ def trained_model():
     report = train(train_store, train_trials, valid_trials, config)
 
     test_trials = build_crossmodal_trials(test_store, 1, BENCH.rng_seed + 2)
-    voices = test_store.rows([t.enroll_id for t in test_trials])
-    faces = test_store.rows([t.test_id for t in test_trials])
-    same = np.array([t.label == "target" for t in test_trials])
-    scores = _validation_scores(report.final_params, voices, faces)
+    rows, voice_at, face_at, same = _gather_pairs(test_store, test_trials)
+    scores = _pair_scores(report.final_params, rows, voice_at, face_at)
     held_out_eer = _eer_arrays(scores[same], scores[~same])
 
     # chance control: same pipeline with labels detached from the pairs
@@ -69,7 +67,7 @@ def trained_model():
                          for i, t in enumerate(train_trials)])
     control_config = replace(config, max_epochs=3, patience=3)
     control = train(train_store, shuffled, valid_trials, control_config)
-    control_scores = _validation_scores(control.final_params, voices, faces)
+    control_scores = _pair_scores(control.final_params, rows, voice_at, face_at)
     control_eer = _eer_arrays(control_scores[same], control_scores[~same])
 
     return {

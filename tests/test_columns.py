@@ -1,6 +1,6 @@
-"""The column model of EmbeddingStore and ScoreSet: row selection against a
-per-record reference, rows in = rows out, one validation for rows and
-columns, and read-only columns."""
+"""The column model of EmbeddingStore, TrialSet and ScoreSet: row selection
+against a per-record reference, rows in = rows out, one validation for rows
+and columns, and read-only columns."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from avsrkit.pipeline import split_enroll_test, split_identities
 from avsrkit.store import (LABELS, MODALITIES, EmbeddingRecord, EmbeddingStore, RowError,
-                           ScoreEntry, ScoreSet)
+                           ScoreEntry, ScoreSet, Trial, TrialSet)
 
 
 def ragged_records(rng):
@@ -125,6 +125,16 @@ def test_score_rows_come_back_bit_for_bit(rows):
     assert bits([e.score for e in back]).tolist() == bits([row[2] for row in rows]).tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(IDS, IDS), unique=True, max_size=8), labeled=st.booleans(),
+       data=st.data())
+def test_trial_rows_come_back(pairs, labeled, data):
+    rows = [(e, t, data.draw(st.sampled_from(LABELS)) if labeled else None) for e, t in pairs]
+    trials = TrialSet(Trial(*row) for row in rows)
+    assert [(t.enroll_id, t.test_id, t.label) for t in trials] == rows
+    assert TrialSet.from_columns(*([list(c) for c in zip(*rows)] or [[], [], []])) == trials
+
+
 def outcome(build):
     """("ok", columns) of a built object, or the type, message and row of its error."""
     try:
@@ -165,6 +175,15 @@ def test_score_columns_validate_as_rows_do(rows):
         outcome(lambda: ScoreSet(ScoreEntry(*row) for row in rows))
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]),
+                               st.sampled_from((None, "maybe") + LABELS)), max_size=5))
+def test_trial_columns_validate_as_rows_do(rows):
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    assert outcome(lambda: TrialSet.from_columns(*columns)) == \
+        outcome(lambda: TrialSet(Trial(*row) for row in rows))
+
+
 def test_validation_messages():
     vec = [1.0, 2.0]
     with pytest.raises(ValueError, match="record 'b' has dimension 3, store dimension is 2"):
@@ -182,6 +201,18 @@ def test_validation_messages():
         ScoreSet.from_columns(["e"], ["t"], [0.0], ["maybe"])
     with pytest.raises(ValueError, match="columns differ in length"):
         ScoreSet.from_columns(["e"], ["t", "u"], [0.0], [None])
+    for build in (TrialSet.from_columns, lambda *c: TrialSet(map(Trial, *c))):
+        with pytest.raises(RowError, match=r"^duplicate trial \(a, b\)$") as exc:
+            build(["a", "a", "a"], ["c", "b", "b"], [None] * 3)
+        assert (exc.value.row, exc.value.first) == (2, 1)
+        with pytest.raises(RowError, match="^trial set is partially labeled$") as exc:
+            build(["a", "a"], ["b", "c"], ["target", None])
+        assert (exc.value.row, exc.value.first) == (1, None)
+        with pytest.raises(RowError, match="^unknown label 'maybe'$") as exc:
+            build(["a", "a"], ["b", "c"], ["target", "maybe"])
+        assert exc.value.row == 1
+    with pytest.raises(ValueError, match="trial set columns differ in length"):
+        TrialSet.from_columns(["a", "a"], ["b", "c"], ["target"])
 
 
 class TestReadOnlyColumns:

@@ -118,6 +118,18 @@ class TestScoreTrials:
                                              rf"has no {modality} records"):
             score_trials(trials, s, s, None, None, None, PoolingRule(), systems=(system,))
 
+    def test_first_trial_in_file_order_named(self, rng):
+        # "zeta" sorts after "beta" but its trial comes first
+        s = EmbeddingStore(EmbeddingRecord(f"{m}{j}", "A", m, rng.standard_normal(2))
+                           for m in ("voice", "face") for j in range(2))
+        trials = TrialSet([Trial("A", "A", "target"), Trial("A", "zeta", "nontarget"),
+                           Trial("beta", "A", "nontarget"), Trial("A", "beta", "nontarget")])
+        with pytest.raises(ValueError, match=r"^trial \(beta, A\): enroll identity 'beta'"):
+            score_trials(trials, s, s, None, None, None, PoolingRule(), systems=("visual",))
+        with pytest.raises(ValueError, match=r"^trial \(A, zeta\): test identity 'zeta'"):
+            score_trials(TrialSet(t for t in trials if t.enroll_id == "A"), s, s, None, None,
+                         None, PoolingRule(), systems=("visual",))
+
 
 class TestSplits:
     def test_enroll_test_halving(self, rng):

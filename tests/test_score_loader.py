@@ -1,11 +1,14 @@
-"""The columnar score loader and the array DET writer against per-line references.
+"""The columnar score loader, the column-filling trial loader and the array
+DET writer against per-line references.
 
 ``reference_load_scores`` is the per-line loader that the columnar one
 replaced, plus the two checks added with it, in the order the columnar
 loader makes them: the line-level errors (field count, malformed score) in
 file order, then empty ids, then the score set's own checks, then the
-labels that ``require_labels`` asks for. ``reference_det_table`` is the
-per-row DET writer that ``avsrkit eval --det-points`` replaced.
+labels that ``require_labels`` asks for. ``reference_load_trials`` is the
+trial loader that built one Trial row per line, with the trial set's checks
+written out in their order. ``reference_det_table`` is
+the per-row DET writer that ``avsrkit eval --det-points`` replaced.
 """
 
 import contextlib
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 
 from avsrkit import cli
 from avsrkit.metrics import roc_points
-from avsrkit.store import FormatError, RowError, ScoreSet, load_scores, save_scores
+from avsrkit.store import (FormatError, RowError, ScoreSet, Trial, TrialSet, load_scores,
+                           load_trials, save_scores)
 
 SETTINGS = settings(max_examples=300, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -54,6 +58,36 @@ def reference_load_scores(path, require_labels=False):
         raise FormatError(f"{path}:{linenos[labels.index(None)]}: "
                           "score set is not fully labeled")
     return score_set
+
+
+def reference_load_trials(path):
+    linenos, trials = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) not in (2, 3):
+                raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
+            linenos.append(lineno)
+            trials.append(Trial(*fields))
+    for row, t in enumerate(trials):
+        if "" in (t.enroll_id, t.test_id):
+            name = "enroll_id" if t.enroll_id == "" else "test_id"
+            raise FormatError(f"{path}:{linenos[row]}: empty {name}")
+    for row, t in enumerate(trials):
+        if t.label not in (None, "target", "nontarget"):
+            raise FormatError(f"{path}:{linenos[row]}: unknown label {t.label!r}")
+    firsts = {}
+    for row, t in enumerate(trials):
+        first = firsts.setdefault((t.enroll_id, t.test_id), row)
+        if first != row:
+            raise FormatError(f"{path}:{linenos[row]}: duplicate trial ({t.enroll_id}, "
+                              f"{t.test_id}), first on line {linenos[first]}")
+        if (t.label is None) != (trials[0].label is None):
+            raise FormatError(f"{path}:{linenos[row]}: trial set is partially labeled")
+    return TrialSet(trials)
 
 
 def reference_det_table(scores):
@@ -140,6 +174,66 @@ def test_generated_files_reach_every_outcome(work_dir):
 
     collect()
     assert {"loaded", "expected", "malformed", "empty", "non-finite", "unknown"} <= seen
+
+
+@st.composite
+def trial_lines(draw):
+    """Mostly well-formed lines over three ids, so that repeated pairs and
+    mixed labeling are common; one line in ten has a wrong field count, an
+    empty id or an unknown label."""
+    fields = [draw(st.sampled_from(IDS[:3])), draw(st.sampled_from(IDS[:3])),
+              draw(st.sampled_from(["target", "nontarget"])), "extra"]
+    width = draw(st.sampled_from([2, 3]))
+    odd = draw(st.integers(0, 29))
+    if odd == 0:
+        width = draw(st.sampled_from([1, 4]))
+    elif odd == 1:
+        fields[draw(st.integers(0, 1))] = ""
+    elif odd == 2:
+        fields[2], width = draw(st.sampled_from(ODD_LABELS)), 3
+    return "\t".join(fields[:width])
+
+
+@st.composite
+def trial_files(draw):
+    body = draw(st.lists(st.one_of(trial_lines(), trial_lines(), trial_lines(), st.just(""),
+                                   st.just("# note")), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(body) + (newline if body and draw(st.booleans()) else "")
+
+
+def trial_outcome(load, path):
+    """The loaded columns, or the FormatError text."""
+    try:
+        trials = load(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return trials.enroll_ids, trials.test_ids, trials.labels
+
+
+@SETTINGS
+@given(text=trial_files())
+def test_trial_loader_matches_per_line_reference(work_dir, text):
+    path = work_dir / "t.trials"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert trial_outcome(load_trials, path) == trial_outcome(reference_load_trials, path)
+
+
+def test_generated_trial_files_reach_every_outcome(work_dir):
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=trial_files())
+    def collect(text):
+        path = work_dir / "c.trials"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        kind, message = trial_outcome(load_trials, path)[:2]
+        seen.add("loaded" if kind != "error" else message.split(": ", 1)[1].split(" ")[0])
+
+    collect()
+    assert {"loaded", "expected", "empty", "duplicate", "trial", "unknown"} <= seen
 
 
 @SETTINGS
