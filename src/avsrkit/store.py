@@ -252,21 +252,66 @@ class ScoreSet:
         return self.scores, is_target
 
 
-def _parse_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+_CHUNK_CHARS = 2**20  # text taken from a file at a time by _read_columns
+
+
+def _read_columns(path, widths, expected):
+    """Yield a text file's data lines (not blank, not starting with '#') as
+    (columns, linenos), about _CHUNK_CHARS characters of whole lines at a time,
+    read with universal newlines; columns[k] holds field k of each line (None
+    past its last). A line that is not UTF-8, or whose field count is not in
+    widths, raises a FormatError after the lines before it are yielded."""
+    lineno = 1  # of the chunk's first line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while text := fh.read(_CHUNK_CHARS) + fh.readline():
+            error = None
+            try:
+                raw = text.encode("utf-8")
+            except UnicodeEncodeError as exc:  # an undecodable byte, escaped
+                text = text[:text.rfind("\n", 0, exc.start) + 1]  # the lines before it
+                raw, bad = text.encode("utf-8"), lineno + text.count("\n")
+                error = f"{path}:{bad}: not valid UTF-8"
+            raw = np.frombuffer(raw, dtype=np.uint8)
+            seps = np.flatnonzero((raw == ord("\t")) | (raw == ord("\n")))  # in UTF-8 bytes
+            breaks = np.flatnonzero(raw[seps] == ord("\n"))  # the line breaks among seps
+            first = np.append(0, breaks + 1)  # line i's fields: pieces[first[i]:][:width[i]]
+            width = np.append(breaks, seps.size) - first + 1
+            lead = np.append(raw, ord("\n"))[np.append(0, seps[breaks] + 1)]  # first bytes
+            rows = np.flatnonzero((lead != ord("\n")) & (lead != ord("#")))
+            wrong = np.flatnonzero(~np.isin(width[rows], widths))
+            if wrong.size:
+                rows, row = rows[:wrong[0]], rows[wrong[0]]
+                error = f"{path}:{lineno + row}: {expected}, got {width[row]}"
+            if rows.size:
+                pieces = text.replace("\n", "\t").split("\t") + [None]
+                index = [np.where(k < width[rows], first[rows] + k, -1) for k in range(max(widths))]
+                yield [list(map(pieces.__getitem__, i.tolist())) for i in index], rows + lineno
+            if error:
+                raise FormatError(error)
+            lineno += breaks.size
+
+
+def _floats(texts, message, sep=None):
+    """The numbers in texts, each split at sep if given, as one float64 array.
+    A RowError names the first text with one that float() rejects."""
+    try:
+        return np.array(sep.join(texts).split(sep) if sep else texts, dtype=np.float64)
+    except ValueError:
+        for row, text in enumerate(texts):
+            try:
+                [float(part) for part in (text.split(sep) if sep else [text])]
+            except ValueError:
+                raise RowError(row, message.format(text)) from None
+        raise
 
 
 @contextmanager
-def _at_lines(path, linenos):
+def _at_lines(path, *linenos):
     """Raise a RowError from the block as a FormatError naming file and line."""
     try:
         yield
     except RowError as exc:
+        linenos = np.concatenate(linenos)
         first = "" if exc.first is None else f", first on line {linenos[exc.first]}"
         raise FormatError(f"{path}:{linenos[exc.row]}: {exc}{first}") from None
 
@@ -281,20 +326,20 @@ def _check_filled(**columns):
 
 def load_embeddings(path) -> EmbeddingStore:
     """Parse an embedding file; dimension is inferred from the first record."""
-    linenos, columns = [], ([], [], [], [])  # record ids, identity ids, modalities, vectors
-    for lineno, fields in _parse_lines(path):
-        if len(fields) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-        try:
-            fields[3] = np.fromiter(map(float, fields[3].split(",")), dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed coordinate list") from None
-        linenos.append(lineno)
-        for column, value in zip(columns, fields):
-            column.append(value)
-    with _at_lines(path, linenos):
+    linenos, values, dims, columns = [], [], [], ([], [], [])  # ids, identity ids, modalities
+    for (*ids, coords), lines in _read_columns(path, (4,), "expected 4 tab-separated fields"):
+        with _at_lines(path, lines):
+            values.append(_floats(coords, "malformed coordinate list", sep=","))
+        dims += [text.count(",") + 1 for text in coords]
+        linenos.append(lines)
+        for column, chunk in zip(columns, ids):
+            column += chunk
+    values = np.concatenate(values or [[]])
+    one_size = len(set(dims)) == 1  # else no rows, or each apart for the store to name a misfit
+    vectors = values.reshape(len(dims), -1) if one_size else np.split(values, np.cumsum(dims))[:-1]
+    with _at_lines(path, *linenos):
         _check_filled(record_id=columns[0], identity_id=columns[1])
-        return EmbeddingStore.from_columns(*columns)
+        return EmbeddingStore.from_columns(*columns, vectors)
 
 
 def save_embeddings(store: EmbeddingStore, path) -> None:
@@ -307,13 +352,11 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
 
 def load_trials(path) -> TrialSet:
     linenos, columns = [], ([], [], [])  # enroll ids, test ids, labels
-    for lineno, fields in _parse_lines(path):
-        if len(fields) not in (2, 3):
-            raise FormatError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
-        linenos.append(lineno)
-        for column, value in zip(columns, fields + [None]):  # no label: None
-            column.append(value)
-    with _at_lines(path, linenos):
+    for (enroll, test, label), lines in _read_columns(path, (2, 3), "expected 2 or 3 fields"):
+        linenos.append(lines)
+        for column, values in zip(columns, (enroll, test, map(_LABEL_OBJECTS.get, label, label))):
+            column += values  # the known labels as one object each
+    with _at_lines(path, *linenos):
         _check_filled(enroll_id=columns[0], test_id=columns[1])
         return TrialSet.from_columns(*columns)
 
@@ -326,65 +369,21 @@ def save_trials(trials: TrialSet, path) -> None:
 
 def load_scores(path, require_labels=False) -> ScoreSet:
     """Parse a score file. require_labels: every line must carry a label, as
-    metrics and fusion fits need (a FormatError names the first that does not).
-
-    The file is read whole and taken apart by column. Its tabs and line
-    breaks are located in its bytes; splitting the text at all of them gives
-    the pieces, and the breaks give each line's field count and the index of
-    its first piece. Only an error goes back to single lines, to name the
-    first bad one.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    is_sep = raw == ord("\t")
-    is_sep |= raw == ord("\n")
-    seps = np.flatnonzero(is_sep)  # the tabs and line breaks
-    del is_sep
-    breaks = np.flatnonzero(raw[seps] == ord("\n"))  # the line breaks among seps
-    first = np.append(0, breaks + 1)  # line i's pieces are first[i] .. first[i] + width[i] - 1
-    width = np.append(breaks, seps.size) - first + 1
-    line_breaks = seps[breaks]
-    begin, end = np.append(0, line_breaks + 1), np.append(line_breaks, raw.size)
-    is_data = begin < end
-    is_data[is_data] = raw[begin[is_data]] != ord("#")
-    del raw
-    rows = np.flatnonzero(is_data)
-    linenos = rows + 1
-    width, first = width[rows], first[rows]
-    # lines before the first with a wrong field count; a bad score among
-    # them comes first in the file
-    wrong = np.flatnonzero((width < 3) | (width > 4))
-    n = int(wrong[0]) if wrong.size else rows.size
-    text = text.replace("\n", "\t")  # rebound, so the file's text is freed before the split
-    pieces = text.split("\t")
-    del text
-    pieces.append(None)  # the label of a line without one
-
-    def column(index):
-        return list(map(pieces.__getitem__, index.tolist()))
-
-    score_text = column(first[:n] + 2)
-    try:
-        scores = np.fromiter(map(float, score_text), dtype=np.float64, count=n)
-    except ValueError:
-        for row, value in enumerate(score_text):
-            try:
-                float(value)
-            except ValueError:
-                raise FormatError(f"{path}:{linenos[row]}: malformed score {value!r}") from None
-    if n < rows.size:
-        raise FormatError(f"{path}:{linenos[n]}: expected 3 or 4 fields, got {width[n]}")
-    enroll_ids, test_ids = column(first), column(first + 1)
-    # the known labels as one shared object each, not one string per line
-    labels = column(np.where(width == 4, first + 3, len(pieces) - 1))
-    labels = list(map(_LABEL_OBJECTS.get, labels, labels))
-    with _at_lines(path, linenos):
+    metrics and fusion fits need (a FormatError names the first that does not)."""
+    linenos, scores, (enroll_ids, test_ids, labels) = [], [], ([], [], [])
+    for (enroll, test, text, label), lines in _read_columns(path, (3, 4), "expected 3 or 4 fields"):
+        with _at_lines(path, lines):
+            scores.append(_floats(text, "malformed score {!r}"))
+        linenos.append(lines)
+        enroll_ids += enroll
+        test_ids += test
+        labels += map(_LABEL_OBJECTS.get, label, label)  # the known labels as one object each
+    with _at_lines(path, *linenos):
         _check_filled(enroll_id=enroll_ids, test_id=test_ids)
-        score_set = ScoreSet.from_columns(enroll_ids, test_ids, scores, labels)
+        loaded = ScoreSet.from_columns(enroll_ids, test_ids, np.concatenate(scores or [[]]), labels)
         if require_labels and None in labels:
             raise RowError(labels.index(None), "score set is not fully labeled")
-    return score_set
+    return loaded
 
 
 def save_scores(scores: ScoreSet, path) -> None:

@@ -25,6 +25,7 @@ from .vfnet import (VFNetParams, batch_loss_grad, cosine_similarity, init_params
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+VALID_BLOCK = 1024  # validation pairs scored at a time
 
 
 class TrainingError(RuntimeError):
@@ -119,11 +120,16 @@ class _Adam:
 
 def _pair_scores(params: VFNetParams, rows, voice_at, face_at):
     """Cosine scores of the pairs (rows[voice_at], rows[face_at]); each branch
-    runs once on the distinct rows it reads."""
+    runs once on the distinct rows it reads, and the pairs are scored in
+    blocks of VALID_BLOCK, so no branch output is gathered per pair in full."""
     voices, v_at = np.unique(voice_at, return_inverse=True)
     faces, f_at = np.unique(face_at, return_inverse=True)
-    return cosine_similarity(transform_voice(params, rows[voices])[v_at],
-                             transform_face(params, rows[faces])[f_at])
+    voice_out, face_out = transform_voice(params, rows[voices]), transform_face(params, rows[faces])
+    scores = np.empty(v_at.size)
+    for i in range(0, v_at.size, VALID_BLOCK):
+        block = slice(i, i + VALID_BLOCK)
+        scores[block] = cosine_similarity(voice_out[v_at[block]], face_out[f_at[block]])
+    return scores
 
 
 def _tiled_permutation(rng, n, total):

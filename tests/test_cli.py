@@ -96,6 +96,11 @@ class TestEval:
         assert capsys.readouterr().err == \
             f"error: {path}:3: score set is not fully labeled\n"
 
+    def test_undecodable_byte_named(self, tmp_path, capsys):
+        path = tmp_path / "b.scores"
+        path.write_bytes(b"a\ta\t2.0\ttarget\na\tb\t-2.0\tnon\xfftarget\n")
+        assert main(["eval", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not valid UTF-8\n"
 
     @pytest.mark.parametrize("text,message", [
         ("", "no scores"), ("# only a comment\n\n", "no scores"),

@@ -1,5 +1,5 @@
-"""The columnar score loader, the column-filling trial loader and the array
-DET writer against per-line references.
+"""The chunked column loaders of score, trial and embedding files and the
+array DET writer against per-line references.
 
 ``reference_load_scores`` is the per-line loader that the columnar one
 replaced, plus the two checks added with it, in the order the columnar
@@ -7,25 +7,33 @@ loader makes them: the line-level errors (field count, malformed score) in
 file order, then empty ids, then the score set's own checks, then the
 labels that ``require_labels`` asks for. ``reference_load_trials`` is the
 trial loader that built one Trial row per line, with the trial set's checks
-written out in their order. ``reference_det_table`` is
-the per-row DET writer that ``avsrkit eval --det-points`` replaced.
+written out in their order. ``reference_load_embeddings`` is the per-line
+embedding loader that the chunked one replaced, with the store's checks
+written out in their order. Each loader is also checked with the reader's
+chunk size patched to 1 and 7 characters, so that files span many chunks and
+reads stop inside fields and inside ``\\r\\n`` pairs. ``reference_det_table``
+is the per-row DET writer that ``avsrkit eval --det-points`` replaced.
 """
 
 import contextlib
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import avsrkit.store
 from avsrkit import cli
 from avsrkit.metrics import roc_points
-from avsrkit.store import (FormatError, RowError, ScoreSet, Trial, TrialSet, load_scores,
-                           load_trials, save_scores)
+from avsrkit.store import (EmbeddingStore, FormatError, RowError, ScoreSet, Trial, TrialSet,
+                           load_embeddings, load_scores, load_trials, save_scores)
 
 SETTINGS = settings(max_examples=300, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+SMALL_CHUNKS = pytest.mark.parametrize("chunk_chars", [1, 7])
 
 
 def reference_load_scores(path, require_labels=False):
@@ -90,6 +98,51 @@ def reference_load_trials(path):
     return TrialSet(trials)
 
 
+def reference_load_embeddings(path):
+    linenos, record_ids, identity_ids, modalities, vectors = [], [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields, "
+                                  f"got {len(fields)}")
+            try:
+                vector = np.fromiter(map(float, fields[3].split(",")), dtype=np.float64)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: malformed coordinate list") from None
+            linenos.append(lineno)
+            record_ids.append(fields[0])
+            identity_ids.append(fields[1])
+            modalities.append(fields[2])
+            vectors.append(vector)
+    for row, (r, i) in enumerate(zip(record_ids, identity_ids)):
+        if "" in (r, i):
+            name = "record_id" if r == "" else "identity_id"
+            raise FormatError(f"{path}:{linenos[row]}: empty {name}")
+    dim = len(vectors[0]) if vectors else 0
+    for row, vector in enumerate(vectors):
+        if len(vector) != dim:
+            raise FormatError(f"{path}:{linenos[row]}: record {record_ids[row]!r} has dimension "
+                              f"{len(vector)}, store dimension is {dim}")
+    for row, modality in enumerate(modalities):
+        if modality not in ("voice", "face"):
+            raise FormatError(f"{path}:{linenos[row]}: unknown modality {modality!r}")
+    firsts = {}
+    for row, record_id in enumerate(record_ids):
+        first = firsts.setdefault(record_id, row)
+        if first != row:
+            raise FormatError(f"{path}:{linenos[row]}: duplicate record_id {record_id!r}, "
+                              f"first on line {linenos[first]}")
+    for row, vector in enumerate(vectors):
+        if not np.isfinite(vector).all():
+            raise FormatError(f"{path}:{linenos[row]}: record {record_ids[row]!r} has "
+                              "non-finite coordinates")
+    return EmbeddingStore.from_columns(record_ids, identity_ids, modalities, vectors)
+
+
 def reference_det_table(scores):
     points = list(zip(*(a.tolist() for a in roc_points(scores))))
     return "threshold\tp_miss\tp_fa\n" + "".join(f"{t}\t{pm}\t{pf}\n" for t, pm, pf in points)
@@ -149,14 +202,32 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("score_loader")
 
 
+def written(path, text):
+    """path, holding text as it is: no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def check_score_file(path, text, require_labels):
+    written(path, text)
+    assert outcome(load_scores, path, require_labels) == \
+        outcome(reference_load_scores, path, require_labels)
+
+
 @SETTINGS
 @given(text=score_files(), require_labels=st.booleans())
 def test_loader_matches_per_line_reference(work_dir, text, require_labels):
-    path = work_dir / "s.scores"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    assert outcome(load_scores, path, require_labels) == \
-        outcome(reference_load_scores, path, require_labels)
+    check_score_file(work_dir / "s.scores", text, require_labels)
+
+
+@SMALL_CHUNKS
+@SETTINGS
+@given(text=score_files(), require_labels=st.booleans())
+def test_loader_matches_per_line_reference_in_small_chunks(work_dir, chunk_chars, text,
+                                                            require_labels):
+    with mock.patch.object(avsrkit.store, "_CHUNK_CHARS", chunk_chars):
+        check_score_file(work_dir / "s.scores", text, require_labels)
 
 
 def test_generated_files_reach_every_outcome(work_dir):
@@ -166,9 +237,7 @@ def test_generated_files_reach_every_outcome(work_dir):
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text=score_files())
     def collect(text):
-        path = work_dir / "c.scores"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        path = written(work_dir / "c.scores", text)
         kind, message = outcome(load_scores, path, False)[:2]
         seen.add("loaded" if kind != "error" else message.split(": ", 1)[1].split(" ")[0])
 
@@ -211,13 +280,23 @@ def trial_outcome(load, path):
     return trials.enroll_ids, trials.test_ids, trials.labels
 
 
+def check_trial_file(path, text):
+    written(path, text)
+    assert trial_outcome(load_trials, path) == trial_outcome(reference_load_trials, path)
+
+
 @SETTINGS
 @given(text=trial_files())
 def test_trial_loader_matches_per_line_reference(work_dir, text):
-    path = work_dir / "t.trials"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    assert trial_outcome(load_trials, path) == trial_outcome(reference_load_trials, path)
+    check_trial_file(work_dir / "t.trials", text)
+
+
+@SMALL_CHUNKS
+@SETTINGS
+@given(text=trial_files())
+def test_trial_loader_matches_per_line_reference_in_small_chunks(work_dir, chunk_chars, text):
+    with mock.patch.object(avsrkit.store, "_CHUNK_CHARS", chunk_chars):
+        check_trial_file(work_dir / "t.trials", text)
 
 
 def test_generated_trial_files_reach_every_outcome(work_dir):
@@ -226,14 +305,131 @@ def test_generated_trial_files_reach_every_outcome(work_dir):
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text=trial_files())
     def collect(text):
-        path = work_dir / "c.trials"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        path = written(work_dir / "c.trials", text)
         kind, message = trial_outcome(load_trials, path)[:2]
         seen.add("loaded" if kind != "error" else message.split(": ", 1)[1].split(" ")[0])
 
     collect()
     assert {"loaded", "expected", "empty", "duplicate", "trial", "unknown"} <= seen
+
+
+COORDS = ["0.5", "-1.0", "2", "1e-300", "-0.0", "0", "5e-324"]
+# coordinates that float() rejects, and odd ones it accepts
+ODD_COORDS = ["", "x", "1.2.3", " 1.5 ", "1_0", "١٢", "1;2", "+.5e3"]
+NON_FINITE = ["nan", "inf", "-inf", "1e999", "-Infinity"]
+ODD_COORD_LISTS = ["", ",", "1,,2", "1,2,", ",1,2"]
+ODD_MODALITIES = ["", "video", "Voice", " face"]
+
+
+@st.composite
+def embedding_lines(draw, i, dim):
+    """A line for record r<i> with dim coordinates, mostly well formed; one
+    line in five has a wrong field count, an empty or repeated id, an unknown
+    modality, another dimension, an odd or non-finite coordinate, or an odd
+    coordinate list."""
+    coords = [draw(st.sampled_from(COORDS) | st.floats(allow_nan=False, allow_infinity=False)
+                   .map(repr)) for _ in range(dim)]
+    fields = [f"r{i}", draw(st.sampled_from(IDS[:3])), draw(st.sampled_from(["voice", "face"])),
+              None, "extra"]
+    width = 4
+    odd = draw(st.integers(0, 39))
+    if odd == 0:
+        width = draw(st.sampled_from([1, 2, 3, 5]))
+    elif odd == 1:
+        fields[draw(st.integers(0, 1))] = ""
+    elif odd == 2:
+        fields[0] = f"r{draw(st.integers(0, max(i - 1, 0)))}"
+    elif odd == 3:
+        fields[2] = draw(st.sampled_from(ODD_MODALITIES))
+    elif odd == 4:
+        coords = coords[:-1] if draw(st.booleans()) else coords + ["1"]
+    elif odd == 5:
+        coords[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(ODD_COORDS))
+    elif odd == 6:
+        coords = [draw(st.sampled_from(ODD_COORD_LISTS))]
+    elif odd == 7:
+        coords[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(NON_FINITE))
+    fields[3] = ",".join(coords)
+    return "\t".join(fields[:width])
+
+
+@st.composite
+def embedding_files(draw):
+    dim = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["record"] * 4 + ["", "# note"]), max_size=8))
+    body = [draw(embedding_lines(i, dim)) if kind == "record" else kind
+            for i, kind in enumerate(kinds)]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(body) + (newline if body and draw(st.booleans()) else "")
+
+
+def embedding_outcome(load, path):
+    """The loaded columns, vectors as shape and bytes, or the FormatError text."""
+    try:
+        s = load(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return s.record_ids, s.identity_ids, s.modalities, s.vectors.shape, s.vectors.tobytes()
+
+
+def check_embedding_file(path, text):
+    written(path, text)
+    assert embedding_outcome(load_embeddings, path) == \
+        embedding_outcome(reference_load_embeddings, path)
+
+
+@SETTINGS
+@given(text=embedding_files())
+def test_embedding_loader_matches_per_line_reference(work_dir, text):
+    check_embedding_file(work_dir / "e.emb", text)
+
+
+@SMALL_CHUNKS
+@SETTINGS
+@given(text=embedding_files())
+def test_embedding_loader_matches_per_line_reference_in_small_chunks(work_dir, chunk_chars, text):
+    with mock.patch.object(avsrkit.store, "_CHUNK_CHARS", chunk_chars):
+        check_embedding_file(work_dir / "e.emb", text)
+
+
+EMBEDDING_ERRORS = ("expected", "malformed", "empty", "has dimension", "unknown modality",
+                    "duplicate", "non-finite")
+
+
+def test_generated_embedding_files_reach_every_outcome(work_dir):
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=embedding_files())
+    def collect(text):
+        kind, message = embedding_outcome(load_embeddings, written(work_dir / "c.emb", text))[:2]
+        seen.add("loaded" if kind != "error" else
+                 next(error for error in EMBEDDING_ERRORS if error in message.split(": ", 1)[1]))
+
+    collect()
+    assert {"loaded", *EMBEDDING_ERRORS} <= seen
+
+
+def test_score_loader_memory_is_bounded_by_a_chunk(work_dir):
+    """A 200 000-line labeled score file loads at a traced peak of about
+    42 MiB: the score set plus one chunk's pieces. Holding the whole file's
+    pieces at once, as a whole-file split does, peaked at 88 MiB."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    is_target = np.arange(n) % 10 == 0
+    scores = (2.0 * np.where(is_target, 1.0, -1.0) + 2.5 * rng.standard_normal(n)).tolist()
+    path = work_dir / "large.scores"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"spk{i // 50:05d}\tseg{i:06d}\t{s!r}\t{'target' if t else 'nontarget'}\n"
+                      for i, (s, t) in enumerate(zip(scores, is_target)))
+    tracemalloc.start()
+    try:
+        loaded = load_scores(path, require_labels=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == n
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @SETTINGS

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import avsrkit.store
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, FormatError,
                            ScoreEntry, ScoreSet, Trial, TrialSet,
                            build_crossmodal_trials, load_embeddings,
@@ -75,6 +76,40 @@ class TestLoadEmbeddings:
         assert loaded.record_ids == s.record_ids
         np.testing.assert_array_equal(loaded.rows([r.record_id for r in recs]),
                                       [r.vector for r in recs])
+
+
+LOADERS = pytest.mark.parametrize("load, line", [
+    (load_embeddings, b"a\ts\tvoice\t1,2"), (load_trials, b"a\tb\ttarget"),
+    (load_scores, b"a\tb\t0.5\ttarget")], ids=["embeddings", "trials", "scores"])
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is named with its file and line, in file order
+    with the loaders' other line-level errors."""
+
+    @LOADERS
+    @pytest.mark.parametrize("bad", [b"x\xff", b"\xe9t\xe9", b"\xed\xa0\x80", b"\xc3"])
+    @pytest.mark.parametrize("chunk_chars", [1, 7, avsrkit.store._CHUNK_CHARS])
+    def test_named_with_line(self, tmp_path, monkeypatch, load, line, bad, chunk_chars):
+        monkeypatch.setattr(avsrkit.store, "_CHUNK_CHARS", chunk_chars)
+        p = tmp_path / "f.tsv"
+        p.write_bytes(b"# caf\xc3\xa9\r\n" + line + b"\r\n" + line.replace(b"a", bad, 1) + b"\n")
+        with pytest.raises(FormatError, match=r"f\.tsv:3: not valid UTF-8$"):
+            load(p)
+
+    @LOADERS
+    def test_in_a_comment(self, tmp_path, load, line):
+        p = tmp_path / "f.tsv"
+        p.write_bytes(line + b"\n\n#\xff\n" + line.replace(b"a", b"c", 1) + b"\n")
+        with pytest.raises(FormatError, match=r"f\.tsv:3: not valid UTF-8$"):
+            load(p)
+
+    @LOADERS
+    def test_earlier_field_count_error_wins(self, tmp_path, load, line):
+        p = tmp_path / "f.tsv"
+        p.write_bytes(line + b"\nonly-one-field\n" + line.replace(b"a", b"\xff", 1) + b"\n")
+        with pytest.raises(FormatError, match=r"f\.tsv:2: expected"):
+            load(p)
 
 
 class TestTrialSet:
