@@ -25,9 +25,9 @@ for i in range(N_ID):
 store = EmbeddingStore(records)
 
 print("=== LDA ===")
-lda = fit_lda(store, target_dim=10)
+lda = fit_lda(store, target_dim=10, length_norm=True)
 print(f"projected {store.dim}-d embeddings to {lda.output_dim}-d")
-projected = project_store(lda, store, length_norm=True)
+projected = project_store(lda, store)
 
 print("\n=== PLDA ===")
 plda = fit_plda(projected)

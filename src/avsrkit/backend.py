@@ -34,6 +34,7 @@ from .vfnet import cosine_similarity
 class LdaTransform:
     projection: np.ndarray  # (d, D)
     mean: np.ndarray        # (D,)
+    length_norm: bool = True  # scale each projection to unit length
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -44,7 +45,7 @@ class LdaTransform:
         return self.projection.shape[0]
 
 
-def fit_lda(store: EmbeddingStore, target_dim: int) -> LdaTransform:
+def fit_lda(store: EmbeddingStore, target_dim: int, length_norm: bool = True) -> LdaTransform:
     """Fisher LDA with whitening: projected within-class covariance is identity.
 
     Output dimension clamps to min(target_dim, n_classes - 1, D).
@@ -85,14 +86,14 @@ def fit_lda(store: EmbeddingStore, target_dim: int) -> LdaTransform:
     eigvals, eigvecs = scipy.linalg.eigh(sb, sw)
     out_dim = min(target_dim, len(groups) - 1, dim)
     order = np.argsort(eigvals)[::-1][:out_dim]
-    return LdaTransform(projection=eigvecs[:, order].T.copy(), mean=global_mean)
+    return LdaTransform(eigvecs[:, order].T.copy(), global_mean, length_norm)
 
 
-def project(lda: LdaTransform, x, length_norm: bool = True) -> np.ndarray:
-    """LDA-project a (D,) vector or the rows of an (n, D) matrix, optionally
-    scaling each result to unit length."""
+def project(lda: LdaTransform, x) -> np.ndarray:
+    """LDA-project a (D,) vector or the rows of an (n, D) matrix, scaling each
+    result to unit length if the transform length-normalizes."""
     y = lda(x)
-    if length_norm:
+    if lda.length_norm:
         norm = np.linalg.norm(y, axis=-1, keepdims=True)
         if not norm.all():
             row = int(np.argmin(norm))
@@ -101,13 +102,12 @@ def project(lda: LdaTransform, x, length_norm: bool = True) -> np.ndarray:
     return y
 
 
-def project_store(lda: LdaTransform, store: EmbeddingStore,
-                  length_norm: bool = True) -> EmbeddingStore:
-    """Apply an LDA transform to every record, optionally length-normalizing."""
+def project_store(lda: LdaTransform, store: EmbeddingStore) -> EmbeddingStore:
+    """Apply an LDA transform, with its length normalization, to every record."""
     if not len(store):
         return store
     try:
-        vectors = project(lda, store.vectors, length_norm)
+        vectors = project(lda, store.vectors)
     except RowError as exc:
         raise ValueError(f"record {store.record_ids[exc.row]!r} "
                          "projects to the zero vector") from None
@@ -116,14 +116,16 @@ def project_store(lda: LdaTransform, store: EmbeddingStore,
 
 
 def save_lda(lda: LdaTransform, path) -> None:
-    save_checkpoint(path, "lda", {"projection": lda.projection, "mean": lda.mean})
+    save_checkpoint(path, "lda", {"projection": lda.projection, "mean": lda.mean},
+                    scalars={"length_norm": lda.length_norm})
 
 
 def load_lda(path) -> LdaTransform:
-    kind, arrays, _ = load_checkpoint(path)
-    if kind != "lda":
-        raise CheckpointError(f"{path}: expected kind 'lda', found {kind!r}")
-    return LdaTransform(projection=arrays["projection"], mean=arrays["mean"])
+    arrays, scalars = load_checkpoint(path, "lda")
+    length_norm = scalars.get("length_norm", 1.0)  # absent in older files, which normalize
+    if length_norm not in (0.0, 1.0):
+        raise CheckpointError(f"{path}: scalar 'length_norm' must be 0 or 1, got {length_norm!r}")
+    return LdaTransform(arrays["projection"], arrays["mean"], bool(length_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +357,7 @@ def save_plda(model: PldaModel, path) -> None:
 
 
 def load_plda(path) -> PldaModel:
-    kind, arrays, _ = load_checkpoint(path)
-    if kind != "plda":
-        raise CheckpointError(f"{path}: expected kind 'plda', found {kind!r}")
+    arrays, _ = load_checkpoint(path, "plda")
     return PldaModel(mu=arrays["mu"], B=arrays["B"], W=arrays["W"])
 
 

@@ -8,7 +8,7 @@ Layout: a magic header line, a ``kind`` line, then one line per entry:
     array<TAB><name><TAB><d1,d2,...><TAB><row-major repr() values, space separated>
 
 Values are written with ``repr()`` so binary64 coefficients round-trip
-bit-exactly.
+bit-exactly. The loader checks that the file is of the kind asked for.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ def save_checkpoint(path, kind: str, arrays: dict, scalars: dict | None = None) 
             fh.write(f"array\t{name}\t{shape}\t{values}\n")
 
 
-def load_checkpoint(path):
-    """Returns (kind, arrays, scalars)."""
+def load_checkpoint(path, kind: str):
+    """(arrays, scalars) of a checkpoint of the given kind, checked after the entries."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: missing checkpoint magic {MAGIC!r}")
-    kind = None
+    found = None
     arrays = {}
     scalars = {}
     seen = {}  # (entry type, name) -> line number
@@ -50,7 +50,7 @@ def load_checkpoint(path):
             continue
         fields = line.split("\t")
         if fields[0] == "kind" and len(fields) == 2:
-            kind = fields[1]
+            found = fields[1]
             continue
         if (fields[0], len(fields)) not in (("scalar", 3), ("array", 4)):
             raise CheckpointError(f"{path}:{lineno}: unrecognized entry {fields[0]!r}")
@@ -69,6 +69,8 @@ def load_checkpoint(path):
         if flat.size != int(np.prod(shape)):
             raise CheckpointError(f"{where}: value count does not match shape")
         arrays[fields[1]] = flat.reshape(shape)
-    if kind is None:
+    if found is None:
         raise CheckpointError(f"{path}: missing kind entry")
-    return kind, arrays, scalars
+    if found != kind:
+        raise CheckpointError(f"{path}: expected kind {kind!r}, found {found!r}")
+    return arrays, scalars

@@ -81,9 +81,10 @@ def build_parser():
 
     p = sub.add_parser("fit-backend", help="fit LDA and PLDA on voice embeddings")
     p.add_argument("--embeddings", required=True, help="training embedding file")
-    p.add_argument("--lda-dim", type=int, default=150, help="LDA output dimension")
+    p.add_argument("--lda-dim", type=int, default=pipeline.PipelineConfig.lda_dim,
+                   help="LDA output dimension")
     p.add_argument("--no-length-norm", action="store_true",
-                   help="skip length normalization after LDA")
+                   help="skip length normalization after LDA (saved in --out-lda)")
     p.add_argument("--out-lda", required=True)
     p.add_argument("--out-plda", required=True)
 
@@ -95,8 +96,7 @@ def build_parser():
     p.add_argument("--lda", help="LDA checkpoint (audio)")
     p.add_argument("--plda", help="PLDA checkpoint (audio)")
     p.add_argument("--params", help="network checkpoint (vfnet)")
-    p.add_argument("--pool-fraction", type=float, default=0.2)
-    p.add_argument("--no-length-norm", action="store_true")
+    p.add_argument("--pool-fraction", type=float, default=pipeline.PipelineConfig.pool_fraction)
     p.add_argument("--out", required=True, help="score file output path")
 
     p = sub.add_parser("fuse", help="fit fusion on dev scores and apply to eval")
@@ -178,7 +178,7 @@ def _cmd_score(args):
             raise UsageError("--system vfnet requires --params")
         params = vfnet.load_params(args.params)
     scored = pipeline.score_trials(trials, enroll, test, lda, plda, params, rule,
-                                   not args.no_length_norm, systems=(args.system,))
+                                   systems=(args.system,))
     store.save_scores(scored[args.system], args.out)
     print(f"wrote {len(scored[args.system])} {args.system} scores to {args.out}")
     return 0

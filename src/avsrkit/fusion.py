@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import DcfParams
 from .store import ScoreSet
 
@@ -152,8 +152,6 @@ def save_fusion(model: FusionModel, path) -> None:
 
 
 def load_fusion(path) -> FusionModel:
-    kind, arrays, scalars = load_checkpoint(path)
-    if kind != "fusion":
-        raise CheckpointError(f"{path}: expected kind 'fusion', found {kind!r}")
+    arrays, scalars = load_checkpoint(path, "fusion")
     return FusionModel(weights=arrays["weights"], bias=scalars["bias"],
                        effective_prior=scalars["effective_prior"])

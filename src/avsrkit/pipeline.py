@@ -104,7 +104,7 @@ _READS = {"audio": ("voice", "voice"), "visual": ("face", "face"),
 def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
                  lda: backend.LdaTransform, plda: backend.PldaModel,
                  params: vfnet.VFNetParams, rule: backend.PoolingRule,
-                 length_norm: bool = True, systems=("audio", "visual", "vfnet")):
+                 systems=("audio", "visual", "vfnet")):
     """Score every trial under each requested system; returns {system: ScoreSet}.
 
     Each system scores one enrollment x test identity table (audio by
@@ -131,8 +131,11 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
             groups[k][modality] = [grouped[i] for i in side_ids]
     tables = {}
     if "audio" in systems:
-        e_proj, t_proj = (backend.project_store(lda, side.restrict("voice"), length_norm)
-                          .grouped("voice") for side in (enroll, test))
+        if lda.output_dim != plda.dim:
+            raise ValueError(f"LDA output dimension {lda.output_dim} does not match "
+                             f"PLDA dimension {plda.dim}")
+        e_proj, t_proj = (backend.project_store(lda, side.restrict("voice")).grouped("voice")
+                          for side in (enroll, test))
         tables["audio"] = backend.plda_group_llr(plda, [e_proj[i] for i in e_ids],
                                                   [t_proj[i] for i in t_ids])
     if "visual" in systems:
@@ -172,8 +175,8 @@ def _stage(name):
 def fit_backend(train_store: EmbeddingStore, lda_dim: int, length_norm: bool, out_lda, out_plda):
     """Fit LDA and then PLDA on the training voices, save both; returns (lda, plda)."""
     voices = train_store.restrict("voice")
-    lda = backend.fit_lda(voices, lda_dim)
-    plda = backend.fit_plda(backend.project_store(lda, voices, length_norm))
+    lda = backend.fit_lda(voices, lda_dim, length_norm)
+    plda = backend.fit_plda(backend.project_store(lda, voices))
     backend.save_lda(lda, out_lda)
     backend.save_plda(plda, out_plda)
     return lda, plda
@@ -217,8 +220,7 @@ def run_pipeline(config: PipelineConfig) -> str:
                                        ("eval", eval_store, eval_trials)):
         with _stage(f"score-{split}"):
             enroll, test = split_enroll_test(split_store)
-            scores[split] = score_trials(trials, enroll, test, lda, plda, params, rule,
-                                         config.length_norm)
+            scores[split] = score_trials(trials, enroll, test, lda, plda, params, rule)
             for system, score_set in scores[split].items():
                 store.save_scores(score_set, out(f"{split}_{system}.scores"))
 

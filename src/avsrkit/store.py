@@ -113,10 +113,6 @@ class EmbeddingStore:
         except KeyError as exc:
             raise KeyError(f"no record {exc.args[0]!r} in store") from None
 
-    def rows(self, record_ids) -> np.ndarray:
-        """The (n, D) vectors of the given record ids, in their order."""
-        return self.vectors[self.indices(record_ids)]
-
     def subset(self, indices) -> "EmbeddingStore":
         """The store of the rows at the given indices, in their order."""
         indices = list(indices)

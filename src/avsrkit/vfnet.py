@@ -82,9 +82,7 @@ def save_params(params: VFNetParams, path) -> None:
 
 
 def load_params(path) -> VFNetParams:
-    kind, arrays, _ = load_checkpoint(path)
-    if kind != "vfnet":
-        raise CheckpointError(f"{path}: expected kind 'vfnet', found {kind!r}")
+    arrays, _ = load_checkpoint(path, "vfnet")
     params = VFNetParams(**arrays)
     bad = params.non_finite()
     if bad:

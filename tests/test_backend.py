@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -6,6 +8,7 @@ from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, fit_lda,
                              fit_plda, load_lda, load_plda, plda_llr,
                              pool_cosines, project_store, save_lda,
                              save_plda, score_face_trial)
+from avsrkit.checkpoint import CheckpointError, save_checkpoint
 from avsrkit.pipeline import score_trials
 from avsrkit.store import EmbeddingRecord, EmbeddingStore, Trial, TrialSet
 from avsrkit.vfnet import init_params, pair_forward
@@ -30,8 +33,8 @@ class TestLda:
                                 EmbeddingRecord("b", "id1", "voice", np.array([0.0, 3.0]))])
         with pytest.raises(ValueError, match="record 'b' projects to the zero vector"):
             project_store(lda, store)
-        np.testing.assert_array_equal(project_store(lda, store, length_norm=False).rows(["b"]),
-                                      [[0.0]])
+        projected = project_store(replace(lda, length_norm=False), store)
+        np.testing.assert_array_equal(projected.vectors[projected.indices(["b"])], [[0.0]])
 
     def test_fisher_direction_two_classes(self, rng):
         store = gaussian_class_store(rng, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], 3000)
@@ -61,7 +64,7 @@ class TestLda:
         store = gaussian_class_store(rng, means, 60, cov)
         lda = fit_lda(store, 5)
         # recompute pooled within-class covariance in the projected space
-        projected = project_store(lda, store, length_norm=False)
+        projected = project_store(replace(lda, length_norm=False), store)
         groups = {}
         for rec in projected:
             groups.setdefault(rec.identity_id, []).append(rec.vector)
@@ -94,6 +97,22 @@ class TestLda:
         loaded = load_lda(tmp_path / "lda.ckpt")
         np.testing.assert_array_equal(loaded.projection, lda.projection)
         np.testing.assert_array_equal(loaded.mean, lda.mean)
+        assert loaded.length_norm is True
+
+    @pytest.mark.parametrize("scalars,want", [({}, True), ({"length_norm": 0.0}, False)],
+                             ids=["absent", "zero"])
+    def test_length_norm_entry_read(self, tmp_path, scalars, want):
+        save_checkpoint(tmp_path / "lda.ckpt", "lda", {"projection": np.eye(2),
+                                                       "mean": np.zeros(2)}, scalars)
+        assert load_lda(tmp_path / "lda.ckpt").length_norm is want
+
+    def test_length_norm_entry_other_than_0_or_1_rejected(self, tmp_path):
+        path = tmp_path / "lda.ckpt"
+        save_checkpoint(path, "lda", {"projection": np.eye(2), "mean": np.zeros(2)},
+                        {"length_norm": 0.5})
+        with pytest.raises(CheckpointError) as exc:
+            load_lda(path)
+        assert str(exc.value) == f"{path}: scalar 'length_norm' must be 0 or 1, got 0.5"
 
 
 def sample_plda_store(rng, mu, b_cov, w_cov, n_identities, n_sessions):

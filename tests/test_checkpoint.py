@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from avsrkit.backend import load_lda, load_plda
 from avsrkit.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                 save_checkpoint)
+from avsrkit.fusion import load_fusion
+from avsrkit.vfnet import load_params
 
 
 def write(path, *entries):
@@ -14,8 +17,8 @@ class TestLoadCheckpoint:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, "test", {"mean": np.array([[0.1, -2.0]])}, {"k": 0.3})
-        kind, arrays, scalars = load_checkpoint(path)
-        assert kind == "test" and scalars == {"k": 0.3}
+        arrays, scalars = load_checkpoint(path, "test")
+        assert scalars == {"k": 0.3}
         np.testing.assert_array_equal(arrays["mean"], [[0.1, -2.0]])
 
     @pytest.mark.parametrize("entry,detail", [
@@ -26,7 +29,7 @@ class TestLoadCheckpoint:
     def test_bad_number_names_line(self, tmp_path, entry, detail):
         path = write(tmp_path / "m.ckpt", "scalar\tok\t1.0", entry)
         with pytest.raises(CheckpointError) as exc:
-            load_checkpoint(path)
+            load_checkpoint(path, "test")
         assert str(exc.value).startswith(f"{path}:4: {detail}")
 
     @pytest.mark.parametrize("first,again", [
@@ -36,10 +39,34 @@ class TestLoadCheckpoint:
         path = write(tmp_path / "m.ckpt", first, "", again)
         kind, name = first.split("\t")[:2]
         with pytest.raises(CheckpointError) as exc:
-            load_checkpoint(path)
+            load_checkpoint(path, "test")
         assert str(exc.value) == f"{path}:5: {kind} {name!r} repeats line 3"
 
     def test_same_name_as_scalar_and_array(self, tmp_path):
         path = write(tmp_path / "m.ckpt", "scalar\tmean\t1.0", "array\tmean\t1\t2.0")
-        kind, arrays, scalars = load_checkpoint(path)
+        arrays, scalars = load_checkpoint(path, "test")
         assert scalars == {"mean": 1.0} and arrays["mean"].tolist() == [2.0]
+
+    def test_malformed_entry_named_before_kind(self, tmp_path):
+        path = write(tmp_path / "m.ckpt", "scalar\tk\tx")
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path, "lda")
+        assert str(exc.value).startswith(f"{path}:3: scalar 'k'")
+
+    def test_missing_kind_entry(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_text(f"{MAGIC}\nscalar\tk\t1.0\n")
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path, "test")
+        assert str(exc.value) == f"{path}: missing kind entry"
+
+    @pytest.mark.parametrize("load,kind", [
+        (load_lda, "lda"), (load_plda, "plda"), (load_fusion, "fusion"),
+        (load_params, "vfnet")])
+    def test_loader_rejects_another_kind(self, tmp_path, load, kind):
+        other = "plda" if kind == "lda" else "lda"
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, other, {"mean": np.zeros(2)})
+        with pytest.raises(CheckpointError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: expected kind {kind!r}, found {other!r}"

@@ -2,14 +2,19 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, load_lda, load_plda,
+                             save_lda, save_plda)
 from avsrkit.cli import main
-from avsrkit.store import (load_scores, save_embeddings, save_scores,
-                           save_trials, EmbeddingRecord, EmbeddingStore,
+from avsrkit.pipeline import score_trials
+from avsrkit.store import (load_embeddings, load_scores, load_trials, save_embeddings,
+                           save_scores, save_trials, EmbeddingRecord, EmbeddingStore,
                            ScoreEntry, ScoreSet, Trial, TrialSet)
 from avsrkit.vfnet import init_params, pair_forward, save_params
 
@@ -141,6 +146,58 @@ class TestScoreVfnet:
         scored = {(e.enroll_id, e.test_id): e.score for e in load_scores(out)}
         expected = pair_forward(params, voice, face).p_same
         assert scored[("idA", "idA")] == pytest.approx(expected, abs=1e-12)
+
+
+class TestScoreAudio:
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--n-train", "40", "--n-test", "4", "--sessions", "3",
+                     "--negatives-per-positive", "1", "--out-dir", str(data)]) == 0
+        return data
+
+    def score_argv(self, data, lda, plda, out):
+        return ["score", "--system", "audio", "--enroll", str(data / "dev.embeddings"),
+                "--test", str(data / "dev.embeddings"), "--trials", str(data / "dev.trials"),
+                "--lda", str(lda), "--plda", str(plda), "--out", str(out)]
+
+    def test_scores_with_the_fitted_length_norm(self, data, tmp_path):
+        # the LDA checkpoint carries --no-length-norm to scoring
+        lda_path, plda_path = tmp_path / "lda.ckpt", tmp_path / "plda.ckpt"
+        assert main(["fit-backend", "--embeddings", str(data / "train.embeddings"),
+                     "--lda-dim", "8", "--no-length-norm",
+                     "--out-lda", str(lda_path), "--out-plda", str(plda_path)]) == 0
+        out = tmp_path / "audio.scores"
+        assert main(self.score_argv(data, lda_path, plda_path, out)) == 0
+        lda = load_lda(lda_path)
+        assert lda.length_norm is False
+        dev, trials = load_embeddings(data / "dev.embeddings"), load_trials(data / "dev.trials")
+        score = partial(score_trials, trials, dev, dev, plda=load_plda(plda_path), params=None,
+                        rule=PoolingRule(), systems=("audio",))
+        got, want = load_scores(out), score(lda=lda)["audio"]
+        assert (got.enroll_ids, got.test_ids, got.labels) == \
+            (want.enroll_ids, want.test_ids, want.labels)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        normed = score(lda=replace(lda, length_norm=True))["audio"]
+        assert not np.allclose(got.scores, normed.scores)
+
+    def test_no_length_norm_flag_is_a_usage_error(self, tmp_path, capsys):
+        # rejected while parsing, before any file is read
+        argv = self.score_argv(tmp_path, tmp_path / "lda.ckpt", tmp_path / "plda.ckpt",
+                               tmp_path / "audio.scores")
+        assert main(argv + ["--no-length-norm"]) == 1
+        assert "--no-length-norm" in capsys.readouterr().err
+
+    def test_lda_and_plda_dimension_mismatch_named(self, data, tmp_path, capsys):
+        dim = load_embeddings(data / "dev.embeddings").dim
+        save_lda(LdaTransform(np.eye(6, dim), np.zeros(dim)), tmp_path / "lda.ckpt")
+        save_plda(PldaModel(mu=np.zeros(4), B=np.eye(4), W=np.eye(4)), tmp_path / "plda.ckpt")
+        out = tmp_path / "audio.scores"
+        assert main(self.score_argv(data, tmp_path / "lda.ckpt", tmp_path / "plda.ckpt",
+                                    out)) == 1
+        assert capsys.readouterr().err == \
+            "error: LDA output dimension 6 does not match PLDA dimension 4\n"
+        assert not out.exists()
 
 
 class TestSynth:

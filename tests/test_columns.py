@@ -57,11 +57,11 @@ class TestRowSelectionMatchesPerRecordReference:
     def test_rows(self, records, rng):
         store = EmbeddingStore(records)
         picks = [records[i] for i in rng.integers(len(records), size=2 * len(records))]
-        np.testing.assert_array_equal(store.rows([r.record_id for r in picks]),
-                                      [r.vector for r in picks])
-        assert store.rows([]).shape == (0, 3)
+        got = store.vectors[store.indices([r.record_id for r in picks])]
+        np.testing.assert_array_equal(got, [r.vector for r in picks])
+        assert store.vectors[store.indices([])].shape == (0, 3)
         with pytest.raises(KeyError, match="no record 'ghost' in store"):
-            store.rows([records[0].record_id, "ghost"])
+            store.vectors[store.indices([records[0].record_id, "ghost"])]
 
     def test_split_enroll_test(self, records):
         enroll, test = split_enroll_test(EmbeddingStore(records))

@@ -69,9 +69,10 @@ def test_checkpoint_round_trips_bit_exactly(values, scalars):
     if len(values) % 2 == 0:
         arrays["matrix"] = arrays["flat"].reshape(2, -1)
     named = {f"s{i}": s for i, s in enumerate(scalars)}
-    kind, loaded, loaded_scalars = round_trip(
-        lambda obj, path: save_checkpoint(path, "test", *obj), load_checkpoint, (arrays, named))
-    assert kind == "test" and list(loaded) == list(arrays)
+    loaded, loaded_scalars = round_trip(lambda obj, path: save_checkpoint(path, "test", *obj),
+                                        lambda path: load_checkpoint(path, "test"),
+                                        (arrays, named))
+    assert list(loaded) == list(arrays)
     for name, arr in arrays.items():
         assert loaded[name].shape == arr.shape
         np.testing.assert_array_equal(bits(loaded[name]), bits(arr))

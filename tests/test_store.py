@@ -23,7 +23,7 @@ class TestLoadEmbeddings:
         assert len(s) == 2
         assert s.dim == 4
         assert s.modalities == ("voice", "face")
-        np.testing.assert_array_equal(s.rows(["b"]), [[0.5, 0.5, 0.5, 0.5]])
+        np.testing.assert_array_equal(s.vectors[s.indices(["b"])], [[0.5, 0.5, 0.5, 0.5]])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         p = write(tmp_path / "e.tsv",
@@ -74,8 +74,8 @@ class TestLoadEmbeddings:
         save_embeddings(s, path)
         loaded = load_embeddings(path)
         assert loaded.record_ids == s.record_ids
-        np.testing.assert_array_equal(loaded.rows([r.record_id for r in recs]),
-                                      [r.vector for r in recs])
+        got = loaded.vectors[loaded.indices([r.record_id for r in recs])]
+        np.testing.assert_array_equal(got, [r.vector for r in recs])
 
 
 LOADERS = pytest.mark.parametrize("load, line", [

@@ -125,8 +125,8 @@ class TestTrain:
         store, tr, va = small_data()
         report = train(store, tr, va, SMALL_CONFIG)
         params = report.final_params
-        voices = store.rows([t.enroll_id for t in tr]).astype(np.float32)
-        faces = store.rows([t.test_id for t in tr]).astype(np.float32)
+        voices = store.vectors[store.indices([t.enroll_id for t in tr])].astype(np.float32)
+        faces = store.vectors[store.indices([t.test_id for t in tr])].astype(np.float32)
         _, grads = batch_loss_grad(params, voices, faces, [t.label == "target" for t in tr])
         optimizer = _Adam(1e-3, params)
         optimizer.step(params, grads)
@@ -178,7 +178,7 @@ class TestGatherPairs:
         assert rows.dtype == np.float32
         assert len(rows) == len(set(tr.enroll_ids) | set(tr.test_ids))
         for at, ids in ((voice_at, tr.enroll_ids), (face_at, tr.test_ids)):
-            want = store.rows(ids).astype(np.float32)
+            want = store.vectors[store.indices(ids)].astype(np.float32)
             assert rows[at].tobytes() == want.tobytes()
         assert same.tolist() == [label == "target" for label in tr.labels]
 
@@ -219,8 +219,8 @@ class TestValidationScores:
         params = init_params(input_dim=store.dim, seed=3)
         rows, voice_at, face_at, _ = _gather_pairs(store, va)
         assert len(np.unique(voice_at)) < len(va) and len(np.unique(face_at)) < len(va)
-        per_pair = cosine_similarity(transform_voice(params, store.rows(va.enroll_ids)),
-                                     transform_face(params, store.rows(va.test_ids)))
+        voices, faces = (store.vectors[store.indices(ids)] for ids in (va.enroll_ids, va.test_ids))
+        per_pair = cosine_similarity(transform_voice(params, voices), transform_face(params, faces))
         assert _pair_scores(params, rows, voice_at, face_at).tobytes() == per_pair.tobytes()
 
 
