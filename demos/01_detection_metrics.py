@@ -6,7 +6,7 @@ actDCF punishes miscalibration while minDCF does not.
 
 import numpy as np
 
-from avsrkit import DcfParams, act_dcf, auc, compute_metrics, eer, min_dcf, roc_points
+from avsrkit import DcfParams, compute_metrics, roc_points
 from avsrkit.store import ScoreEntry, ScoreSet
 
 rng = np.random.default_rng(42)
@@ -19,14 +19,14 @@ scores = ScoreSet(
     + [ScoreEntry(f"n{i}", f"n{i}x", float(s), "nontarget") for i, s in enumerate(non)]
 )
 
-print("=== basic metrics ===")
-print(f"EER  = {eer(scores):.4f}   (where miss rate crosses false-alarm rate)")
-print(f"AUC  = {auc(scores):.4f}   (P[target outscores nontarget])")
-
 params = DcfParams(p_target=0.05, c_miss=1.0, c_fa=1.0)
-mdcf, threshold = min_dcf(scores, params)
-print(f"minDCF = {mdcf:.4f} at threshold {threshold:.3f}")
-print(f"actDCF = {act_dcf(scores, params):.4f} at the Bayes threshold "
+report = compute_metrics(scores, params)  # every metric from one ROC sweep
+
+print("=== basic metrics ===")
+print(f"EER  = {report.eer:.4f}   (where miss rate crosses false-alarm rate)")
+print(f"AUC  = {report.auc:.4f}   (P[target outscores nontarget])")
+print(f"minDCF = {report.min_dcf:.4f} at threshold {report.min_dcf_threshold:.3f}")
+print(f"actDCF = {report.act_dcf:.4f} at the Bayes threshold "
       f"{params.bayes_threshold:.3f}")
 
 # the raw scores are not llrs, so actDCF is much worse than minDCF.
@@ -35,8 +35,9 @@ shifted = ScoreSet.from_columns(scores.enroll_ids, scores.test_ids, 2.0 * scores
                                scores.labels)
 print("\n=== after a hand-tuned affine map (see the fusion demo for the "
       "principled version) ===")
-print(f"minDCF = {min_dcf(shifted, params)[0]:.4f}  (unchanged: monotone invariant)")
-print(f"actDCF = {act_dcf(shifted, params):.4f}  (much closer to minDCF)")
+shifted_report = compute_metrics(shifted, params)
+print(f"minDCF = {shifted_report.min_dcf:.4f}  (unchanged: monotone invariant)")
+print(f"actDCF = {shifted_report.act_dcf:.4f}  (much closer to minDCF)")
 
 print("\n=== a few ROC operating points ===")
 thresholds, p_miss, p_fa = roc_points(scores)
@@ -44,6 +45,5 @@ step = max(1, len(thresholds) // 8)
 for t, pm, pf in zip(thresholds[::step], p_miss[::step], p_fa[::step]):
     print(f"threshold {t:8.3f}: p_miss {pm:.3f}  p_fa {pf:.3f}")
 
-report = compute_metrics(scores, params)
 print(f"\nfull report: {report.n_target} targets, {report.n_nontarget} nontargets, "
       f"EER {report.eer:.4f}, AUC {report.auc:.4f}")

@@ -7,7 +7,7 @@ thresholding at the Bayes point is nearly optimal on fresh data.
 
 import numpy as np
 
-from avsrkit import DcfParams, act_dcf, apply_fusion, eer, fit_fusion, min_dcf
+from avsrkit import DcfParams, apply_fusion, compute_metrics, fit_fusion
 from avsrkit.store import ScoreEntry, ScoreSet
 
 rng = np.random.default_rng(11)
@@ -32,22 +32,23 @@ eval_a, eval_b = observe(500, 2000, 1.8, 4.0), observe(500, 2000, 1.2, 0.3)
 
 print("=== single systems on eval ===")
 for name, ss in [("A", eval_a), ("B", eval_b)]:
-    gap = act_dcf(ss, params) - min_dcf(ss, params)[0]
-    print(f"system {name}: EER {eer(ss):.4f}  minDCF {min_dcf(ss, params)[0]:.4f}  "
-          f"calibration gap {gap:+.4f}")
+    m = compute_metrics(ss, params)
+    print(f"system {name}: EER {m.eer:.4f}  minDCF {m.min_dcf:.4f}  "
+          f"calibration gap {m.act_dcf - m.min_dcf:+.4f}")
 
 print("\n=== calibrating system A alone ===")
 cal = fit_fusion([dev_a], params)
 cal_eval = apply_fusion(cal, [eval_a])
 print(f"weight {cal.weights[0]:.3f}, bias {cal.bias:+.3f}")
-print(f"EER unchanged: {eer(cal_eval):.4f} (affine maps are monotone)")
-print(f"calibration gap now {act_dcf(cal_eval, params) - min_dcf(cal_eval, params)[0]:+.4f}")
+m = compute_metrics(cal_eval, params)
+print(f"EER unchanged: {m.eer:.4f} (affine maps are monotone)")
+print(f"calibration gap now {m.act_dcf - m.min_dcf:+.4f}")
 
 print("\n=== fusing A and B ===")
 fus = fit_fusion([dev_a, dev_b], params)
 fused = apply_fusion(fus, [eval_a, eval_b])
 print(f"weights {fus.weights.round(3)}, bias {fus.bias:+.3f}")
-print(f"fused EER {eer(fused):.4f} vs best single "
-      f"{min(eer(eval_a), eer(eval_b)):.4f}")
-print(f"fused minDCF {min_dcf(fused, params)[0]:.4f}, "
-      f"actDCF {act_dcf(fused, params):.4f}")
+m = compute_metrics(fused, params)
+print(f"fused EER {m.eer:.4f} vs best single "
+      f"{min(compute_metrics(ss, params).eer for ss in (eval_a, eval_b)):.4f}")
+print(f"fused minDCF {m.min_dcf:.4f}, actDCF {m.act_dcf:.4f}")

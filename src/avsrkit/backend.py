@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .store import EmbeddingStore, RowError
+from .store import EmbeddingStore
 from .vfnet import cosine_similarity
 
 
@@ -89,28 +89,17 @@ def fit_lda(store: EmbeddingStore, target_dim: int, length_norm: bool = True) ->
     return LdaTransform(eigvecs[:, order].T.copy(), global_mean, length_norm)
 
 
-def project(lda: LdaTransform, x) -> np.ndarray:
-    """LDA-project a (D,) vector or the rows of an (n, D) matrix, scaling each
-    result to unit length if the transform length-normalizes."""
-    y = lda(x)
-    if lda.length_norm:
-        norm = np.linalg.norm(y, axis=-1, keepdims=True)
-        if not norm.all():
-            row = int(np.argmin(norm))
-            raise RowError(row, f"row {row} projects to the zero vector")
-        y = y / norm
-    return y
-
-
 def project_store(lda: LdaTransform, store: EmbeddingStore) -> EmbeddingStore:
     """Apply an LDA transform, with its length normalization, to every record."""
     if not len(store):
         return store
-    try:
-        vectors = project(lda, store.vectors)
-    except RowError as exc:
-        raise ValueError(f"record {store.record_ids[exc.row]!r} "
-                         "projects to the zero vector") from None
+    vectors = lda(store.vectors)
+    if lda.length_norm:
+        norm = np.linalg.norm(vectors, axis=1, keepdims=True)
+        if not norm.all():
+            raise ValueError(f"record {store.record_ids[int(np.argmin(norm))]!r} "
+                             "projects to the zero vector")
+        vectors = vectors / norm
     return EmbeddingStore.from_columns(store.record_ids, store.identity_ids,
                                        store.modalities, vectors)
 

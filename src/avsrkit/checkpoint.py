@@ -8,7 +8,7 @@ Layout: a magic header line, a ``kind`` line, then one line per entry:
     array<TAB><name><TAB><d1,d2,...><TAB><row-major repr() values, space separated>
 
 Values are written with ``repr()`` so binary64 coefficients round-trip
-bit-exactly. The loader checks that the file is of the kind asked for.
+bit-exactly. The loader checks the kind asked for and that every value is finite.
 """
 
 from __future__ import annotations
@@ -20,6 +20,16 @@ MAGIC = "#AVSRKIT-CKPT v1"
 
 class CheckpointError(ValueError):
     pass
+
+
+class _Entries(dict):
+    """Values of one entry type by name; a missing name raises a CheckpointError."""
+
+    def __init__(self, path, entry):
+        self.missing = f"{path}: missing {entry}"
+
+    def __missing__(self, name):
+        raise CheckpointError(f"{self.missing} {name!r}")
 
 
 def save_checkpoint(path, kind: str, arrays: dict, scalars: dict | None = None) -> None:
@@ -42,8 +52,7 @@ def load_checkpoint(path, kind: str):
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: missing checkpoint magic {MAGIC!r}")
     found = None
-    arrays = {}
-    scalars = {}
+    arrays, scalars = _Entries(path, "array"), _Entries(path, "scalar")
     seen = {}  # (entry type, name) -> line number
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -69,6 +78,9 @@ def load_checkpoint(path, kind: str):
         if flat.size != int(np.prod(shape)):
             raise CheckpointError(f"{where}: value count does not match shape")
         arrays[fields[1]] = flat.reshape(shape)
+    for (entry, name), lineno in seen.items():
+        if not np.isfinite((arrays if entry == "array" else scalars)[name]).all():
+            raise CheckpointError(f"{path}:{lineno}: non-finite values in {name}")
     if found is None:
         raise CheckpointError(f"{path}: missing kind entry")
     if found != kind:

@@ -184,22 +184,12 @@ def _cmd_score(args):
     return 0
 
 
-def _labeled_scores(path):
-    """A score file for a metric or a fusion fit: every line labeled, both classes present."""
-    scores = store.load_scores(path, require_labels=True)
-    if len(set(scores.labels)) < 2:
-        problem = "need at least one target and one nontarget score" if len(scores) else "no scores"
-        raise store.FormatError(f"{path}: {problem}")
-    return scores
-
-
 def _cmd_fuse(args):
     if len(args.dev_scores) != len(args.eval_scores):
         raise UsageError("--dev-scores and --eval-scores must list the same systems")
     params = _config(metrics.DcfParams, args)
     # the fit takes its labels from the first system
-    dev = [_labeled_scores(p) if k == 0 else store.load_scores(p)
-           for k, p in enumerate(args.dev_scores)]
+    dev = [store.load_scores(p, require_labels=k == 0) for k, p in enumerate(args.dev_scores)]
     eval_ = [store.load_scores(p) for p in args.eval_scores]
     model = fusion.fit_fusion(dev, params)
     fused = fusion.apply_fusion(model, eval_)
@@ -212,7 +202,7 @@ def _cmd_fuse(args):
 
 def _cmd_eval(args):
     params = _config(metrics.DcfParams, args)
-    scores = _labeled_scores(args.scores)
+    scores = store.load_scores(args.scores, require_labels=True)
     report = metrics.compute_metrics(scores, params)
     header = "eer\tauc\tmin_dcf\tact_dcf\tmin_dcf_threshold\tbayes_threshold"
     line = (f"{report.eer:.6f}\t{report.auc:.6f}\t{report.min_dcf:.6f}\t"

@@ -45,11 +45,11 @@ class DcfParams:
 
 @dataclass(frozen=True)
 class MetricReport:
-    eer: float
-    auc: float
-    min_dcf: float
-    min_dcf_threshold: float
-    act_dcf: float
+    eer: float  # linearly interpolated between the bracketing ROC points
+    auc: float  # P(a random target outscores a random nontarget), ties counting 1/2
+    min_dcf: float  # the minimum normalized detection cost over all thresholds
+    min_dcf_threshold: float  # the lowest threshold that attains it
+    act_dcf: float  # the normalized cost at the Bayes threshold, the scores read as llrs
     n_target: int
     n_nontarget: int
 
@@ -80,11 +80,6 @@ def _roc_arrays(tar, non):
             np.concatenate([[1.0], n_fa / non.shape[0], [0.0]]))
 
 
-def eer(scores: ScoreSet) -> float:
-    """Equal error rate, linearly interpolated between bracketing ROC points."""
-    return _eer_arrays(*_split_scores(scores))
-
-
 def _eer_arrays(tar, non) -> float:
     return _eer_roc(*_roc_arrays(tar, non)[1:])
 
@@ -99,11 +94,6 @@ def _eer_roc(p_miss, p_fa) -> float:
     return float(p_miss[i - 1] + t * (p_miss[i] - p_miss[i - 1]))
 
 
-def auc(scores: ScoreSet) -> float:
-    """Probability a random target outscores a random nontarget; ties count 1/2."""
-    return _auc_arrays(*_split_scores(scores))
-
-
 def _auc_arrays(tar, non) -> float:
     non_sorted = np.sort(non)
     below = np.searchsorted(non_sorted, tar, side="left")
@@ -112,21 +102,11 @@ def _auc_arrays(tar, non) -> float:
     return float(wins.sum() / (tar.shape[0] * non.shape[0]))
 
 
-def min_dcf(scores: ScoreSet, params: DcfParams = DcfParams()):
-    """Minimum normalized detection cost and its (lowest) minimizing threshold."""
-    return _min_dcf_roc(*_roc_arrays(*_split_scores(scores)), params)
-
-
 def _min_dcf_roc(thresholds, p_miss, p_fa, params: DcfParams):
     cost = params.c_miss * params.p_target * p_miss \
         + params.c_fa * (1.0 - params.p_target) * p_fa
     i = int(np.argmin(cost))  # the first minimum, at the lowest threshold
     return float(cost[i] / params.normalizer), float(thresholds[i])
-
-
-def act_dcf(llr_scores: ScoreSet, params: DcfParams = DcfParams()) -> float:
-    """Normalized detection cost at the fixed Bayes llr threshold."""
-    return _act_dcf_arrays(*_split_scores(llr_scores), params)
 
 
 def _act_dcf_arrays(tar, non, params: DcfParams) -> float:

@@ -57,22 +57,10 @@ class PipelineConfig:
 def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positive: int,
                           rng_seed: int) -> TrialSet:
     """Identity-level trials: one target per identity plus sampled nontargets."""
-    identities = sorted(set(embedding_store.identity_ids))
-    if len(identities) < 2:
-        raise ValueError("need at least 2 identities")
-    rng = np.random.default_rng(rng_seed)
-    n_neg = negatives_per_positive * len(identities)
-    max_neg = len(identities) * (len(identities) - 1)
-    if n_neg > max_neg:
-        raise ValueError(f"requested {n_neg} nontargets but only {max_neg} pairs exist")
-    chosen = dict.fromkeys(zip(identities, identities))  # targets, then nontargets as drawn
-    while len(chosen) < len(identities) + n_neg:
-        a = identities[rng.integers(len(identities))]
-        b = identities[rng.integers(len(identities))]
-        if a != b:
-            chosen.setdefault((a, b))
-    return TrialSet.from_columns([a for a, _ in chosen], [b for _, b in chosen],
-                                 ["target"] * len(identities) + ["nontarget"] * n_neg)
+    ids = sorted(set(embedding_store.identity_ids))
+    return store.sample_nontargets(list(zip(ids, ids)), ids, ids, dict(zip(ids, ids)),
+                                   negatives_per_positive * len(ids),
+                                   np.random.default_rng(rng_seed))
 
 
 def split_enroll_test(embedding_store: EmbeddingStore):

@@ -12,6 +12,7 @@ Scores are written with ``repr()`` so binary64 values round-trip bit-exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -364,8 +365,8 @@ def save_trials(trials: TrialSet, path) -> None:
 
 
 def load_scores(path, require_labels=False) -> ScoreSet:
-    """Parse a score file. require_labels: every line must carry a label, as
-    metrics and fusion fits need (a FormatError names the first that does not)."""
+    """Parse a score file. require_labels: each line labeled and both classes present, as
+    metrics and fusion fits need (a FormatError names the first unlabeled line, else the file)."""
     linenos, scores, (enroll_ids, test_ids, labels) = [], [], ([], [], [])
     for (enroll, test, text, label), lines in _read_columns(path, (3, 4), "expected 3 or 4 fields"):
         with _at_lines(path, lines):
@@ -379,6 +380,9 @@ def load_scores(path, require_labels=False) -> ScoreSet:
         loaded = ScoreSet.from_columns(enroll_ids, test_ids, np.concatenate(scores or [[]]), labels)
         if require_labels and None in labels:
             raise RowError(labels.index(None), "score set is not fully labeled")
+    if require_labels and len(set(labels)) < 2:
+        problem = "need at least one target and one nontarget score" if labels else "no scores"
+        raise FormatError(f"{path}: {problem}")
     return loaded
 
 
@@ -389,11 +393,8 @@ def save_scores(scores: ScoreSet, path) -> None:
             fh.write(f"{e}\t{t}\t{s!r}\n" if label is None else f"{e}\t{t}\t{s!r}\t{label}\n")
 
 
-def build_crossmodal_trials(
-    store: EmbeddingStore,
-    negatives_per_positive: int,
-    rng_seed: int,
-) -> TrialSet:
+def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
+                            rng_seed: int) -> TrialSet:
     """Labeled voice-face trials: same-identity targets plus shuffled negatives.
 
     Targets enumerate all (voice, face) record pairs sharing an identity, at
@@ -422,23 +423,23 @@ def build_crossmodal_trials(
             pairs = [pairs[i] for i in sorted(idx)]
         targets.extend(pairs)
 
-    identity_of = dict(zip(store.record_ids, store.identity_ids))
-    if len({identity_of[v] for v, _ in targets} | set(faces.identity_ids)) < 2:
-        raise ValueError("need at least 2 identities to form negative trials")
+    return sample_nontargets(targets, voices.record_ids, faces.record_ids,
+                             dict(zip(store.record_ids, store.identity_ids)),
+                             negatives_per_positive * len(targets), rng)
 
-    n_negatives = negatives_per_positive * len(targets)
-    n_cross = sum(
-        len(vids) * (len(faces) - len(fids)) for vids, fids in by_identity.values()
-    )
-    if n_negatives > n_cross:
-        raise ValueError(
-            f"requested {n_negatives} negatives but only {n_cross} cross-identity pairs exist"
-        )
-    chosen = dict.fromkeys(targets)  # the trials: targets, then negatives as drawn
-    while len(chosen) < len(targets) + n_negatives:
-        v = voices.record_ids[rng.integers(len(voices))]
-        f = faces.record_ids[rng.integers(len(faces))]
-        if identity_of[v] != identity_of[f]:
-            chosen.setdefault((v, f))
-    return TrialSet.from_columns([v for v, _ in chosen], [f for _, f in chosen],
-                                 ["target"] * len(targets) + ["nontarget"] * n_negatives)
+
+def sample_nontargets(targets, left_ids, right_ids, identity_of, n_nontargets, rng) -> TrialSet:
+    """Labeled trials: the target pairs, then n_nontargets distinct cross-identity
+    pairs drawn uniformly, left then right, from left_ids x right_ids."""
+    left, right = (Counter(map(identity_of.__getitem__, ids)) for ids in (left_ids, right_ids))
+    n_cross = len(left_ids) * len(right_ids) - sum(n * right[i] for i, n in left.items())
+    if n_nontargets > n_cross:
+        raise ValueError(f"requested {n_nontargets} nontargets but only {n_cross} pairs exist")
+    chosen = dict.fromkeys(targets)  # the trials: targets, then nontargets as drawn
+    while len(chosen) < len(targets) + n_nontargets:
+        a = left_ids[rng.integers(len(left_ids))]
+        b = right_ids[rng.integers(len(right_ids))]
+        if identity_of[a] != identity_of[b]:
+            chosen.setdefault((a, b))
+    return TrialSet.from_columns([a for a, _ in chosen], [b for _, b in chosen],
+                                 ["target"] * len(targets) + ["nontarget"] * n_nontargets)

@@ -64,12 +64,19 @@ class TrainReport:
 def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64):
     """(rows, voice_at, face_at, same) of labeled trials: each record the
     trials use, once, in ``dtype``; each trial's voice and face row among
-    them; the target mask. Raises TrainingError naming the first record, in
+    them; the target mask. Raises ValueError naming the first trial with a
+    record not in the store, and TrainingError naming the first record, in
     trial order and voices first, that ``dtype`` cannot hold."""
     if not trials.labeled:
         raise ValueError("training trials must be labeled")
     ids = trials.enroll_ids + trials.test_ids
-    used, at = np.unique(store.indices(ids), return_inverse=True)
+    try:
+        used, at = np.unique(store.indices(ids), return_inverse=True)
+    except KeyError:
+        known = set(store.record_ids)
+        e, t = next(pair for pair in zip(trials.enroll_ids, trials.test_ids)
+                    if not known.issuperset(pair))
+        raise ValueError(f"trial ({e}, {t}): no record {t if e in known else e!r} in store")
     limit = np.finfo(dtype).max
     over = (store.vectors.max(axis=1)[used] > limit) | (store.vectors.min(axis=1)[used] < -limit)
     if over.any():

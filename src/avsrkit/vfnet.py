@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import expit
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 
 
 @dataclass
@@ -83,11 +83,7 @@ def save_params(params: VFNetParams, path) -> None:
 
 def load_params(path) -> VFNetParams:
     arrays, _ = load_checkpoint(path, "vfnet")
-    params = VFNetParams(**arrays)
-    bad = params.non_finite()
-    if bad:
-        raise CheckpointError(f"{path}: non-finite values in {bad[0]}")
-    return params
+    return VFNetParams(*(arrays[f.name] for f in fields(VFNetParams)))
 
 
 @dataclass(frozen=True)

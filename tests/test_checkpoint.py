@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from avsrkit.backend import load_lda, load_plda
 from avsrkit.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                 save_checkpoint)
 from avsrkit.fusion import load_fusion
-from avsrkit.vfnet import load_params
+from avsrkit.vfnet import VFNetParams, load_params
+
+VFNET_ARRAYS = [f.name for f in fields(VFNetParams)]
 
 
 def write(path, *entries):
@@ -70,3 +74,31 @@ class TestLoadCheckpoint:
         with pytest.raises(CheckpointError) as exc:
             load(path)
         assert str(exc.value) == f"{path}: expected kind {kind!r}, found {other!r}"
+
+    @pytest.mark.parametrize("load,kind,arrays,scalars,missing", [
+        (load_lda, "lda", {"mean": np.zeros(2)}, {}, "array 'projection'"),
+        (load_plda, "plda", {"mu": np.zeros(2), "B": np.eye(2)}, {}, "array 'W'"),
+        (load_fusion, "fusion", {"weights": np.ones(2)}, {"effective_prior": 0.5},
+         "scalar 'bias'"),
+        (load_params, "vfnet", {name: np.zeros((1, 1)) for name in VFNET_ARRAYS[:-1]}, {},
+         "array 'face_b2'")])
+    def test_loader_names_missing_entry(self, tmp_path, load, kind, arrays, scalars, missing):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, kind, arrays, scalars)
+        with pytest.raises(CheckpointError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: missing {missing}"
+
+    @pytest.mark.parametrize("load,kind,entries,line,name", [
+        (load_lda, "lda", ("scalar\tlength_norm\t1.0", "array\tprojection\t1,2\t1.0 0.0",
+                           "array\tmean\t2\t0.0 nan"), 5, "mean"),
+        (load_plda, "plda", ("array\tmu\t1\t0.0", "array\tB\t1,1\tinf",
+                             "array\tW\t1,1\t1.0"), 4, "B"),
+        (load_fusion, "fusion", ("scalar\tbias\t-inf", "scalar\teffective_prior\t0.5",
+                                 "array\tweights\t1\t1.0"), 3, "bias")])
+    def test_loader_rejects_non_finite_value(self, tmp_path, load, kind, entries, line, name):
+        path = tmp_path / "m.ckpt"
+        path.write_text("\n".join([MAGIC, f"kind\t{kind}", *entries]) + "\n")
+        with pytest.raises(CheckpointError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:{line}: non-finite values in {name}"

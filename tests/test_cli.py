@@ -199,6 +199,16 @@ class TestScoreAudio:
             "error: LDA output dimension 6 does not match PLDA dimension 4\n"
         assert not out.exists()
 
+    def test_non_finite_lda_checkpoint_named(self, data, tmp_path, capsys):
+        dim = load_embeddings(data / "dev.embeddings").dim
+        mean = np.zeros(dim)
+        mean[1] = np.nan
+        lda_path, plda_path = tmp_path / "lda.ckpt", tmp_path / "plda.ckpt"
+        save_lda(LdaTransform(np.eye(4, dim), mean), lda_path)  # mean is on line 5
+        save_plda(PldaModel(mu=np.zeros(4), B=np.eye(4), W=np.eye(4)), plda_path)
+        assert main(self.score_argv(data, lda_path, plda_path, tmp_path / "audio.scores")) == 1
+        assert capsys.readouterr().err == f"error: {lda_path}:5: non-finite values in mean\n"
+
 
 class TestSynth:
     def test_writes_benchmark_files(self, tmp_path, capsys):
@@ -400,6 +410,25 @@ class TestConfigKeys:
         assert len(names) == 6
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestTrainVfnet:
+    def test_trial_naming_absent_record_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore.from_columns(["v1", "f1", "v2", "f2"], ["A", "A", "B", "B"],
+                                            ["voice", "face"] * 2, rng.standard_normal((4, 3)))
+        save_embeddings(store, tmp_path / "e.embeddings")
+        # trial order, not enrollment-side-first order, picks the trial named
+        trials = TrialSet.from_columns(["v1", "v2", "ghost", "v2"], ["f1", "nosuch", "f1", "f2"],
+                                       ["target", "nontarget", "nontarget", "target"])
+        save_trials(trials, tmp_path / "t.trials")
+        argv = ["train-vfnet", "--embeddings", str(tmp_path / "e.embeddings"),
+                "--train-trials", str(tmp_path / "t.trials"),
+                "--valid-trials", str(tmp_path / "t.trials"),
+                "--out-params", str(tmp_path / "net.ckpt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: trial (v2, nosuch): no record 'nosuch' in store\n"
+        assert not (tmp_path / "net.ckpt").exists()
 
 
 class TestFitBackend:

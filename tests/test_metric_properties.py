@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avsrkit.metrics import DcfParams, auc, eer, min_dcf
+from avsrkit.metrics import DcfParams, compute_metrics
 from conftest import make_score_set
 
 # scores on a grid of quarters: each transform below keeps distinct grid
@@ -31,14 +31,13 @@ def labeled_scores(draw):
 def test_rank_metrics_invariant_under_increasing_transform(name, scores, p_target):
     transform = TRANSFORMS[name]
     tar, non = scores
-    base = make_score_set(tar, non)
-    mapped = make_score_set(transform(tar), transform(non))
     params = DcfParams(p_target=p_target)
-    assert eer(mapped) == eer(base)
-    assert auc(mapped) == auc(base)
-    base_dcf, base_threshold = min_dcf(base, params)
-    mapped_dcf, mapped_threshold = min_dcf(mapped, params)
-    assert mapped_dcf == base_dcf
+    base = compute_metrics(make_score_set(tar, non), params)
+    mapped = compute_metrics(make_score_set(transform(tar), transform(non)), params)
+    assert mapped.eer == base.eer
+    assert mapped.auc == base.auc
+    assert mapped.min_dcf == base.min_dcf
+    base_threshold, mapped_threshold = base.min_dcf_threshold, mapped.min_dcf_threshold
     if math.isinf(base_threshold):  # an ROC endpoint stays an endpoint
         assert mapped_threshold == base_threshold
     else:

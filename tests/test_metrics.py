@@ -4,11 +4,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from avsrkit.metrics import (DcfParams, act_dcf, auc, compute_metrics, eer,
-                             min_dcf, roc_points)
+from avsrkit.metrics import DcfParams, compute_metrics, roc_points
 from avsrkit.store import ScoreSet
 from conftest import make_score_set
-from oracles import brute_auc, brute_min_dcf
+from oracles import brute_act_dcf, brute_auc, brute_eer, brute_min_dcf
+
+
+def metrics_of(tar, non, params=DcfParams()):
+    return compute_metrics(make_score_set(tar, non), params)
 
 
 def random_score_set(rng, max_size=100):
@@ -47,55 +50,51 @@ class TestRocPoints:
 
 class TestEer:
     def test_separable(self):
-        assert eer(make_score_set([0.9, 0.8], [0.1, 0.2])) == 0.0
+        assert metrics_of([0.9, 0.8], [0.1, 0.2]).eer == 0.0
 
     def test_interleaved_half(self):
-        assert eer(make_score_set([0.8, 0.2], [0.6, 0.4])) == pytest.approx(0.5)
+        assert metrics_of([0.8, 0.2], [0.6, 0.4]).eer == pytest.approx(0.5)
 
     def test_third(self):
-        assert eer(make_score_set([3.0, 2.0, 1.0], [2.5, 0.0, -1.0])) == \
-            pytest.approx(1.0 / 3.0)
+        assert metrics_of([3.0, 2.0, 1.0], [2.5, 0.0, -1.0]).eer == pytest.approx(1.0 / 3.0)
 
     def test_bounds_after_orientation(self, rng):
         for _ in range(100):
             tar, non = random_score_set(rng)
-            ss = make_score_set(tar, non)
-            value = eer(ss)
-            assert 0.0 <= value <= 1.0
-            if auc(ss) >= 0.5:
-                assert value <= 0.5 + 1e-12
+            report = metrics_of(tar, non)
+            assert 0.0 <= report.eer <= 1.0
+            if report.auc >= 0.5:
+                assert report.eer <= 0.5 + 1e-12
 
 
 class TestAuc:
     def test_separable(self):
-        assert auc(make_score_set([0.9, 0.8], [0.1, 0.2])) == 1.0
+        assert metrics_of([0.9, 0.8], [0.1, 0.2]).auc == 1.0
 
     def test_fully_tied(self):
-        assert auc(make_score_set([1.0, 1.0], [1.0, 1.0, 1.0])) == 0.5
+        assert metrics_of([1.0, 1.0], [1.0, 1.0, 1.0]).auc == 0.5
 
     def test_matches_pair_enumeration(self, rng):
         tar, non = random_score_set(rng, max_size=50)
-        assert auc(make_score_set(tar, non)) == brute_auc(tar, non)
+        assert metrics_of(tar, non).auc == brute_auc(tar, non)
 
 
 class TestMinDcf:
     def test_separable(self):
-        value, _ = min_dcf(make_score_set([0.9, 0.8], [0.1, 0.2]))
-        assert value == 0.0
+        assert metrics_of([0.9, 0.8], [0.1, 0.2]).min_dcf == 0.0
 
     def test_no_information_normalizes_to_one(self):
-        value, _ = min_dcf(make_score_set([0.5, 0.5], [0.5, 0.5]),
-                           DcfParams(p_target=0.05))
-        assert value == pytest.approx(1.0)
+        report = metrics_of([0.5, 0.5], [0.5, 0.5], DcfParams(p_target=0.05))
+        assert report.min_dcf == pytest.approx(1.0)
 
     def test_matches_exhaustive_sweep(self, rng):
         p = DcfParams(p_target=0.05)
         for _ in range(50):
             tar, non = random_score_set(rng, max_size=30)
-            value, threshold = min_dcf(make_score_set(tar, non), p)
+            report = metrics_of(tar, non, p)
             b_value, b_threshold = brute_min_dcf(tar, non, 0.05, 1.0, 1.0)
-            assert value == pytest.approx(b_value, abs=1e-12)
-            assert threshold == b_threshold
+            assert report.min_dcf == pytest.approx(b_value, abs=1e-12)
+            assert report.min_dcf_threshold == b_threshold
 
 
 class TestActDcf:
@@ -106,15 +105,14 @@ class TestActDcf:
 
     def test_calibrated_separable_is_zero(self):
         theta = DcfParams().bayes_threshold
-        ss = make_score_set([theta + 1.0, theta + 2.0], [theta - 1.0, theta - 2.0])
-        assert act_dcf(ss) == 0.0
+        assert metrics_of([theta + 1.0, theta + 2.0], [theta - 1.0, theta - 2.0]).act_dcf == 0.0
 
     def test_never_below_min_dcf(self, rng):
         p = DcfParams()
         for _ in range(100):
             tar, non = random_score_set(rng)
-            ss = make_score_set(tar, non)
-            assert act_dcf(ss, p) >= min_dcf(ss, p)[0] - 1e-12
+            report = metrics_of(tar, non, p)
+            assert report.act_dcf >= report.min_dcf - 1e-12
 
 
 class TestInvariances:
@@ -122,37 +120,37 @@ class TestInvariances:
         p = DcfParams()
         for transform in (lambda x: 2.0 * x + 1.0, np.tanh):
             tar, non = random_score_set(rng)
-            base = make_score_set(tar, non)
-            mapped = make_score_set(transform(tar), transform(non))
-            assert eer(mapped) == pytest.approx(eer(base), abs=1e-12)
-            assert auc(mapped) == pytest.approx(auc(base), abs=1e-12)
-            assert min_dcf(mapped, p)[0] == pytest.approx(min_dcf(base, p)[0], abs=1e-12)
+            base = metrics_of(tar, non, p)
+            mapped = metrics_of(transform(tar), transform(non), p)
+            assert mapped.eer == pytest.approx(base.eer, abs=1e-12)
+            assert mapped.auc == pytest.approx(base.auc, abs=1e-12)
+            assert mapped.min_dcf == pytest.approx(base.min_dcf, abs=1e-12)
 
     def test_act_dcf_not_invariant(self):
         # a shift moves scores across the fixed Bayes threshold
         theta = DcfParams().bayes_threshold
-        base = make_score_set([theta + 0.5], [theta - 0.5])
-        shifted = make_score_set([theta - 1.5], [theta - 2.5])
-        assert act_dcf(base) != act_dcf(shifted)
+        assert metrics_of([theta + 0.5], [theta - 0.5]).act_dcf != \
+            metrics_of([theta - 1.5], [theta - 2.5]).act_dcf
 
 
 class TestReport:
     def test_counts_and_consistency(self, rng):
         tar, non = random_score_set(rng)
-        report = compute_metrics(make_score_set(tar, non))
+        report = metrics_of(tar, non)
         assert report.n_target == len(tar)
         assert report.n_nontarget == len(non)
         assert report.act_dcf >= report.min_dcf - 1e-12
         assert 0.0 <= report.eer <= 1.0
         assert 0.0 <= report.auc <= 1.0
 
-    def test_one_conversion_matches_public_functions(self, rng, monkeypatch):
+    def test_one_conversion_matches_oracles(self, rng, monkeypatch):
         tar, non = random_score_set(rng)
         ss = make_score_set(tar, non)
         p = DcfParams(p_target=0.3, c_fa=2.0)
-        mdcf, threshold = min_dcf(ss, p)
-        expected = {"eer": eer(ss), "auc": auc(ss), "min_dcf": mdcf,
-                    "min_dcf_threshold": threshold, "act_dcf": act_dcf(ss, p),
+        mdcf, threshold = brute_min_dcf(tar, non, 0.3, 1.0, 2.0)
+        expected = {"eer": brute_eer(tar, non), "auc": brute_auc(tar, non), "min_dcf": mdcf,
+                    "min_dcf_threshold": threshold,
+                    "act_dcf": brute_act_dcf(tar, non, 0.3, 1.0, 2.0),
                     "n_target": len(tar), "n_nontarget": len(non)}
         calls = []
         convert = ScoreSet.scores_and_labels
@@ -160,4 +158,5 @@ class TestReport:
                             lambda self: calls.append(self) or convert(self))
         report = compute_metrics(ss, p)
         assert len(calls) == 1
-        assert {f.name: getattr(report, f.name) for f in fields(report)} == expected
+        assert {f.name: getattr(report, f.name) for f in fields(report)} == \
+            pytest.approx(expected, abs=1e-12)

@@ -1,16 +1,17 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from avsrkit.backend import LdaTransform, PldaModel, PoolingRule, plda_llr, project
+from avsrkit.backend import LdaTransform, PldaModel, PoolingRule, plda_llr
 from avsrkit.pipeline import (PipelineConfig, PipelineError,
                               build_identity_trials, render_markdown,
                               run_pipeline, score_trials, split_enroll_test,
                               split_identities)
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
-                           save_embeddings, save_trials)
+                           build_crossmodal_trials, save_embeddings, save_trials)
 from avsrkit.synth import GenConfig, generate_av_benchmark
 from avsrkit.training import TrainConfig
 from avsrkit.vfnet import init_params, pair_forward
@@ -66,6 +67,21 @@ class TestBuildIdentityTrials:
             build_identity_trials(EmbeddingStore(recs), 10, 0)
 
 
+def test_nontarget_draws_pinned():
+    """Both trial builders draw their nontargets through one sampler; the
+    columns they build keep the SHA-256 they had with a sampler each."""
+    gen = GenConfig(d_id=2, d_voice=4, d_face=4, n_identities_train=12, n_identities_test=9,
+                    voice_sessions_per_identity=8, face_sessions_per_identity=8, rng_seed=3)
+    train, dev, _ = generate_av_benchmark(gen)
+    for trials, length, digest in [
+            (build_crossmodal_trials(train, 2, rng_seed=5), 1800,  # 12 x 50 capped targets
+             "a5296706ff2e05a6a235c165fed9d2f6f3a26f8cb0d0dc1e11150e4f81a3eba3"),
+            (build_identity_trials(dev, 4, rng_seed=6), 45,
+             "d81ea076f7bec5ed1889b2dc0fa4dd08c882189ea83fdd90bf7e8969378dce58")]:
+        columns = repr((trials.enroll_ids, trials.test_ids, trials.labels)).encode()
+        assert (len(trials), hashlib.sha256(columns).hexdigest()) == (length, digest)
+
+
 class TestScoreTrials:
     def test_matches_per_pair_reference(self, rng):
         # ragged groups: 3 or 5 records per modality, so enrollment and test
@@ -93,9 +109,13 @@ class TestScoreTrials:
         def cosine(a, b):
             return a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
 
+        def project(v):  # LDA, then length normalization
+            y = (v - lda.mean) @ lda.projection.T
+            return y / np.linalg.norm(y)
+
         for t, *entries in zip(trials, *(got[s] for s in ("audio", "visual", "vfnet"))):
-            e_voices = [project(lda, v) for v in rows(enroll, t.enroll_id, "voice")]
-            t_voices = [project(lda, v) for v in rows(test, t.test_id, "voice")]
+            e_voices = [project(v) for v in rows(enroll, t.enroll_id, "voice")]
+            t_voices = [project(v) for v in rows(test, t.test_id, "voice")]
             audio = np.mean([plda_llr(plda, ev, tv) for ev in e_voices for tv in t_voices])
             t_faces = rows(test, t.test_id, "face")
             face_template = np.mean(rows(enroll, t.enroll_id, "face"), axis=0)

@@ -5,7 +5,7 @@ array DET writer against per-line references.
 replaced, plus the two checks added with it, in the order the columnar
 loader makes them: the line-level errors (field count, malformed score) in
 file order, then empty ids, then the score set's own checks, then the
-labels that ``require_labels`` asks for. ``reference_load_trials`` is the
+labels and the two classes that ``require_labels`` asks for. ``reference_load_trials`` is the
 trial loader that built one Trial row per line, with the trial set's checks
 written out in their order. ``reference_load_embeddings`` is the per-line
 embedding loader that the chunked one replaced, with the store's checks
@@ -65,6 +65,10 @@ def reference_load_scores(path, require_labels=False):
     if require_labels and None in labels:
         raise FormatError(f"{path}:{linenos[labels.index(None)]}: "
                           "score set is not fully labeled")
+    if require_labels and not labels:
+        raise FormatError(f"{path}: no scores")
+    if require_labels and len(set(labels)) == 1:
+        raise FormatError(f"{path}: need at least one target and one nontarget score")
     return score_set
 
 

@@ -259,5 +259,5 @@ class TestBuildCrossmodalTrials:
             EmbeddingRecord("v1", "idA", "voice", [1.0]),
             EmbeddingRecord("f1", "idA", "face", [1.0]),
         ])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^requested 1 nontargets but only 0 pairs exist$"):
             build_crossmodal_trials(store, 1, 0)
