@@ -6,7 +6,7 @@ actDCF punishes miscalibration while minDCF does not.
 
 import numpy as np
 
-from avsrkit import DcfParams, compute_metrics, roc_points
+from avsrkit import DcfParams, compute_metrics
 from avsrkit.store import ScoreEntry, ScoreSet
 
 rng = np.random.default_rng(42)
@@ -40,7 +40,7 @@ print(f"minDCF = {shifted_report.min_dcf:.4f}  (unchanged: monotone invariant)")
 print(f"actDCF = {shifted_report.act_dcf:.4f}  (much closer to minDCF)")
 
 print("\n=== a few ROC operating points ===")
-thresholds, p_miss, p_fa = roc_points(scores)
+thresholds, p_miss, p_fa = report.thresholds, report.p_miss, report.p_fa
 step = max(1, len(thresholds) // 8)
 for t, pm, pf in zip(thresholds[::step], p_miss[::step], p_fa[::step]):
     print(f"threshold {t:8.3f}: p_miss {pm:.3f}  p_fa {pf:.3f}")

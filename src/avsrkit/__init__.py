@@ -17,7 +17,7 @@ from .training import TrainConfig, TrainReport, train
 from .backend import (LdaTransform, PldaModel, PoolingRule, fit_lda, fit_plda,
                       plda_group_llr, plda_llr, pool_cosines, project_store,
                       score_face_trial)
-from .metrics import DcfParams, MetricReport, compute_metrics, roc_points
+from .metrics import DcfParams, MetricReport, compute_metrics
 from .fusion import FusionModel, apply_fusion, fit_fusion
 from .synth import (GenConfig, OracleScorer, generate, generate_av_benchmark,
                     oracle_eer)

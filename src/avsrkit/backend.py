@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -149,22 +150,29 @@ class PldaModel:
     converged: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.B = np.asarray(self.B, dtype=np.float64)
-        self.W = np.asarray(self.W, dtype=np.float64)
-        if np.abs(self.B - self.B.T).max() > 1e-10:
-            raise ValueError("B is not symmetric")
-        if np.abs(self.W - self.W.T).max() > 1e-10:
-            raise ValueError("W is not symmetric")
+        self.mu, self.B, self.W = (np.asarray(a, dtype=np.float64)
+                                   for a in (self.mu, self.B, self.W))
+        for name, mat in (("B", self.B), ("W", self.W)):
+            if np.abs(mat - mat.T).max() > 1e-10:
+                raise ValueError(f"{name} is not symmetric")
         if np.linalg.eigvalsh(self.W)[0] <= 0.0:
             raise ValueError("W must be positive definite")
         if np.linalg.eigvalsh(self.B)[0] < -1e-10:
             raise ValueError("B must be positive semidefinite")
-        self._scoring_cache = None
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
+
+    @cached_property
+    def _scoring_basis(self):
+        """(V, q, p, k) of the LLR in the basis where W = I and B is diagonal (Ioffe
+        2006): with (lambda, V) = eigh(B, W) and y = V'(x - mu), a pair's LLR is
+        sum_j q_j (y1_j^2 + y2_j^2) + 2 p_j y1_j y2_j + k, elementwise per dimension."""
+        lam, v = scipy.linalg.eigh(self.B, self.W)
+        same = 1.0 + 2.0 * lam  # per dimension, det [[1+lambda, lambda], [lambda, 1+lambda]]
+        return (v, -0.5 * ((1.0 + lam) / same - 1.0 / (1.0 + lam)), 0.5 * lam / same,
+                -0.5 * float(np.sum(np.log(same / (1.0 + lam) ** 2))))
 
     def describe_fit(self) -> str:
         """How the model was made: closed form, EM converged or stopped
@@ -301,26 +309,13 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER) -> PldaModel:
                      converged=converged)
 
 
-def _plda_scoring_cache(model: PldaModel):
-    """(V, q, p, k) of the LLR in the basis where W = I and B is diagonal (Ioffe
-    2006): with (lambda, V) = eigh(B, W) and y = V'(x - mu), a pair's LLR is
-    sum_j q_j (y1_j^2 + y2_j^2) + 2 p_j y1_j y2_j + k, elementwise per dimension."""
-    if model._scoring_cache is None:
-        lam, v = scipy.linalg.eigh(model.B, model.W)
-        same = 1.0 + 2.0 * lam  # per dimension, det [[1+lambda, lambda], [lambda, 1+lambda]]
-        model._scoring_cache = (v, -0.5 * ((1.0 + lam) / same - 1.0 / (1.0 + lam)),
-                                0.5 * lam / same,
-                                -0.5 * float(np.sum(np.log(same / (1.0 + lam) ** 2))))
-    return model._scoring_cache
-
-
 def plda_group_llr(model: PldaModel, groups1, groups2) -> np.ndarray:
     """(len(groups1), len(groups2)) table of each pair of (n, d) groups' mean
     LLR over its n1 x n2 record pairs: exactly mean q(y1) + mean q(y2) +
     2 m1' diag(p) m2 + k, with m a group's mean y. The cross term is an
     elementwise reduction, not a matrix product, so that its bits do not
     depend on the BLAS thread count."""
-    v, q, p, k = _plda_scoring_cache(model)
+    v, q, p, k = model._scoring_basis
 
     def stats(groups):  # each group's mean q(y) and mean y
         ys = [(np.asarray(x, dtype=np.float64) - model.mu) @ v for x in groups]

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .store import _read_text
+
 MAGIC = "#AVSRKIT-CKPT v1"
 
 
@@ -47,8 +49,7 @@ def save_checkpoint(path, kind: str, arrays: dict, scalars: dict | None = None) 
 
 def load_checkpoint(path, kind: str):
     """(arrays, scalars) of a checkpoint of the given kind, checked after the entries."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, CheckpointError).splitlines()
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: missing checkpoint magic {MAGIC!r}")
     found = None

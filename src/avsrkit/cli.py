@@ -144,8 +144,10 @@ def _cmd_synth(args):
 def _cmd_train_vfnet(args):
     config = _config(training.TrainConfig, args)
     emb = store.load_embeddings(args.embeddings)
-    train_trials = store.load_trials(args.train_trials)
-    valid_trials = store.load_trials(args.valid_trials)
+    train_trials, valid_trials = map(store.load_trials, (args.train_trials, args.valid_trials))
+    for path, trials in ((args.train_trials, train_trials), (args.valid_trials, valid_trials)):
+        if not len(trials):
+            raise store.FormatError(f"{path}: holds no trials")
     report = training.train(emb, train_trials, valid_trials, config)
     vfnet.save_params(report.final_params, args.out_params)
     if args.out_report:
@@ -163,16 +165,14 @@ def _cmd_fit_backend(args):
 
 
 def _cmd_score(args):
-    enroll = store.load_embeddings(args.enroll)
-    test = store.load_embeddings(args.test)
+    enroll, test = map(store.load_embeddings, (args.enroll, args.test))
     trials = store.load_trials(args.trials)
     rule = backend.PoolingRule(args.pool_fraction)
     lda = plda = params = None
     if args.system == "audio":
         if not args.lda or not args.plda:
             raise UsageError("--system audio requires --lda and --plda")
-        lda = backend.load_lda(args.lda)
-        plda = backend.load_plda(args.plda)
+        lda, plda = backend.load_lda(args.lda), backend.load_plda(args.plda)
     if args.system == "vfnet":
         if not args.params:
             raise UsageError("--system vfnet requires --params")
@@ -214,7 +214,7 @@ def _cmd_eval(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(header + "\n" + line + "\n")
     if args.det_points:
-        columns = (a.tolist() for a in metrics.roc_points(scores))
+        columns = (a.tolist() for a in (report.thresholds, report.p_miss, report.p_fa))
         with open(args.det_points, "w", encoding="utf-8") as fh:
             fh.write("threshold\tp_miss\tp_fa\n" + "".join(
                 f"{t!r}\t{pm!r}\t{pf!r}\n" for t, pm, pf in zip(*columns)))

@@ -7,6 +7,7 @@ import dataclasses
 import difflib
 import typing
 
+from .store import _read_text
 from .training import TrainConfig
 
 
@@ -21,18 +22,17 @@ _SPELLINGS = {TrainConfig: {"learning_rate": "lr", "rng_seed": "seed"}}
 def parse_kv_file(path) -> dict:
     """Parse ``key = value`` lines into {key: (value, lineno)}; '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: repeated config key {key!r} "
-                                  f"(first on line {out[key][1]})")
-            out[key] = (value, lineno)
+    for lineno, raw in enumerate(_read_text(path, ConfigError).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r} "
+                              f"(first on line {out[key][1]})")
+        out[key] = (value, lineno)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Detection metrics: ROC points, EER, AUC, minDCF, actDCF.
+"""Detection metrics: EER, AUC, minDCF, actDCF and the ROC they come from.
 
 Convention everywhere: a trial is accepted iff its score >= threshold.
 """
@@ -6,7 +6,7 @@ Convention everywhere: a trial is accepted iff its score >= threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,25 +52,15 @@ class MetricReport:
     act_dcf: float  # the normalized cost at the Bayes threshold, the scores read as llrs
     n_target: int
     n_nontarget: int
-
-
-def _split_scores(scores: ScoreSet):
-    s, is_target = scores.scores_and_labels()
-    return s[is_target], s[~is_target]
-
-
-def roc_points(scores: ScoreSet):
-    """Operating points as (thresholds, p_miss, p_fa) arrays over all distinct
-    thresholds, in increasing order.
-
-    p_miss is non-decreasing and p_fa non-increasing along increasing
-    threshold; the -inf/+inf endpoints (0,1) and (1,0) are always included.
-    """
-    return _roc_arrays(*_split_scores(scores))
+    # the ROC: an operating point per distinct threshold, increasing, between the -inf and
+    # +inf endpoints (0, 1) and (1, 0); p_miss non-decreasing, p_fa non-increasing
+    thresholds: np.ndarray = field(compare=False, repr=False)
+    p_miss: np.ndarray = field(compare=False, repr=False)
+    p_fa: np.ndarray = field(compare=False, repr=False)
 
 
 def _roc_arrays(tar, non):
-    """roc_points of target and nontarget score arrays."""
+    """(thresholds, p_miss, p_fa) of target and nontarget score arrays."""
     thresholds = np.unique(np.concatenate([tar, non]))
     # at threshold t: miss iff target score < t, false alarm iff nontarget >= t
     n_miss = np.searchsorted(np.sort(tar), thresholds, side="left")
@@ -102,32 +92,24 @@ def _auc_arrays(tar, non) -> float:
     return float(wins.sum() / (tar.shape[0] * non.shape[0]))
 
 
-def _min_dcf_roc(thresholds, p_miss, p_fa, params: DcfParams):
+def _dcf_roc(thresholds, p_miss, p_fa, params: DcfParams):
+    """(minDCF, the threshold that attains it, actDCF) on a ROC. The minimum is
+    the first, at the lowest threshold; the Bayes threshold's operating point is
+    the first at or above it, since no score lies between the two."""
     cost = params.c_miss * params.p_target * p_miss \
         + params.c_fa * (1.0 - params.p_target) * p_fa
-    i = int(np.argmin(cost))  # the first minimum, at the lowest threshold
-    return float(cost[i] / params.normalizer), float(thresholds[i])
-
-
-def _act_dcf_arrays(tar, non, params: DcfParams) -> float:
-    theta = params.bayes_threshold
-    p_miss = float(np.count_nonzero(tar < theta)) / tar.shape[0]
-    p_fa = float(np.count_nonzero(non >= theta)) / non.shape[0]
-    cost = params.c_miss * params.p_target * p_miss \
-        + params.c_fa * (1.0 - params.p_target) * p_fa
-    return cost / params.normalizer
+    i = int(np.argmin(cost))
+    act = int(np.searchsorted(thresholds, params.bayes_threshold, side="left"))
+    return (float(cost[i] / params.normalizer), float(thresholds[i]),
+            float(cost[act] / params.normalizer))
 
 
 def compute_metrics(scores: ScoreSet, params: DcfParams = DcfParams()) -> MetricReport:
-    tar, non = _split_scores(scores)
+    s, is_target = scores.scores_and_labels()
+    tar, non = s[is_target], s[~is_target]
     thresholds, p_miss, p_fa = _roc_arrays(tar, non)
-    mdcf, threshold = _min_dcf_roc(thresholds, p_miss, p_fa, params)
-    return MetricReport(
-        eer=_eer_roc(p_miss, p_fa),
-        auc=_auc_arrays(tar, non),
-        min_dcf=mdcf,
-        min_dcf_threshold=threshold,
-        act_dcf=_act_dcf_arrays(tar, non, params),
-        n_target=tar.shape[0],
-        n_nontarget=non.shape[0],
-    )
+    mdcf, threshold, act_dcf = _dcf_roc(thresholds, p_miss, p_fa, params)
+    return MetricReport(eer=_eer_roc(p_miss, p_fa), auc=_auc_arrays(tar, non), min_dcf=mdcf,
+                        min_dcf_threshold=threshold, act_dcf=act_dcf,
+                        n_target=tar.shape[0], n_nontarget=non.shape[0],
+                        thresholds=thresholds, p_miss=p_miss, p_fa=p_fa)

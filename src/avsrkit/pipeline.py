@@ -59,8 +59,7 @@ def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positiv
     """Identity-level trials: one target per identity plus sampled nontargets."""
     ids = sorted(set(embedding_store.identity_ids))
     return store.sample_nontargets(list(zip(ids, ids)), ids, ids, dict(zip(ids, ids)),
-                                   negatives_per_positive * len(ids),
-                                   np.random.default_rng(rng_seed))
+                                   negatives_per_positive, np.random.default_rng(rng_seed))
 
 
 def split_enroll_test(embedding_store: EmbeddingStore):
@@ -101,7 +100,7 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
     whose identity lacks a modality a requested system reads raises ValueError.
     """
     if not len(trials):
-        return {system: ScoreSet([]) for system in systems}
+        return {system: ScoreSet.from_columns([], [], [], []) for system in systems}
     ids = (trials.enroll_ids, trials.test_ids)
     # each side's identities, sorted, and each trial's row or column among them
     sides = [np.unique(side, return_inverse=True) for side in ids]

@@ -288,6 +288,19 @@ def _read_columns(path, widths, expected):
             lineno += breaks.size
 
 
+def _read_text(path, error) -> str:
+    """A UTF-8 file's text, read with universal newlines; an undecodable byte
+    raises error naming the file and line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # an undecodable byte, escaped
+        lineno = text.count("\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not valid UTF-8") from None
+    return text
+
+
 def _floats(texts, message, sep=None):
     """The numbers in texts, each split at sep if given, as one float64 array.
     A RowError names the first text with one that float() rejects."""
@@ -402,35 +415,36 @@ def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
     uniformly over cross-identity pairs without replacement. Deterministic
     given the seed.
     """
-    if negatives_per_positive < 1:
-        raise ValueError("negatives_per_positive must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    voices, faces = store.restrict("voice"), store.restrict("face")
-    if not len(voices) or not len(faces):
+    ids, by_identity = {"voice": [], "face": []}, {}  # record ids of each modality, in store order
+    for record_id, identity, modality in zip(store.record_ids, store.identity_ids,
+                                             store.modalities):
+        ids[modality].append(record_id)
+        by_identity.setdefault(identity, {"voice": [], "face": []})[modality].append(record_id)
+    if not ids["voice"] or not ids["face"]:
         raise ValueError("store must contain both voice and face records")
 
-    by_identity = {}
-    for side, part in enumerate((voices, faces)):
-        for record_id, identity in zip(part.record_ids, part.identity_ids):
-            by_identity.setdefault(identity, ([], []))[side].append(record_id)
-
     targets = []
-    for identity in sorted(by_identity):
-        vids, fids = by_identity[identity]
-        pairs = [(v, f) for v in vids for f in fids]
+    for _, own in sorted(by_identity.items()):
+        pairs = [(v, f) for v in own["voice"] for f in own["face"]]
         if len(pairs) > MAX_TARGETS_PER_IDENTITY:
             idx = rng.choice(len(pairs), size=MAX_TARGETS_PER_IDENTITY, replace=False)
             pairs = [pairs[i] for i in sorted(idx)]
         targets.extend(pairs)
 
-    return sample_nontargets(targets, voices.record_ids, faces.record_ids,
+    return sample_nontargets(targets, ids["voice"], ids["face"],
                              dict(zip(store.record_ids, store.identity_ids)),
-                             negatives_per_positive * len(targets), rng)
+                             negatives_per_positive, rng)
 
 
-def sample_nontargets(targets, left_ids, right_ids, identity_of, n_nontargets, rng) -> TrialSet:
-    """Labeled trials: the target pairs, then n_nontargets distinct cross-identity
-    pairs drawn uniformly, left then right, from left_ids x right_ids."""
+def sample_nontargets(targets, left_ids, right_ids, identity_of, negatives_per_positive,
+                      rng) -> TrialSet:
+    """Labeled trials: the target pairs, then negatives_per_positive (>= 1) distinct
+    cross-identity pairs per target, drawn uniformly, left then right, from
+    left_ids x right_ids."""
+    if negatives_per_positive < 1:
+        raise ValueError("negatives_per_positive must be >= 1")
+    n_nontargets = negatives_per_positive * len(targets)
     left, right = (Counter(map(identity_of.__getitem__, ids)) for ids in (left_ids, right_ids))
     n_cross = len(left_ids) * len(right_ids) - sum(n * right[i] for i, n in left.items())
     if n_nontargets > n_cross:

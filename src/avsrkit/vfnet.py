@@ -135,10 +135,9 @@ def cosine_similarity(a, b):
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
-    if np.any(na == 0.0):
-        raise ValueError("first argument has zero norm")
-    if np.any(nb == 0.0):
-        raise ValueError("second argument has zero norm")
+    for which, norm in (("first", na), ("second", nb)):
+        if np.any(norm == 0.0):
+            raise ValueError(f"{which} argument has zero norm")
     s = np.clip(np.sum(a * b, axis=-1) / (na * nb), -1.0, 1.0)
     return float(s) if s.ndim == 0 else s
 
@@ -178,10 +177,9 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
     f, af = _branch_forward(fw1, fb1, fw2, fb2, faces)
     nu = np.linalg.norm(u, axis=1)
     nf = np.linalg.norm(f, axis=1)
-    if np.any(nu == 0.0):
-        raise ValueError(f"zero-norm transformed voice at batch index {int(np.argmin(nu))}")
-    if np.any(nf == 0.0):
-        raise ValueError(f"zero-norm transformed face at batch index {int(np.argmin(nf))}")
+    for which, norm in (("voice", nu), ("face", nf)):
+        if np.any(norm == 0.0):
+            raise ValueError(f"zero-norm transformed {which} at batch index {int(np.argmin(norm))}")
 
     s = np.einsum("ij,ij->i", u, f) / (nu * nf)
     x = 2.0 * s.astype(np.float64, copy=False) - 1.0

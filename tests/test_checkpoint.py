@@ -46,6 +46,13 @@ class TestLoadCheckpoint:
             load_checkpoint(path, "test")
         assert str(exc.value) == f"{path}:5: {kind} {name!r} repeats line 3"
 
+    def test_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(f"{MAGIC}\r\nkind\ttest\r\nscalar\tk\t1.0\xff\n".encode("latin-1"))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path, "test")
+        assert str(exc.value) == f"{path}:3: not valid UTF-8"
+
     def test_same_name_as_scalar_and_array(self, tmp_path):
         path = write(tmp_path / "m.ckpt", "scalar\tmean\t1.0", "array\tmean\t1\t2.0")
         arrays, scalars = load_checkpoint(path, "test")

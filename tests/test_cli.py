@@ -11,6 +11,7 @@ import pytest
 
 from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, load_lda, load_plda,
                              save_lda, save_plda)
+from avsrkit import metrics
 from avsrkit.cli import main
 from avsrkit.pipeline import score_trials
 from avsrkit.store import (load_embeddings, load_scores, load_trials, save_embeddings,
@@ -93,6 +94,20 @@ class TestEval:
         assert rows == [[-np.inf, 0.0, 1.0], [-2.0, 0.0, 1.0], [2.0, 0.0, 0.0],
                         [np.inf, 1.0, 0.0]]
 
+    def test_det_points_from_one_sweep(self, tmp_path, monkeypatch):
+        save_scores(ScoreSet.from_columns(["a", "a", "b"], ["a", "b", "a"], [2.0, -2.0, 0.5],
+                                          ["target", "nontarget", "nontarget"]),
+                    tmp_path / "s.tsv")
+        calls = []
+        convert, sweep = ScoreSet.scores_and_labels, metrics._roc_arrays
+        monkeypatch.setattr(ScoreSet, "scores_and_labels",
+                            lambda self: calls.append("labels") or convert(self))
+        monkeypatch.setattr(metrics, "_roc_arrays",
+                            lambda tar, non: calls.append("roc") or sweep(tar, non))
+        assert main(["eval", "--scores", str(tmp_path / "s.tsv"),
+                     "--det-points", str(tmp_path / "det.tsv")]) == 0
+        assert sorted(calls) == ["labels", "roc"]
+        assert len((tmp_path / "det.tsv").read_text().splitlines()) == 1 + 5
 
     def test_unlabeled_line_named(self, tmp_path, capsys):
         path = tmp_path / "m.scores"
@@ -239,6 +254,20 @@ class TestSynth:
                      "--out-dir", str(out)]) == 1
         assert "requested 60 nontargets but only 6 pairs exist" in capsys.readouterr().err
         assert not list(out.glob("*.embeddings"))
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_no_nontargets_per_target_writes_nothing(self, tmp_path, capsys, value):
+        out = tmp_path / "bench"
+        assert main(["synth", "--n-train", "4", "--n-test", "3", "--sessions", "2",
+                     "--negatives-per-positive", value, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: negatives_per_positive must be >= 1\n"
+        assert not out.exists()
+
+    def test_undecodable_config_named(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.config"
+        cfg.write_bytes(b"rng_seed = 3\nsigma\xff = 0.5\n")
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: not valid UTF-8\n"
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "gen.config"
@@ -428,6 +457,25 @@ class TestTrainVfnet:
                 "--out-params", str(tmp_path / "net.ckpt")]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: trial (v2, nosuch): no record 'nosuch' in store\n"
+        assert not (tmp_path / "net.ckpt").exists()
+
+    @pytest.mark.parametrize("empty", ["train", "valid"])
+    def test_empty_trial_file_named(self, tmp_path, capsys, empty):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore.from_columns(["v1", "f1", "v2", "f2"], ["A", "A", "B", "B"],
+                                            ["voice", "face"] * 2, rng.standard_normal((4, 3)))
+        save_embeddings(store, tmp_path / "e.embeddings")
+        save_trials(TrialSet.from_columns(["v1", "v1"], ["f1", "f2"], ["target", "nontarget"]),
+                    tmp_path / "train.trials")
+        save_trials(TrialSet.from_columns(["v2", "v2"], ["f2", "f1"], ["target", "nontarget"]),
+                    tmp_path / "valid.trials")
+        (tmp_path / f"{empty}.trials").write_bytes(b"")
+        argv = ["train-vfnet", "--embeddings", str(tmp_path / "e.embeddings"),
+                "--train-trials", str(tmp_path / "train.trials"),
+                "--valid-trials", str(tmp_path / "valid.trials"),
+                "--out-params", str(tmp_path / "net.ckpt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / empty}.trials: holds no trials\n"
         assert not (tmp_path / "net.ckpt").exists()
 
 

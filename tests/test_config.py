@@ -25,6 +25,13 @@ class TestParseKvFile:
         with pytest.raises(ConfigError, match=":2"):
             parse_kv_file(p)
 
+    def test_undecodable_byte_names_line(self, tmp_path):
+        p = tmp_path / "c.config"
+        p.write_bytes(b"# caf\xc3\xa9\rlr = 0.001\nbatch_size = 6\xff4\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_kv_file(p)
+        assert str(exc.value) == f"{p}:3: not valid UTF-8"
+
     def test_repeated_key_names_both_lines(self, tmp_path):
         p = tmp_path / "c.config"
         p.write_text("lda_dim = 4\n# again\nlda_dim = 8\n")

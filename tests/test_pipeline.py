@@ -66,6 +66,13 @@ class TestBuildIdentityTrials:
         with pytest.raises(ValueError):
             build_identity_trials(EmbeddingStore(recs), 10, 0)
 
+    @pytest.mark.parametrize("npp", [0, -2])
+    def test_fewer_than_one_negative_per_target(self, npp):
+        store = EmbeddingStore.from_columns(["v0", "v1"], ["id0", "id1"], ["voice"] * 2,
+                                            [[1.0], [2.0]])
+        with pytest.raises(ValueError, match="^negatives_per_positive must be >= 1$"):
+            build_identity_trials(store, npp, 0)
+
 
 def test_nontarget_draws_pinned():
     """Both trial builders draw their nontargets through one sampler; the

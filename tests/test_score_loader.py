@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import avsrkit.store
 from avsrkit import cli
-from avsrkit.metrics import roc_points
+from avsrkit.metrics import compute_metrics
 from avsrkit.store import (EmbeddingStore, FormatError, RowError, ScoreSet, Trial, TrialSet,
                            load_embeddings, load_scores, load_trials, save_scores)
 
@@ -148,7 +148,8 @@ def reference_load_embeddings(path):
 
 
 def reference_det_table(scores):
-    points = list(zip(*(a.tolist() for a in roc_points(scores))))
+    report = compute_metrics(scores)
+    points = list(zip(*(a.tolist() for a in (report.thresholds, report.p_miss, report.p_fa))))
     return "threshold\tp_miss\tp_fa\n" + "".join(f"{t}\t{pm}\t{pf}\n" for t, pm, pf in points)
 
 
