@@ -2,10 +2,12 @@
 
 Batches are balanced (equal target/nontarget halves), the optimizer is Adam,
 and model selection uses held-out validation EER with early stopping.
-Training is mixed precision: the forward and backward passes run on float32
-rows, while the master weights, Adam's moments, validation and the returned
-parameters stay float64 (Micikevicius et al. 2018). Everything is a
-deterministic function of (data, config, seed).
+Training runs in float32: the rows, the weights, each batch's gradients and
+Adam's two moments are float32, and the weights, gradients and each moment
+are one flat buffer apiece, so an Adam step is one pass per operation over
+all layers. Validation and the returned parameters are float64, widened
+exactly from the float32 weights. Everything is a deterministic function of
+(data, config, seed).
 """
 
 from __future__ import annotations
@@ -58,17 +60,21 @@ class TrainReport:
     train_loss: list  # per epoch
     validation_eer: list  # per epoch
     best_epoch: int  # 0-based index of the minimum validation EER
-    final_params: VFNetParams
+    final_params: VFNetParams  # float64, the weights after best_epoch
+    stopped_by: str  # "patience" (validation EER stopped improving) or "max_epochs"
 
 
-def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64):
+def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64,
+                  which: str = "training"):
     """(rows, voice_at, face_at, same) of labeled trials: each record the
     trials use, once, in ``dtype``; each trial's voice and face row among
-    them; the target mask. Raises ValueError naming the first trial with a
-    record not in the store, and TrainingError naming the first record, in
-    trial order and voices first, that ``dtype`` cannot hold."""
+    them; the target mask. Raises ValueError naming ``which`` trials when
+    they are unlabeled or lack targets or nontargets, ValueError naming the
+    first trial with a record not in the store, and TrainingError naming the
+    first record, in trial order and voices first, that ``dtype`` cannot
+    hold."""
     if not trials.labeled:
-        raise ValueError("training trials must be labeled")
+        raise ValueError(f"{which} trials must be labeled")
     ids = trials.enroll_ids + trials.test_ids
     try:
         used, at = np.unique(store.indices(ids), return_inverse=True)
@@ -83,46 +89,44 @@ def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64):
         raise TrainingError(f"record {ids[np.argmax(over[at])]} has values beyond the "
                             f"{np.dtype(dtype).name} range (|x| > {limit:.4g})")
     same = np.array([label == "target" for label in trials.labels], dtype=bool)
+    if same.all() or not same.any():
+        raise ValueError(f"{which} trials need both targets and nontargets")
     return store.vectors[used].astype(dtype, copy=False), at[:len(trials)], at[len(trials):], same
 
 
 class _Adam:
-    """Adam on float64 moments, updating them and the parameters in place
-    through two preallocated scratch buffers per parameter array. The
-    operations keep the textbook order, bias corrections included, so the
-    steps have the bits of the allocating form."""
+    """Adam on the flat buffer of a ``VFNetParams.flat_like`` parameter set:
+    its moments are two zero buffers of the same dtype, and each step updates
+    them and the parameters in place, one pass per operation, through two
+    scratch buffers. The step is the one-division form of Kingma & Ba (2015,
+    Section 2), p -= (lr / c1) m / (sqrt(v) (1 / sqrt(c2)) + eps); its
+    operations keep the order of the allocating form, so they have its bits."""
 
     def __init__(self, learning_rate: float, params: VFNetParams):
         self.learning_rate = learning_rate
         self.t = 0
-        self.m = params.zeros_like()
-        self.v = params.zeros_like()
-        self._scratch = [(np.empty_like(p), np.empty_like(p))
-                         for p in params.as_dict().values()]
+        self.m, self.v, self._a, self._b = (np.zeros_like(params.flat) for _ in range(4))
 
     def step(self, params: VFNetParams, grads: VFNetParams):
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for p, g, m, v, (a, b) in zip(*(x.as_dict().values()
-                                        for x in (params, grads, self.m, self.v)),
-                                      self._scratch):
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-            m *= ADAM_BETA1
-            m += a
-            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-            a *= g
-            v *= ADAM_BETA2
-            v += a
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m, c1, out=a)
-            a *= self.learning_rate
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
-            p -= a
+        p, g, m, v, a, b = params.flat, grads.flat, self.m, self.v, self._a, self._b
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m *= ADAM_BETA1
+        m += a
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v *= ADAM_BETA2
+        v += a
+        # p -= (lr / c1) m / (sqrt(v) (1 / sqrt(c2)) + eps)
+        np.sqrt(v, out=b)
+        b *= 1.0 / math.sqrt(c2)
+        b += ADAM_EPS
+        np.multiply(m, self.learning_rate / c1, out=a)
+        a /= b
+        p -= a
 
 
 def _pair_scores(params: VFNetParams, rows, voice_at, face_at):
@@ -149,23 +153,24 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     """Train on labeled cross-modal trials; keep the best-validation epoch.
 
     Each batch holds batch_size // 2 targets and as many nontargets; the
-    batch gradient is the mean pair gradient, computed on float32 rows and
-    applied to float64 weights. Raises TrainingError naming a training record
-    that float32 cannot hold, and with the epoch, the batch and example trial
-    ids if a batch's loss or gradient goes non-finite.
+    batch gradient is the mean pair gradient, computed in float32 and applied
+    to the float32 weights. Raises ValueError when either trial list is
+    unlabeled or lacks targets or nontargets, TrainingError naming a training
+    record that float32 cannot hold, and TrainingError with the epoch, the
+    batch and example trial ids if a batch's loss or gradient goes non-finite.
     """
     rows, voice_at, face_at, t_same = _gather_pairs(store, train_trials, np.float32)
-    valid_rows, valid_voice_at, valid_face_at, v_same = _gather_pairs(store, valid_trials)
+    valid_rows, valid_voice_at, valid_face_at, v_same = _gather_pairs(
+        store, valid_trials, which="validation")
 
-    params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
-                         output_dim=config.output_dim, seed=config.rng_seed)
+    best_params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
+                              output_dim=config.output_dim, seed=config.rng_seed)
+    params = best_params.flat_like(np.float32, copy=True)  # exact: float32 values
     rng = np.random.default_rng([config.rng_seed, 7])
     optimizer = _Adam(config.learning_rate, params)
 
     tar_idx = np.flatnonzero(t_same)
     non_idx = np.flatnonzero(~t_same)
-    if tar_idx.size == 0 or non_idx.size == 0:
-        raise ValueError("training trials need both targets and nontargets")
     half = config.batch_size // 2
     n_batches = max(math.ceil(tar_idx.size / half), math.ceil(non_idx.size / half))
 
@@ -173,7 +178,7 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     valid_eers = []
     best_eer = math.inf
     best_epoch = 0
-    best_params = params.copy()
+    stopped_by = "max_epochs"
     since_best = 0
     for epoch in range(config.max_epochs):
         t_stream = tar_idx[_tiled_permutation(rng, tar_idx.size, n_batches * half)]
@@ -184,9 +189,9 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
                                   n_stream[b * half:(b + 1) * half]])
             loss, grads = batch_loss_grad(params, rows[voice_at[idx]], rows[face_at[idx]],
                                           t_same[idx])
-            bad = grads.non_finite()
-            if not math.isfinite(loss) or bad:
-                what = "loss" if not math.isfinite(loss) else f"gradient of {bad[0]}"
+            if not (math.isfinite(loss) and np.isfinite(grads.flat).all()):
+                what = ("loss" if not math.isfinite(loss)
+                        else f"gradient of {grads.non_finite()[0]}")
                 examples = ", ".join(f"({train_trials.enroll_ids[i]}, {train_trials.test_ids[i]})"
                                      for i in idx[:3])
                 raise TrainingError(
@@ -196,21 +201,24 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
             epoch_loss += loss
         train_losses.append(epoch_loss / n_batches)
 
-        scores = _pair_scores(params, valid_rows, valid_voice_at, valid_face_at)
+        widened = params.flat_like(np.float64, copy=True)
+        scores = _pair_scores(widened, valid_rows, valid_voice_at, valid_face_at)
         valid_eer = _eer_arrays(scores[v_same], scores[~v_same])
         valid_eers.append(valid_eer)
         if valid_eer < best_eer:
             best_eer = valid_eer
             best_epoch = epoch
-            best_params = params.copy()
+            best_params = widened
             since_best = 0
         else:
             since_best += 1
             if since_best > config.patience:
+                stopped_by = "patience"
                 break
 
     return TrainReport(train_loss=train_losses, validation_eer=valid_eers,
-                       best_epoch=best_epoch, final_params=best_params)
+                       best_epoch=best_epoch, final_params=best_params,
+                       stopped_by=stopped_by)
 
 
 def save_report(report: TrainReport, path) -> None:

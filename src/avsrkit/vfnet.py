@@ -6,9 +6,13 @@ similarity S, mapped through a two-way softmax over (S, 1-S) to a same-person
 probability, and trained with cross-entropy. Gradients are exact reverse-mode,
 written out by hand.
 
-Parameters are always float64. ``batch_loss_grad`` runs its matrix products in
-the precision of the rows it is given (float32 rows for mixed-precision
-training, float64 for exact checks); everything else computes in float64.
+Parameters are float32 or float64 arrays, kept as given; ``init_params``
+draws float32-representable weights, so widening them to float64 and
+narrowing them back is exact. ``batch_loss_grad`` runs its matrix products in
+the precision of the rows it is given (float32 rows for training, float64 for
+exact checks) and returns its gradients in that precision, as views of one
+flat buffer. The trainer keeps its float32 state in such buffers
+(``VFNetParams.flat_like``); transforms and scoring compute in float64.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 @dataclass
 class VFNetParams:
-    """Weights of both transform branches; w* are (out, in), b* are (out,)."""
+    """Weights of both transform branches; w* are (out, in), b* are (out,).
+    Float32 and float64 arrays are kept as given, anything else becomes
+    float64. ``flat`` is the 1-d buffer the arrays view, in field order, when
+    they were made by ``flat_like``; otherwise it is None."""
 
     voice_w1: np.ndarray
     voice_b1: np.ndarray
@@ -34,10 +41,14 @@ class VFNetParams:
     face_b1: np.ndarray
     face_w2: np.ndarray
     face_b2: np.ndarray
+    flat = None  # not a field: set by flat_like
 
     def __post_init__(self):
         for f in fields(self):
-            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
+            arr = np.asarray(getattr(self, f.name))
+            if arr.dtype != np.float32:
+                arr = arr.astype(np.float64, copy=False)
+            setattr(self, f.name, arr)
         if self.voice_w2.shape[1] != self.voice_w1.shape[0]:
             raise ValueError("voice branch layer shapes do not chain")
         if self.face_w2.shape[1] != self.face_w1.shape[0]:
@@ -53,8 +64,20 @@ class VFNetParams:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def zeros_like(self) -> "VFNetParams":
-        return VFNetParams(*(np.zeros_like(getattr(self, f.name)) for f in fields(self)))
+    def flat_like(self, dtype, copy=False) -> "VFNetParams":
+        """Arrays shaped like these, in ``dtype``, that view consecutive runs
+        of one new buffer, kept as ``flat``; uninitialised, or a copy of these
+        values when ``copy``."""
+        arrays = self.as_dict().values()
+        flat = np.empty(sum(a.size for a in arrays), dtype=dtype)
+        ends = np.cumsum([a.size for a in arrays])
+        out = VFNetParams(*(flat[end - a.size:end].reshape(a.shape)
+                            for a, end in zip(arrays, ends)))
+        out.flat = flat
+        if copy:
+            for dst, src in zip(out.as_dict().values(), arrays):
+                dst[...] = src
+        return out
 
     def non_finite(self) -> list:
         """Names of the arrays that hold a NaN or an infinity."""
@@ -63,12 +86,14 @@ class VFNetParams:
 
 def init_params(input_dim: int = 512, hidden_dim: int = 256, output_dim: int = 128,
                 seed: int = 0) -> VFNetParams:
-    """Glorot-uniform weights, zero biases."""
+    """Glorot-uniform weights rounded to float32 values, zero biases; the
+    arrays are float64."""
     rng = np.random.default_rng(seed)
 
     def layer(n_out, n_in):
         limit = math.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-limit, limit, size=(n_out, n_in)), np.zeros(n_out)
+        w = rng.uniform(-limit, limit, size=(n_out, n_in))
+        return w.astype(np.float32).astype(np.float64), np.zeros(n_out)
 
     vw1, vb1 = layer(hidden_dim, input_dim)
     vw2, vb2 = layer(output_dim, hidden_dim)
@@ -158,11 +183,12 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
     """Mean pair loss and its gradient over a batch of (voice, face) pairs.
 
     voices/faces are (n, d_in); same_mask is boolean (n,). Returns
-    (mean_loss, grads) with grads shaped like params. The branch passes run
-    in the rows' precision: float32 rows give float32 matrix products, any
-    other rows float64. The loss of each pair, their mean and the returned
-    gradients are float64 either way. Raises if any transformed vector has
-    zero norm (cosine gradient undefined there).
+    (mean_loss, grads) with grads shaped like params and viewing one new flat
+    buffer (``grads.flat``). The branch passes run in the rows' precision:
+    float32 rows give float32 matrix products and gradients, any other rows
+    float64; the weights are cast to it only where they differ. The loss of
+    each pair and their mean are float64 either way. Raises if any
+    transformed vector has zero norm (cosine gradient undefined there).
     """
     voices = np.asarray(voices)
     dtype = np.float32 if voices.dtype == np.float32 else np.float64
@@ -196,12 +222,16 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
     gf -= (s / nf**2)[:, None] * f
     gf *= ds[:, None]
 
-    def branch_back(g_out, w2, a, x_in):
+    grads = params.flat_like(dtype)
+    g = grads.as_dict()
+    for branch, g_out, w2, a, x_in in (("voice", gu, vw2, av, voices),
+                                       ("face", gf, fw2, af, faces)):
         gh = g_out @ w2
         gh *= a > 0.0  # the ReLU mask: a > 0 exactly where its input is
-        return gh.T @ x_in, gh.sum(axis=0), g_out.T @ a, g_out.sum(axis=0)
-
-    grads = VFNetParams(*branch_back(gu, vw2, av, voices), *branch_back(gf, fw2, af, faces))
+        np.matmul(gh.T, x_in, out=g[f"{branch}_w1"])
+        gh.sum(axis=0, out=g[f"{branch}_b1"])
+        np.matmul(g_out.T, a, out=g[f"{branch}_w2"])
+        g_out.sum(axis=0, out=g[f"{branch}_b2"])
     return float(losses.mean()), grads
 
 

@@ -479,6 +479,25 @@ class TestTrainVfnet:
         assert not (tmp_path / "net.ckpt").exists()
 
 
+    def test_validation_trials_without_nontargets_exit_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore.from_columns(["v1", "f1", "v2", "f2"], ["A", "A", "B", "B"],
+                                            ["voice", "face"] * 2, rng.standard_normal((4, 3)))
+        save_embeddings(store, tmp_path / "e.embeddings")
+        save_trials(TrialSet.from_columns(["v1", "v1"], ["f1", "f2"], ["target", "nontarget"]),
+                    tmp_path / "train.trials")
+        save_trials(TrialSet.from_columns(["v1", "v2"], ["f1", "f2"], ["target", "target"]),
+                    tmp_path / "valid.trials")
+        argv = ["train-vfnet", "--embeddings", str(tmp_path / "e.embeddings"),
+                "--train-trials", str(tmp_path / "train.trials"),
+                "--valid-trials", str(tmp_path / "valid.trials"),
+                "--out-params", str(tmp_path / "net.ckpt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: validation trials need both targets "
+                                           "and nontargets\n")
+        assert not (tmp_path / "net.ckpt").exists()
+
+
 class TestFitBackend:
     @pytest.mark.parametrize("between_sd,counts,status", [
         (1.0, (3,), "PLDA fit: closed form\n"),

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -8,6 +9,7 @@ from avsrkit.pipeline import split_identities
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
                            build_crossmodal_trials)
 from avsrkit.synth import GenConfig, generate
+from avsrkit import training
 from avsrkit.training import (TrainConfig, TrainingError, _Adam, _gather_pairs, _pair_scores,
                                save_report, train)
 from avsrkit.vfnet import (VFNetParams, batch_loss_grad, cosine_similarity, init_params,
@@ -121,17 +123,52 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(store, unlabeled, va, SMALL_CONFIG)
 
-    def test_float64_master_weights_and_moments(self):
+    def test_requires_both_classes_in_validation(self):
+        store, tr, va = small_data()
+        targets_only = TrialSet([t for t in va if t.label == "target"])
+        with pytest.raises(ValueError, match="^validation trials need both targets and "
+                           "nontargets$"):
+            train(store, tr, targets_only, SMALL_CONFIG)
+
+    def test_unlabeled_list_named(self):
+        store, tr, va = small_data()
+        unlabeled = TrialSet([Trial(t.enroll_id, t.test_id) for t in va])
+        with pytest.raises(ValueError, match="^validation trials must be labeled$"):
+            train(store, tr, unlabeled, SMALL_CONFIG)
+        with pytest.raises(ValueError, match="^training trials must be labeled$"):
+            train(store, unlabeled, va, SMALL_CONFIG)
+
+    @pytest.mark.parametrize("max_epochs,patience,epochs,stopped_by", [
+        (5, 0, 2, "patience"), (2, 0, 2, "patience"), (3, 5, 3, "max_epochs")])
+    def test_stop_reason(self, max_epochs, patience, epochs, stopped_by):
+        # at a zero learning rate the validation EER never improves after
+        # epoch 0, so patience p stops the run after p + 2 epochs
+        store, tr, va = small_data()
+        config = replace(SMALL_CONFIG, learning_rate=0.0, max_epochs=max_epochs,
+                         patience=patience)
+        report = train(store, tr, va, config)
+        assert len(report.train_loss) == epochs
+        assert report.stopped_by == stopped_by
+
+    def test_float32_training_state_and_float64_result(self, monkeypatch):
+        steps = []
+
+        class RecordingAdam(_Adam):
+            def step(self, params, grads):
+                steps.append((self, params, grads))
+                super().step(params, grads)
+
+        monkeypatch.setattr(training, "_Adam", RecordingAdam)
         store, tr, va = small_data()
         report = train(store, tr, va, SMALL_CONFIG)
-        params = report.final_params
-        voices = store.vectors[store.indices([t.enroll_id for t in tr])].astype(np.float32)
-        faces = store.vectors[store.indices([t.test_id for t in tr])].astype(np.float32)
-        _, grads = batch_loss_grad(params, voices, faces, [t.label == "target" for t in tr])
-        optimizer = _Adam(1e-3, params)
-        optimizer.step(params, grads)
-        for arrays in (params, grads, optimizer.m, optimizer.v):
-            assert all(arr.dtype == np.float64 for arr in arrays.as_dict().values())
+        optimizer, params, grads = steps[-1]
+        for buf in (params.flat, grads.flat, optimizer.m, optimizer.v):
+            assert buf.dtype == np.float32 and buf.ndim == 1
+        for arrays, buf in ((params, params.flat), (grads, grads.flat)):
+            assert all(np.shares_memory(arr, buf) for arr in arrays.as_dict().values())
+        for arr in report.final_params.as_dict().values():
+            assert arr.dtype == np.float64
+            np.testing.assert_array_equal(arr.astype(np.float32).astype(np.float64), arr)
 
 
 def scaled_store(scale, seed=0):
@@ -240,30 +277,29 @@ def test_training_memory_scales_with_records(default_train_split):
 
 
 class TestAdam:
-    def allocating_step(self, t, lr, params, grads, m, v):
-        """The textbook step with a temporary per operation."""
-        for p, g, m_i, v_i in zip(*(x.as_dict().values() for x in (params, grads, m, v))):
-            m_i *= 0.9
-            m_i += (1.0 - 0.9) * g
-            v_i *= 0.999
-            v_i += (1.0 - 0.999) * g * g
-            m_hat = m_i / (1.0 - 0.9 ** t)
-            v_hat = v_i / (1.0 - 0.999 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    def allocating_step(self, t, lr, p, g, m, v):
+        """The one-division step with a temporary per operation."""
+        m[...] = 0.9 * m + (1.0 - 0.9) * g
+        v[...] = 0.999 * v + (1.0 - 0.999) * g * g
+        p -= (lr / (1.0 - 0.9 ** t)) * m / (np.sqrt(v) * (1.0 / math.sqrt(1.0 - 0.999 ** t))
+                                            + 1e-8)
 
     def test_in_place_step_matches_allocating_step_bitwise(self, rng):
-        params = init_params(input_dim=7, hidden_dim=5, output_dim=3, seed=1)
-        expected = params.copy()
-        m, v = params.zeros_like(), params.zeros_like()
+        params = init_params(input_dim=7, hidden_dim=5, output_dim=3,
+                             seed=1).flat_like(np.float32, copy=True)
+        expected = params.flat.copy()
+        m, v = np.zeros_like(expected), np.zeros_like(expected)
         optimizer = _Adam(3e-4, params)
         for t in range(1, 6):
-            grads = VFNetParams(*(rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
-                                  for a in params.as_dict().values()))
+            grads = params.flat_like(np.float32)
+            for g in grads.as_dict().values():
+                g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-6, 3)
             optimizer.step(params, grads)
-            self.allocating_step(t, 3e-4, expected, grads, m, v)
-        assert params_equal(params, expected)
-        assert params_equal(optimizer.m, m)
-        assert params_equal(optimizer.v, v)
+            self.allocating_step(t, 3e-4, expected, grads.flat, m, v)
+        assert expected.dtype == m.dtype == v.dtype == np.float32
+        assert params.flat.tobytes() == expected.tobytes()
+        assert optimizer.m.tobytes() == m.tobytes()
+        assert optimizer.v.tobytes() == v.tobytes()
 
 
 class TestConfigValidation:

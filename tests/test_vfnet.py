@@ -251,8 +251,8 @@ def float64_batch_loss_grad(params, voices, faces, same_mask):
 
 
 class TestPrecision:
-    """Float32 rows run the branches in float32; the loss, the gradients and
-    everything computed from float64 rows stay float64."""
+    """Float32 rows run the branches in float32 and give float32 gradients;
+    the loss and everything computed from float64 rows stay float64."""
 
     def batch(self, rng, n=64, dim=16):
         params = init_params(input_dim=dim, hidden_dim=32, output_dim=8,
@@ -271,7 +271,7 @@ class TestPrecision:
             assert abs(loss32 - loss64) < 1e-6
             for f in fields(VFNetParams):
                 exact, mixed = getattr(g64, f.name), getattr(g32, f.name)
-                assert mixed.dtype == np.float64
+                assert mixed.dtype == np.float32
                 assert np.abs(mixed - exact).max() <= 1e-4 * np.abs(exact).max()
 
     def test_float64_rows_keep_the_float64_bits(self, rng):
