@@ -4,12 +4,12 @@ Speaker side: LDA dimensionality reduction followed by a two-covariance PLDA
 (identity mean y ~ N(mu, B), observation x ~ N(y, W)) fitted by maximum
 likelihood, in closed form when every identity has the same session count
 and by EM otherwise. It scores in the basis where W = I and B is diagonal,
-so a whole split's table of identity-pair mean log-likelihood ratios comes
-from each identity's mean vector and mean quadratic term.
+so each trial's mean log-likelihood ratio over its record pairs comes from
+its two identities' mean vectors and mean quadratic terms.
 
-Face side: each enrollment template's cosine with every test face of an
-identity, pooled as the mean of the top fraction; the cross-modal network's
-scores are pooled alike.
+Face side: a trial's enrollment template's cosine with every test face of
+its test identity, pooled as the mean of the top fraction; the cross-modal
+network's scores are pooled alike.
 """
 
 from __future__ import annotations
@@ -309,12 +309,12 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER) -> PldaModel:
                      converged=converged)
 
 
-def plda_group_llr(model: PldaModel, groups1, groups2) -> np.ndarray:
-    """(len(groups1), len(groups2)) table of each pair of (n, d) groups' mean
-    LLR over its n1 x n2 record pairs: exactly mean q(y1) + mean q(y2) +
-    2 m1' diag(p) m2 + k, with m a group's mean y. The cross term is an
-    elementwise reduction, not a matrix product, so that its bits do not
-    depend on the BLAS thread count."""
+def plda_group_llr(model: PldaModel, groups1, groups2, e_at, t_at) -> np.ndarray:
+    """Each trial's mean LLR over the n1 x n2 record pairs of its two (n, d)
+    groups, trial i pairing groups1[e_at[i]] with groups2[t_at[i]]: exactly
+    mean q(y1) + mean q(y2) + 2 m1' diag(p) m2 + k, with m a group's mean y.
+    The cross term is an elementwise reduction, not a matrix product, so that
+    its bits do not depend on the BLAS thread count."""
     v, q, p, k = model._scoring_basis
 
     def stats(groups):  # each group's mean q(y) and mean y
@@ -323,17 +323,14 @@ def plda_group_llr(model: PldaModel, groups1, groups2) -> np.ndarray:
                 np.array([y.mean(axis=0) for y in ys]))
 
     (q1, m1), (q2, m2) = stats(groups1), stats(groups2)
-    return q1[:, None] + q2[None, :] + 2.0 * np.einsum("ij,kj->ik", m1 * p, m2) + k
+    return q1[e_at] + q2[t_at] + 2.0 * np.einsum("ij,ij->i", (m1 * p)[e_at], m2[t_at]) + k
 
 
-def plda_llr(model: PldaModel, e1, e2):
-    """log p(e1, e2 | same identity) - log p(e1, e2 | different identities),
-    with the pair N([mu; mu], [[B+W, B], [B, B+W]]) under "same" and two
-    independent N(mu, B+W) under "different". Two (d,) vectors give a float,
-    (n1, d) and (n2, d) rows the (n1, n2) matrix: one row per group."""
-    e1, e2 = np.asarray(e1, dtype=np.float64), np.asarray(e2, dtype=np.float64)
-    llr = plda_group_llr(model, np.atleast_2d(e1)[:, None], np.atleast_2d(e2)[:, None])
-    return float(llr[0, 0]) if e1.ndim == e2.ndim == 1 else llr
+def plda_llr(model: PldaModel, e1, e2) -> float:
+    """log p(e1, e2 | same identity) - log p(e1, e2 | different identities)
+    of two (d,) vectors, with the pair N([mu; mu], [[B+W, B], [B, B+W]]) under
+    "same" and two independent N(mu, B+W) under "different"."""
+    return float(plda_group_llr(model, [[e1]], [[e2]], [0], [0])[0])  # two one-record groups
 
 
 def save_plda(model: PldaModel, path) -> None:
@@ -368,22 +365,25 @@ class PoolingRule:
         return max(1, k)
 
 
-def pool_cosines(templates, groups, rule: PoolingRule = PoolingRule(),
+def pool_cosines(templates, groups, e_at, t_at, rule: PoolingRule = PoolingRule(),
                  link=None) -> np.ndarray:
-    """(len(templates), len(groups)) table: each (D,) template's cosine with
-    every row of an (n, D) group, mapped through link (an elementwise
-    function) if given, pooled as the mean of the k = rule.k(n) largest."""
+    """Each trial's cosines of its (D,) template templates[e_at[i]] with the rows
+    of its (n, D) test group groups[t_at[i]], mapped through link (elementwise)
+    if given, pooled as the mean of the k = rule.k(n) largest; one pass per group."""
     templates = np.asarray(templates, dtype=np.float64)
     if not np.linalg.norm(templates, axis=1).all():
         raise ValueError("enrollment template has zero norm")
-    table = np.empty((len(templates), len(groups)))
-    for j, x in enumerate(groups):
-        s = cosine_similarity(templates[:, None], np.asarray(x, dtype=np.float64)[None])
+    e_at, t_at = np.asarray(e_at), np.asarray(t_at)
+    order = np.argsort(t_at, kind="stable")  # the trials, grouped by test identity
+    by_group = np.split(order, np.searchsorted(t_at[order], np.arange(1, len(groups))))
+    scores = np.empty(len(t_at))
+    for x, rows in zip(groups, by_group):
+        s = cosine_similarity(templates[e_at[rows], None], np.asarray(x, dtype=np.float64)[None])
         s = s if link is None else link(s)
-        table[:, j] = np.sort(s, axis=1)[:, -rule.k(len(x)):].mean(axis=1)
-    return table
+        scores[rows] = np.sort(s, axis=1)[:, -rule.k(len(x)):].mean(axis=1)
+    return scores
 
 
 def score_face_trial(enroll_faces, test_faces, rule: PoolingRule = PoolingRule()) -> float:
     """Cosine of each test face against the mean enrollment template, pooled."""
-    return float(pool_cosines([np.mean(enroll_faces, axis=0)], [test_faces], rule)[0, 0])
+    return float(pool_cosines([np.mean(enroll_faces, axis=0)], [test_faces], [0], [0], rule)[0])

@@ -8,6 +8,7 @@ files), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -184,6 +185,15 @@ def _cmd_score(args):
     return 0
 
 
+@contextlib.contextmanager
+def _naming_files(paths):
+    """Prefix a disagreement between two score files with their paths."""
+    try:
+        yield
+    except fusion.MismatchError as exc:
+        raise ValueError(f"{paths[exc.system - 1]} vs {paths[0]}: {exc}") from exc
+
+
 def _cmd_fuse(args):
     if len(args.dev_scores) != len(args.eval_scores):
         raise UsageError("--dev-scores and --eval-scores must list the same systems")
@@ -191,8 +201,10 @@ def _cmd_fuse(args):
     # the fit takes its labels from the first system
     dev = [store.load_scores(p, require_labels=k == 0) for k, p in enumerate(args.dev_scores)]
     eval_ = [store.load_scores(p) for p in args.eval_scores]
-    model = fusion.fit_fusion(dev, params)
-    fused = fusion.apply_fusion(model, eval_)
+    with _naming_files(args.dev_scores):
+        model = fusion.fit_fusion(dev, params)
+    with _naming_files(args.eval_scores):
+        fused = fusion.apply_fusion(model, eval_)
     fusion.save_fusion(model, args.out_model)
     store.save_scores(fused, args.out_scores)
     weights = ", ".join(f"{w:.4f}" for w in model.weights)

@@ -40,6 +40,15 @@ class FusionModel:
             raise ValueError("effective_prior must be in (0, 1)")
 
 
+class MismatchError(ValueError):
+    """System `system` (numbered from 1) disagrees with system 1's trial list
+    or labels."""
+
+    def __init__(self, system, message):
+        super().__init__(message)
+        self.system = system
+
+
 def _aligned_matrix(system_scores):
     """Stack per-system scores into (n_trials, n_systems). Every system must
     score system 1's trial list and, where both label a trial, agree with
@@ -49,13 +58,13 @@ def _aligned_matrix(system_scores):
     ref = system_scores[0]
     for k, other in enumerate(system_scores[1:], start=2):
         if (other.enroll_ids, other.test_ids) != (ref.enroll_ids, ref.test_ids):
-            raise ValueError(f"system {k} trial list does not match system 1")
+            raise MismatchError(k, f"system {k} trial list does not match system 1")
         if other.labels == ref.labels:
             continue
         for e, t, ours, theirs in zip(ref.enroll_ids, ref.test_ids, ref.labels, other.labels):
             if ours != theirs and None not in (ours, theirs):
-                raise ValueError(f"system {k} labels trial ({e}, {t}) {theirs!r}, "
-                                 f"system 1 labels it {ours!r}")
+                raise MismatchError(k, f"system {k} labels trial ({e}, {t}) {theirs!r}, "
+                                       f"system 1 labels it {ours!r}")
     # stacked (k, n), then transposed: another layout can change the bits of mat @ w
     return np.array([s.scores for s in system_scores]).T
 

@@ -88,52 +88,74 @@ _READS = {"audio": ("voice", "voice"), "visual": ("face", "face"),
           "vfnet": ("voice", "face")}
 
 
+def _trial_error(ids, row, k, what):
+    """ValueError naming trial `row` and its side-k identity."""
+    return ValueError(f"trial ({ids[0][row]}, {ids[1][row]}): {('enroll', 'test')[k]} "
+                      f"identity {ids[k][row]!r} {what}")
+
+
+def _check_norms(ids, ats, templates, groups, names):
+    """Name the first trial, in trial order, whose template or a row of whose
+    test group has zero norm; names[k] says what side k's vectors are."""
+    zero = (np.linalg.norm(templates, axis=1) == 0.0,
+            np.array([not np.linalg.norm(x, axis=1).all() for x in groups]))
+    reads = zero[0][ats[0]] | zero[1][ats[1]]
+    if reads.any():
+        row = int(np.argmax(reads))
+        k = 0 if zero[0][ats[0][row]] else 1
+        raise _trial_error(ids, row, k, f"has {names[k]} with zero norm")
+
+
 def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
                  lda: backend.LdaTransform, plda: backend.PldaModel,
                  params: vfnet.VFNetParams, rule: backend.PoolingRule,
                  systems=("audio", "visual", "vfnet")):
     """Score every trial under each requested system; returns {system: ScoreSet}.
 
-    Each system scores one enrollment x test identity table (audio by
-    `backend.plda_group_llr`, visual and vfnet by `backend.pool_cosines`, each
-    vfnet branch run once per identity), and a trial takes its entry. A trial
-    whose identity lacks a modality a requested system reads raises ValueError.
+    Each system scores the trials alone, from each identity's group of
+    records (audio by `backend.plda_group_llr`, visual and vfnet by
+    `backend.pool_cosines`, each vfnet branch run once per identity). A trial
+    whose identity lacks a modality a requested system reads, or reads a
+    zero-norm face or network output, raises ValueError naming it.
     """
     if not len(trials):
         return {system: ScoreSet.from_columns([], [], [], []) for system in systems}
     ids = (trials.enroll_ids, trials.test_ids)
-    # each side's identities, sorted, and each trial's row or column among them
+    # each side's identities, sorted, and each trial's index among them
     sides = [np.unique(side, return_inverse=True) for side in ids]
     (e_ids, e_at), (t_ids, t_at) = sides
-    groups = e_side, t_side = ({}, {})  # modality -> each identity's rows, in table order
-    for k, (side, side_store, (side_ids, side_at)) in enumerate(
-            zip(("enroll", "test"), (enroll, test), sides)):
+    groups = e_side, t_side = ({}, {})  # modality -> each identity's rows, in sorted order
+    for k, (side_store, (side_ids, side_at)) in enumerate(zip((enroll, test), sides)):
         for modality in sorted({_READS[s][k] for s in systems}):
             grouped = side_store.grouped(modality)
             lacks = np.array([identity not in grouped for identity in side_ids])
             if lacks.any():  # name the first trial, in trial order, that reads a lacking identity
-                row = int(np.argmax(lacks[side_at]))
-                raise ValueError(f"trial ({ids[0][row]}, {ids[1][row]}): {side} identity "
-                                 f"{ids[k][row]!r} has no {modality} records")
+                raise _trial_error(ids, int(np.argmax(lacks[side_at])), k,
+                                   f"has no {modality} records")
             groups[k][modality] = [grouped[i] for i in side_ids]
-    tables = {}
+    scores = {}
     if "audio" in systems:
         if lda.output_dim != plda.dim:
             raise ValueError(f"LDA output dimension {lda.output_dim} does not match "
                              f"PLDA dimension {plda.dim}")
         e_proj, t_proj = (backend.project_store(lda, side.restrict("voice")).grouped("voice")
                           for side in (enroll, test))
-        tables["audio"] = backend.plda_group_llr(plda, [e_proj[i] for i in e_ids],
-                                                  [t_proj[i] for i in t_ids])
+        scores["audio"] = backend.plda_group_llr(plda, [e_proj[i] for i in e_ids],
+                                                  [t_proj[i] for i in t_ids], e_at, t_at)
     if "visual" in systems:
-        tables["visual"] = backend.pool_cosines([x.mean(axis=0) for x in e_side["face"]],
-                                                t_side["face"], rule)
+        templates = np.array([x.mean(axis=0) for x in e_side["face"]])
+        _check_norms(ids, (e_at, t_at), templates, t_side["face"],
+                     ("a face template", "a face"))
+        scores["visual"] = backend.pool_cosines(templates, t_side["face"], e_at, t_at, rule)
     if "vfnet" in systems:
-        tables["vfnet"] = backend.pool_cosines(
-            [vfnet.transform_voice(params, x.mean(axis=0)) for x in e_side["voice"]],
-            [vfnet.transform_face(params, x) for x in t_side["face"]], rule,
-            link=lambda s: vfnet.pair_probability(s).p_same)
-    return {system: ScoreSet.from_columns(*ids, tables[system][e_at, t_at], trials.labels)
+        templates = np.array([vfnet.transform_voice(params, x.mean(axis=0))
+                              for x in e_side["voice"]])
+        faces = [vfnet.transform_face(params, x) for x in t_side["face"]]
+        _check_norms(ids, (e_at, t_at), templates, faces,
+                     ("a transformed voice template", "a transformed face"))
+        scores["vfnet"] = backend.pool_cosines(templates, faces, e_at, t_at, rule,
+                                               link=lambda s: vfnet.pair_probability(s).p_same)
+    return {system: ScoreSet.from_columns(*ids, scores[system], trials.labels)
             for system in systems}
 
 

@@ -330,8 +330,8 @@ def test_criterion_8_pooling_rule():
     def pool(scores):
         # every row's cosine with the template is exactly 1; the link scales it
         scores = np.asarray(scores)
-        return pool_cosines([[1.0]], [np.ones((len(scores), 1))], rule,
-                            link=lambda cosines: cosines * scores)[0, 0]
+        return pool_cosines([[1.0]], [np.ones((len(scores), 1))], [0], [0], rule,
+                            link=lambda cosines: cosines * scores)[0]
 
     a = pool([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
     b = pool([0.3])

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, fit_lda,
-                             fit_plda, load_lda, load_plda, plda_llr,
+                             fit_plda, load_lda, load_plda, plda_group_llr, plda_llr,
                              pool_cosines, project_store, save_lda,
                              save_plda, score_face_trial)
 from avsrkit.checkpoint import CheckpointError, save_checkpoint
@@ -278,17 +278,21 @@ class TestPlda:
                 - multivariate_normal.logpdf(e2, mu, total)
             assert plda_llr(model, e1, e2) == pytest.approx(oracle, abs=1e-8)
 
-    def test_llr_matrix_matches_pair_loop(self, rng):
+    def test_group_llr_per_trial_matches_pair_loop(self, rng):
         d = 4
         a = rng.standard_normal((d, d))
         model = PldaModel(mu=rng.standard_normal(d), B=a @ a.T, W=np.eye(d) + 0.1 * a.T @ a)
-        e1 = rng.standard_normal((3, d))
-        e2 = rng.standard_normal((5, d))
-        got = plda_llr(model, e1, e2)
-        assert got.shape == (3, 5)
-        want = np.array([[plda_llr(model, x1, x2) for x2 in e2] for x1 in e1])
+        groups1 = [rng.standard_normal((n, d)) for n in (1, 3, 2)]
+        groups2 = [rng.standard_normal((n, d)) for n in (2, 1, 4, 3, 1)]
+        e_at, t_at = [2, 0, 1, 2, 0], [4, 1, 1, 0, 3]
+        got = plda_group_llr(model, groups1, groups2, e_at, t_at)
+        assert got.shape == (5,)
+        want = [np.mean([plda_llr(model, x1, x2) for x1 in groups1[i] for x2 in groups2[j]])
+                for i, j in zip(e_at, t_at)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
-        assert type(plda_llr(model, e1[0], e2[0])) is float
+        assert type(plda_llr(model, groups1[0][0], groups2[0][0])) is float
+        with pytest.raises(ValueError):  # two vectors only, not two groups
+            plda_llr(model, groups1[1], groups2[0])
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
         store = sample_plda_store(rng, np.zeros(2), np.eye(2), 0.5 * np.eye(2), 30, 3)
@@ -300,11 +304,11 @@ class TestPlda:
 
 
 def pool(scores, rule):
-    """Pool given scores through pool_cosines: every row's cosine with the
-    template is exactly 1, and the link scales it to its score."""
+    """Pool given scores through pool_cosines as one trial: every row's cosine
+    with the template is exactly 1, and the link scales it to its score."""
     scores = np.asarray(scores, dtype=np.float64)
-    return pool_cosines([[1.0]], [np.ones((len(scores), 1))], rule,
-                        link=lambda cosines: cosines * scores)[0, 0]
+    return pool_cosines([[1.0]], [np.ones((len(scores), 1))], [0], [0], rule,
+                        link=lambda cosines: cosines * scores)[0]
 
 
 class TestPooling:
@@ -333,21 +337,24 @@ class TestPooling:
             bumped[i] += abs(rng.standard_normal())
             assert pool(bumped, rule) >= base
 
-    def test_table_takes_k_per_group_size(self, rng):
-        # ragged groups in one table: k = 1, 2, 3, 3 for n = 1, 4, 7, 10
+    def test_per_trial_takes_k_per_group_size(self, rng):
+        # ragged groups: k = 1, 2, 3, 3 for n = 1, 4, 7, 10; every
+        # (template, group) pair is a trial, listed in a scrambled order
         rule = PoolingRule(0.3)
         templates = rng.standard_normal((3, 4))
         groups = [rng.standard_normal((n, 4)) for n in (4, 1, 7, 4, 10)]
-        got = pool_cosines(templates, groups, rule)
-        assert got.shape == (3, 5)
-        for i, t in enumerate(templates):
-            for j, x in enumerate(groups):
-                cos = x @ t / (np.linalg.norm(x, axis=1) * np.linalg.norm(t))
-                k = {1: 1, 4: 2, 7: 3, 10: 3}[len(x)]
-                assert got[i, j] == pytest.approx(np.sort(cos)[-k:].mean(), abs=1e-15)
+        e_at, t_at = np.unravel_index(rng.permutation(15), (3, 5))
+        got = pool_cosines(templates, groups, e_at, t_at, rule)
+        assert got.shape == (15,)
+        for score, i, j in zip(got, e_at, t_at):
+            t, x = templates[i], groups[j]
+            cos = x @ t / (np.linalg.norm(x, axis=1) * np.linalg.norm(t))
+            k = {1: 1, 4: 2, 7: 3, 10: 3}[len(x)]
+            assert score == pytest.approx(np.sort(cos)[-k:].mean(), abs=1e-15)
         # neither the order of the groups nor of a group's rows matters
         shuffled = [rng.permutation(x) for x in groups[::-1]]
-        np.testing.assert_array_equal(pool_cosines(templates, shuffled, rule), got[:, ::-1])
+        np.testing.assert_array_equal(pool_cosines(templates, shuffled, e_at, 4 - t_at, rule),
+                                      got)
 
 
 class TestFaceTrial:

@@ -163,6 +163,28 @@ class TestScoreVfnet:
         assert scored[("idA", "idA")] == pytest.approx(expected, abs=1e-12)
 
 
+class TestScoreVisual:
+    def test_zero_norm_face_names_trial(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        paths = {}
+        for side in ("enroll", "test"):
+            faces = rng.standard_normal((3, 4))
+            if side == "test":
+                faces[1] = 0.0  # p1's one test face
+            paths[side] = tmp_path / f"{side}.tsv"
+            save_embeddings(EmbeddingStore(EmbeddingRecord(f"{side}{i}", f"p{i}", "face", face)
+                                           for i, face in enumerate(faces)), paths[side])
+        save_trials(TrialSet([Trial("p0", "p0", "target"), Trial("p0", "p1", "nontarget"),
+                              Trial("p2", "p1", "nontarget")]), tmp_path / "trials.tsv")
+        code = main(["score", "--system", "visual", "--enroll", str(paths["enroll"]),
+                     "--test", str(paths["test"]), "--trials", str(tmp_path / "trials.tsv"),
+                     "--out", str(tmp_path / "scores.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: trial (p0, p1): test identity 'p1' has a face with zero norm\n"
+        assert not (tmp_path / "scores.tsv").exists()
+
+
 class TestScoreAudio:
     @pytest.fixture
     def data(self, tmp_path):
@@ -305,6 +327,20 @@ class TestFuse:
         assert "system 2 labels trial (a, a) 'nontarget', system 1 labels it 'target'" in \
             capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "f.tsv").exists()
+
+    def test_mismatched_trial_lists_name_files(self, tmp_path, capsys):
+        # the second dev file scores another trial list than the first
+        paths = [tmp_path / "dev0.tsv", tmp_path / "dev1.tsv"]
+        for path, test_id in zip(paths, ("b", "c")):
+            save_scores(ScoreSet([ScoreEntry("a", "a", 1.0, "target"),
+                                  ScoreEntry("a", test_id, -1.0, "nontarget")]), path)
+        code = main(["fuse", "--dev-scores", *map(str, paths),
+                     "--eval-scores", *map(str, paths),
+                     "--out-model", str(tmp_path / "m.ckpt"),
+                     "--out-scores", str(tmp_path / "f.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {paths[1]} vs {paths[0]}: system 2 trial list does not match system 1\n"
 
     def test_unlabeled_dev_line_named(self, tmp_path, capsys):
         labeled, unlabeled = tmp_path / "dev0.tsv", tmp_path / "dev1.tsv"

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from avsrkit import backend
 from avsrkit.backend import LdaTransform, PldaModel, PoolingRule, plda_llr
 from avsrkit.pipeline import (PipelineConfig, PipelineError,
                               build_identity_trials, render_markdown,
@@ -14,7 +15,7 @@ from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
                            build_crossmodal_trials, save_embeddings, save_trials)
 from avsrkit.synth import GenConfig, generate_av_benchmark
 from avsrkit.training import TrainConfig
-from avsrkit.vfnet import init_params, pair_forward
+from avsrkit.vfnet import cosine_similarity, init_params, pair_forward
 
 
 def tiny_benchmark(tmp_path, seed=0):
@@ -89,6 +90,30 @@ def test_nontarget_draws_pinned():
         assert (len(trials), hashlib.sha256(columns).hexdigest()) == (length, digest)
 
 
+def test_score_columns_pinned():
+    """Each system scores the trials alone; the score columns keep the
+    SHA-256 they had when each system scored a whole identity table."""
+    gen = GenConfig(d_id=2, d_voice=6, d_face=6, n_identities_train=2, n_identities_test=20,
+                    rng_seed=7)
+    _, dev, _ = generate_av_benchmark(gen, dev_eval_sessions=5)
+    enroll, test = split_enroll_test(dev)
+    rng = np.random.default_rng(8)
+    lda = LdaTransform(projection=rng.standard_normal((4, 6)), mean=rng.standard_normal(6))
+    a = rng.standard_normal((4, 4))
+    plda = PldaModel(mu=0.1 * rng.standard_normal(4), B=a @ a.T, W=np.eye(4) + 0.1 * a.T @ a)
+    params = init_params(input_dim=6, hidden_dim=8, output_dim=5, seed=9)
+    trials = build_identity_trials(dev, 4, rng_seed=10)
+    assert len(trials) == 100
+    scored = score_trials(trials, enroll, test, lda, plda, params, PoolingRule())
+    digests = {system: hashlib.sha256(s.scores.tobytes()).hexdigest()
+               for system, s in scored.items()}
+    assert digests == {
+        "audio": "e7fabee041539a3e2941754e9b383d6325ffa5ab824b6da6805a1e21d339c8a8",
+        "visual": "6a626eb289f23b8136f298fe075c29707f88e17f44094989bae16cbc96d3178c",
+        "vfnet": "d2c3a2c9cefa39edeb7f94b2afced76da8d5b705eda43011f5f2818dbbf0f274",
+    }
+
+
 class TestScoreTrials:
     def test_matches_per_pair_reference(self, rng):
         # ragged groups: 3 or 5 records per modality, so enrollment and test
@@ -156,6 +181,55 @@ class TestScoreTrials:
         with pytest.raises(ValueError, match=r"^trial \(A, zeta\): test identity 'zeta'"):
             score_trials(TrialSet(t for t in trials if t.enroll_id == "A"), s, s, None, None,
                          None, PoolingRule(), systems=("visual",))
+
+
+    @pytest.mark.parametrize("system,side,what", [
+        ("visual", "test", "a face"), ("visual", "enroll", "a face template"),
+        ("vfnet", "test", "a transformed face"),
+        ("vfnet", "enroll", "a transformed voice template")])
+    def test_zero_norm_vector_named(self, rng, system, side, what):
+        # v[side, identity, modality, session]: B enrolls with v and -v, whose
+        # mean is zero, or one of B's test faces is zero (so is its transform)
+        v = rng.standard_normal((2, 3, 2, 2, 3))
+        if side == "enroll":
+            v[0, 1, :, 1] = -v[0, 1, :, 0]
+        else:
+            v[1, 1, 1, 0] = 0.0
+        enroll, test = (EmbeddingStore(EmbeddingRecord(f"{k}{i}{m}{j}", i, m, v[k, n, h, j])
+                                       for n, i in enumerate("ABC")
+                                       for h, m in enumerate(("voice", "face")) for j in range(2))
+                        for k in range(2))
+        trials = TrialSet([Trial("A", "A", "target"), Trial("C", "B", "nontarget"),
+                           Trial("B", "A", "nontarget"), Trial("B", "B", "target")])
+        params = init_params(input_dim=3, hidden_dim=4, output_dim=2, seed=0)
+        trial = "C, B" if side == "test" else "B, A"
+        with pytest.raises(ValueError, match=rf"^trial \({trial}\): {side} identity 'B' "
+                                             rf"has {what} with zero norm$"):
+            score_trials(trials, enroll, test, None, None, params, PoolingRule(),
+                         systems=(system,))
+
+    def test_cosines_follow_the_trial_list(self, rng, monkeypatch):
+        # 30 enrollment identities in 2 trials each (a target and a nontarget),
+        # with 1, 2 or 3 test faces per identity: each trial's test faces meet
+        # its template once, and no other template
+        recs = [EmbeddingRecord(f"{i}{m}{j}", f"id{i:02d}", m, rng.standard_normal(3))
+                for i in range(30) for m, n in (("voice", 2), ("face", 2 * (1 + i % 3)))
+                for j in range(n)]
+        split = EmbeddingStore(recs)
+        enroll, test = split_enroll_test(split)
+        trials = build_identity_trials(split, 1, rng_seed=0)
+        evaluated = []
+
+        def counting(a, b):
+            cosines = cosine_similarity(a, b)
+            evaluated.append(np.size(cosines))
+            return cosines
+
+        monkeypatch.setattr(backend, "cosine_similarity", counting)
+        score_trials(trials, enroll, test, None, None, None, PoolingRule(), systems=("visual",))
+        faces = test.grouped("face")
+        assert len(trials) == 60
+        assert sum(evaluated) == sum(len(faces[t]) for t in trials.test_ids)
 
 
 class TestSplits:
