@@ -55,7 +55,8 @@ def fit_lda(store: EmbeddingStore, target_dim: int, length_norm: bool = True) ->
         raise ValueError("target_dim must be positive")
     groups = store.grouped("voice")
     if len(groups) < 2:
-        raise ValueError("need at least 2 identities to fit LDA")
+        raise ValueError("need voice records of at least 2 identities to fit LDA, "
+                         f"found {len(groups)}")
     if max(x.shape[0] for x in groups.values()) < 2:
         raise ValueError("need at least one identity with 2 or more records")
 
@@ -260,7 +261,8 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER) -> PldaModel:
     """
     groups = store.grouped("voice")
     if len(groups) < 2:
-        raise ValueError("need at least 2 identities to fit PLDA")
+        raise ValueError("need voice records of at least 2 identities to fit PLDA, "
+                         f"found {len(groups)}")
     stats = _count_groups(groups)
     n_ids = len(groups)
     n_total = sum(n * means.shape[0] for n, (means, _) in stats.items())

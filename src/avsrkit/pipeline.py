@@ -53,6 +53,14 @@ class PipelineConfig:
     dcf: metrics.DcfParams = field(default_factory=metrics.DcfParams)
     train: training.TrainConfig = field(default_factory=training.TrainConfig)
 
+    def __post_init__(self):
+        if self.lda_dim < 1:
+            raise ValueError("lda_dim must be >= 1")
+        if not 0.0 < self.pool_fraction <= 1.0:
+            raise ValueError("pool_fraction must be in (0, 1]")
+        if self.negatives_per_positive < 1:
+            raise ValueError("negatives_per_positive must be >= 1")
+
 
 def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positive: int,
                           rng_seed: int) -> TrialSet:

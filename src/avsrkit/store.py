@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,32 @@ class RowError(ValueError):
         self.row, self.first = row, first
 
 
+class _Columns:
+    """A table held as equal-length columns: the attributes ``_columns`` names,
+    in the field order of its row dataclass ``_row``. Built from rows, which
+    iteration yields back in order, or by ``from_columns``; both validate alike
+    in the table's ``_fill``. ``_what`` names the table in errors."""
+
+    def __init__(self, rows):
+        rows = list(rows)
+        self._fill(*([getattr(row, field.name) for row in rows] for field in fields(self._row)))
+
+    @classmethod
+    def from_columns(cls, *columns):
+        columns = [column if hasattr(column, "__len__") else list(column) for column in columns]
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"{cls._what} columns differ in length")
+        table = cls.__new__(cls)
+        table._fill(*columns)
+        return table
+
+    def __len__(self):
+        return len(getattr(self, self._columns[0]))
+
+    def __iter__(self):
+        return map(self._row, *(getattr(self, name) for name in self._columns))
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     record_id: str
@@ -52,31 +78,21 @@ def _check_known(column, known, what):
         raise RowError(row, f"unknown {what} {column[row]!r}")
 
 
-class EmbeddingStore:
+class EmbeddingStore(_Columns):
     """Immutable embeddings of one dimension, held as columns: the read-only
     (N, D) float64 ``vectors`` and the ``record_ids``, ``identity_ids`` and
-    ``modalities`` tuples. Built from EmbeddingRecord rows, which iteration
-    yields back, or by ``from_columns``; both validate alike."""
+    ``modalities`` tuples. Built from EmbeddingRecord rows or by
+    ``from_columns(record_ids, identity_ids, modalities, vectors)``, where
+    vectors is an (N, D) matrix or N vectors of D coordinates each."""
 
-    def __init__(self, records):
-        records = list(records)
-        self._fill([r.record_id for r in records], [r.identity_id for r in records],
-                   [r.modality for r in records], [r.vector for r in records])
-
-    @classmethod
-    def from_columns(cls, record_ids, identity_ids, modalities, vectors) -> "EmbeddingStore":
-        """vectors: an (N, D) matrix, or N vectors of D coordinates each."""
-        store = cls.__new__(cls)
-        store._fill(record_ids, identity_ids, modalities, vectors)
-        return store
+    _row, _what = EmbeddingRecord, "store"
+    _columns = ("record_ids", "identity_ids", "modalities", "vectors")
 
     def _fill(self, record_ids, identity_ids, modalities, vectors):
         self.record_ids = tuple(record_ids)
         self.identity_ids = tuple(identity_ids)
         self.modalities = tuple(modalities)
         n = len(self.record_ids)
-        if {len(self.identity_ids), len(self.modalities), len(vectors)} != {n}:
-            raise ValueError("store columns differ in length")
         dim = len(vectors[0]) if n else 0
         for i, vector in enumerate(vectors):
             if len(vector) != dim:
@@ -93,13 +109,6 @@ class EmbeddingStore:
         if not finite.all():
             row = int(np.argmin(finite))
             raise RowError(row, f"record {self.record_ids[row]!r} has non-finite coordinates")
-
-    def __len__(self):
-        return len(self.record_ids)
-
-    def __iter__(self):
-        return map(EmbeddingRecord, self.record_ids, self.identity_ids, self.modalities,
-                   self.vectors)
 
     @property
     def dim(self) -> int:
@@ -141,27 +150,15 @@ class Trial:
     label: str | None = None  # "target", "nontarget" or None
 
 
-class TrialSet:
+class TrialSet(_Columns):
     """Ordered trials, fully labeled or fully unlabeled, held as columns: the
     ``enroll_ids``, ``test_ids`` and ``labels`` (None for unlabeled) tuples.
-    Built from Trial rows, which iteration yields back in order, or from the
-    columns; both validate alike."""
+    Built from Trial rows or by ``from_columns(enroll_ids, test_ids, labels)``."""
 
-    def __init__(self, trials):
-        trials = list(trials)
-        self._fill([t.enroll_id for t in trials], [t.test_id for t in trials],
-                   [t.label for t in trials])
-
-    @classmethod
-    def from_columns(cls, enroll_ids, test_ids, labels) -> "TrialSet":
-        trial_set = cls.__new__(cls)
-        trial_set._fill(enroll_ids, test_ids, labels)
-        return trial_set
+    _row, _what, _columns = Trial, "trial set", ("enroll_ids", "test_ids", "labels")
 
     def _fill(self, enroll_ids, test_ids, labels):
         self.enroll_ids, self.test_ids, self.labels = map(tuple, (enroll_ids, test_ids, labels))
-        if {len(self.test_ids), len(self.labels)} != {len(self.enroll_ids)}:
-            raise ValueError("trial set columns differ in length")
         _check_known(self.labels, (None,) + LABELS, "label")
         rows = {}  # (enroll id, test id) -> row
         for i, pair in enumerate(zip(self.enroll_ids, self.test_ids)):
@@ -170,12 +167,6 @@ class TrialSet:
                 raise RowError(i, f"duplicate trial ({pair[0]}, {pair[1]})", first)
             if (self.labels[i] is None) != (self.labels[0] is None):
                 raise RowError(i, "trial set is partially labeled")
-
-    def __len__(self):
-        return len(self.enroll_ids)
-
-    def __iter__(self):
-        return map(Trial, self.enroll_ids, self.test_ids, self.labels)
 
     def __eq__(self, other):
         return isinstance(other, TrialSet) and (self.enroll_ids, self.test_ids, self.labels) == \
@@ -194,22 +185,14 @@ class ScoreEntry:
     label: str | None = None
 
 
-class ScoreSet:
+class ScoreSet(_Columns):
     """Immutable trial scores, optionally labeled, held as columns: the
     ``enroll_ids``, ``test_ids`` and ``labels`` (None for unlabeled) tuples and
-    the read-only float64 ``scores`` array. Built from ScoreEntry rows, which
-    iteration yields back in order, or from the columns."""
+    the read-only float64 ``scores`` array. Built from ScoreEntry rows or by
+    ``from_columns(enroll_ids, test_ids, scores, labels)``; iteration yields
+    the scores as Python floats."""
 
-    def __init__(self, entries):
-        entries = list(entries)
-        self._fill([e.enroll_id for e in entries], [e.test_id for e in entries],
-                   [e.score for e in entries], [e.label for e in entries])
-
-    @classmethod
-    def from_columns(cls, enroll_ids, test_ids, scores, labels) -> "ScoreSet":
-        score_set = cls.__new__(cls)
-        score_set._fill(enroll_ids, test_ids, scores, labels)
-        return score_set
+    _row, _what, _columns = ScoreEntry, "score set", ("enroll_ids", "test_ids", "scores", "labels")
 
     def _fill(self, enroll_ids, test_ids, scores, labels):
         self.enroll_ids = tuple(enroll_ids)
@@ -217,17 +200,12 @@ class ScoreSet:
         self.scores = np.array(scores, dtype=np.float64)
         self.scores.flags.writeable = False
         self.labels = tuple(labels)
-        if {len(self.test_ids), len(self.scores), len(self.labels)} != {len(self.enroll_ids)}:
-            raise ValueError("score set columns differ in length")
         finite = np.isfinite(self.scores)
         if not finite.all():
             i = int(np.argmin(finite))
             raise RowError(i, f"non-finite score for trial ({self.enroll_ids[i]}, "
                               f"{self.test_ids[i]})")
         _check_known(self.labels, (None,) + LABELS, "label")
-
-    def __len__(self):
-        return len(self.enroll_ids)
 
     def __iter__(self):
         return map(ScoreEntry, self.enroll_ids, self.test_ids, self.scores.tolist(), self.labels)

@@ -53,6 +53,12 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        if self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1")
+        if self.output_dim < 1:
+            raise ValueError("output_dim must be >= 1")
 
 
 @dataclass

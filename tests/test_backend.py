@@ -154,6 +154,17 @@ def recovery_errors(rng, n_sessions):
             np.linalg.norm(model.W - w_true) / np.linalg.norm(w_true))
 
 
+@pytest.mark.parametrize("fit,what", [(lambda s: fit_lda(s, 2), "LDA"), (fit_plda, "PLDA")])
+def test_too_few_voice_identities_named(rng, fit, what):
+    # one identity's voices, three identities' faces
+    store = EmbeddingStore.from_columns([f"r{i}" for i in range(12)],
+                                        ["id0"] * 3 + [f"id{i // 3}" for i in range(9)],
+                                        ["voice"] * 3 + ["face"] * 9, rng.standard_normal((12, 2)))
+    with pytest.raises(ValueError, match=f"^need voice records of at least 2 identities "
+                                         f"to fit {what}, found 1$"):
+        fit(store)
+
+
 class TestPlda:
     def test_em_loglik_monotone(self, rng):
         store = sample_plda_store(rng, np.zeros(3), np.eye(3), 0.5 * np.eye(3), 50, (2, 3, 4, 5))

@@ -535,6 +535,19 @@ class TestTrainVfnet:
 
 
 class TestFitBackend:
+    def test_face_only_embeddings_name_missing_voices(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--n-train", "40", "--n-test", "4", "--negatives-per-positive", "1",
+                     "--out-dir", str(data)]) == 0
+        faces = tmp_path / "faces.embeddings"
+        lines = (data / "train.embeddings").read_text().splitlines(keepends=True)
+        faces.write_text("".join(line for line in lines if "\tface\t" in line))
+        assert main(["fit-backend", "--embeddings", str(faces), "--out-lda",
+                     str(tmp_path / "lda"), "--out-plda", str(tmp_path / "plda")]) == 1
+        assert capsys.readouterr().err == \
+            "error: need voice records of at least 2 identities to fit LDA, found 0\n"
+        assert not (tmp_path / "lda").exists()
+
     @pytest.mark.parametrize("between_sd,counts,status", [
         (1.0, (3,), "PLDA fit: closed form\n"),
         (1.0, (2, 3), "PLDA fit: EM converged after 18 iterations\n"),
@@ -598,6 +611,22 @@ class TestPipelineExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: pipeline stage 'score-dev' failed: ")
         assert "enroll identity 'nobody' has no" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("lda_dim = 0", "lda_dim must be >= 1"),
+        ("pool_fraction = 1.5", "pool_fraction must be in (0, 1]"),
+        ("negatives_per_positive = 0", "negatives_per_positive must be >= 1"),
+        ("hidden_dim = 0", "hidden_dim must be >= 1"),
+        ("output_dim = 0", "output_dim must be >= 1"),
+        ("seed = -1", "rng_seed must be >= 0")])
+    def test_bad_config_value_exits_before_any_stage(self, data, tmp_path, capsys, line,
+                                                      message):
+        data, argv = data
+        with open(argv[2], "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[2]}: {message}\n"
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_runtime_failure_exits_2(self, data, capsys, monkeypatch):
         from avsrkit import training

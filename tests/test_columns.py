@@ -201,6 +201,8 @@ def test_validation_messages():
         ScoreSet.from_columns(["e"], ["t"], [0.0], ["maybe"])
     with pytest.raises(ValueError, match="columns differ in length"):
         ScoreSet.from_columns(["e"], ["t", "u"], [0.0], [None])
+    with pytest.raises(ValueError, match="store columns differ in length"):
+        EmbeddingStore.from_columns(["a", "b"], ["i"] * 2, ["voice"], [vec] * 2)
     for build in (TrialSet.from_columns, lambda *c: TrialSet(map(Trial, *c))):
         with pytest.raises(RowError, match=r"^duplicate trial \(a, b\)$") as exc:
             build(["a", "a", "a"], ["c", "b", "b"], [None] * 3)
