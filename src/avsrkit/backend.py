@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_checkpoint
 from .store import EmbeddingStore
 from .vfnet import cosine_similarity
 
@@ -31,15 +30,37 @@ from .vfnet import cosine_similarity
 # LDA
 
 
+def eigh(a, b):
+    """(eigenvalues ascending, V) of the symmetric-definite problem a v = lambda b v
+    for symmetric a and positive definite b, with V' b V = I. Reduced to a
+    standard problem by b's Cholesky factor L, as LAPACK's sygvd does:
+    (lambda, U) = eigh(L^-1 a L^-T) and V = L^-T U."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(b))
+    c = l_inv @ a @ l_inv.T
+    lam, u = np.linalg.eigh(0.5 * (c + c.T))
+    return lam, l_inv.T @ u
+
+
 @dataclass
 class LdaTransform:
     projection: np.ndarray  # (d, D)
     mean: np.ndarray        # (D,)
     length_norm: bool = True  # scale each projection to unit length
 
+    def __post_init__(self):
+        self.projection, self.mean = (np.asarray(a, dtype=np.float64)
+                                      for a in (self.projection, self.mean))
+        if self.projection.ndim != 2 or self.mean.shape != self.projection.shape[1:]:
+            raise ValueError(f"mean of shape {self.mean.shape} does not match "
+                             f"projection of shape {self.projection.shape}")
+
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         return (x - self.mean) @ self.projection.T
+
+    @property
+    def input_dim(self) -> int:
+        return self.projection.shape[1]
 
     @property
     def output_dim(self) -> int:
@@ -75,7 +96,7 @@ def fit_lda(store: EmbeddingStore, target_dim: int, length_norm: bool = True) ->
     sw /= n_total
     sb /= n_total
 
-    min_eig = scipy.linalg.eigvalsh(sw)[0]
+    min_eig = np.linalg.eigvalsh(sw)[0]
     if min_eig < 1e-10:
         lam = 1e-4 * np.trace(sw) / dim
         if lam <= 0.0:
@@ -85,7 +106,7 @@ def fit_lda(store: EmbeddingStore, target_dim: int, length_norm: bool = True) ->
         sw = sw + lam * np.eye(dim)
 
     # generalized eigenproblem; eigh normalizes V^T Sw V = I, which whitens
-    eigvals, eigvecs = scipy.linalg.eigh(sb, sw)
+    eigvals, eigvecs = eigh(sb, sw)
     out_dim = min(target_dim, len(groups) - 1, dim)
     order = np.argsort(eigvals)[::-1][:out_dim]
     return LdaTransform(eigvecs[:, order].T.copy(), global_mean, length_norm)
@@ -112,11 +133,12 @@ def save_lda(lda: LdaTransform, path) -> None:
 
 
 def load_lda(path) -> LdaTransform:
-    arrays, scalars = load_checkpoint(path, "lda")
-    length_norm = scalars.get("length_norm", 1.0)  # absent in older files, which normalize
-    if length_norm not in (0.0, 1.0):
-        raise CheckpointError(f"{path}: scalar 'length_norm' must be 0 or 1, got {length_norm!r}")
-    return LdaTransform(arrays["projection"], arrays["mean"], bool(length_norm))
+    def build(arrays, scalars):
+        length_norm = scalars.get("length_norm", 1.0)  # absent in older files, which normalize
+        if length_norm not in (0.0, 1.0):
+            raise ValueError(f"scalar 'length_norm' must be 0 or 1, got {length_norm!r}")
+        return LdaTransform(arrays["projection"], arrays["mean"], bool(length_norm))
+    return load_model(path, "lda", build)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +176,9 @@ class PldaModel:
         self.mu, self.B, self.W = (np.asarray(a, dtype=np.float64)
                                    for a in (self.mu, self.B, self.W))
         for name, mat in (("B", self.B), ("W", self.W)):
+            if self.mu.ndim != 1 or mat.shape != self.mu.shape * 2:
+                raise ValueError(f"{name} of shape {mat.shape} does not match "
+                                 f"mu of shape {self.mu.shape}")
             if np.abs(mat - mat.T).max() > 1e-10:
                 raise ValueError(f"{name} is not symmetric")
         if np.linalg.eigvalsh(self.W)[0] <= 0.0:
@@ -170,7 +195,7 @@ class PldaModel:
         """(V, q, p, k) of the LLR in the basis where W = I and B is diagonal (Ioffe
         2006): with (lambda, V) = eigh(B, W) and y = V'(x - mu), a pair's LLR is
         sum_j q_j (y1_j^2 + y2_j^2) + 2 p_j y1_j y2_j + k, elementwise per dimension."""
-        lam, v = scipy.linalg.eigh(self.B, self.W)
+        lam, v = eigh(self.B, self.W)
         same = 1.0 + 2.0 * lam  # per dimension, det [[1+lambda, lambda], [lambda, 1+lambda]]
         return (v, -0.5 * ((1.0 + lam) / same - 1.0 / (1.0 + lam)), 0.5 * lam / same,
                 -0.5 * float(np.sum(np.log(same / (1.0 + lam) ** 2))))
@@ -214,7 +239,7 @@ def _closed_form(mu, means, scatter, n):
     if eig[0] <= 1e-10 * eig[-1]:
         return None
     centred = means - mu
-    lam, v = scipy.linalg.eigh(centred.T @ centred / k, s_w)
+    lam, v = eigh(centred.T @ centred / k, s_w)
     a = s_w @ v  # inv(v).T, since v' S_w v = I
     b = (a * np.maximum(lam - 1.0 / n, 0.0)) @ a.T
     w = (a * np.minimum(1.0, (n - 1 + n * lam) / n)) @ a.T
@@ -340,8 +365,8 @@ def save_plda(model: PldaModel, path) -> None:
 
 
 def load_plda(path) -> PldaModel:
-    arrays, _ = load_checkpoint(path, "plda")
-    return PldaModel(mu=arrays["mu"], B=arrays["B"], W=arrays["W"])
+    return load_model(path, "plda",
+                      lambda arrays, _: PldaModel(mu=arrays["mu"], B=arrays["B"], W=arrays["W"]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Layout: a magic header line, a ``kind`` line, then one line per entry:
     array<TAB><name><TAB><d1,d2,...><TAB><row-major repr() values, space separated>
 
 Values are written with ``repr()`` so binary64 coefficients round-trip
-bit-exactly. The loader checks the kind asked for and that every value is finite.
+bit-exactly. The loader checks the kind asked for and that every value is finite;
+``load_model`` also names the file in a model's own check of its values.
 """
 
 from __future__ import annotations
@@ -87,3 +88,16 @@ def load_checkpoint(path, kind: str):
     if found != kind:
         raise CheckpointError(f"{path}: expected kind {kind!r}, found {found!r}")
     return arrays, scalars
+
+
+def load_model(path, kind: str, build):
+    """build(arrays, scalars) of the checkpoint of the given kind at path; a
+    ValueError that build raises, such as a model's own check of its values,
+    becomes a CheckpointError that names path."""
+    arrays, scalars = load_checkpoint(path, kind)
+    try:
+        return build(arrays, scalars)
+    except CheckpointError:
+        raise
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -82,8 +82,7 @@ def build_parser():
 
     p = sub.add_parser("fit-backend", help="fit LDA and PLDA on voice embeddings")
     p.add_argument("--embeddings", required=True, help="training embedding file")
-    p.add_argument("--lda-dim", type=int, default=pipeline.PipelineConfig.lda_dim,
-                   help="LDA output dimension")
+    p.add_argument("--lda-dim", type=int, default=None, help="LDA output dimension")
     p.add_argument("--no-length-norm", action="store_true",
                    help="skip length normalization after LDA (saved in --out-lda)")
     p.add_argument("--out-lda", required=True)
@@ -97,7 +96,7 @@ def build_parser():
     p.add_argument("--lda", help="LDA checkpoint (audio)")
     p.add_argument("--plda", help="PLDA checkpoint (audio)")
     p.add_argument("--params", help="network checkpoint (vfnet)")
-    p.add_argument("--pool-fraction", type=float, default=pipeline.PipelineConfig.pool_fraction)
+    p.add_argument("--pool-fraction", type=float, default=None)
     p.add_argument("--out", required=True, help="score file output path")
 
     p = sub.add_parser("fuse", help="fit fusion on dev scores and apply to eval")
@@ -159,25 +158,33 @@ def _cmd_train_vfnet(args):
 
 
 def _cmd_fit_backend(args):
-    lda, plda = pipeline.fit_backend(store.load_embeddings(args.embeddings), args.lda_dim,
+    config = _config(pipeline.PipelineConfig, args)
+    lda, plda = pipeline.fit_backend(store.load_embeddings(args.embeddings), config.lda_dim,
                                      not args.no_length_norm, args.out_lda, args.out_plda)
     print(f"LDA output dimension {lda.output_dim}; PLDA fit: {plda.describe_fit()}")
     return 0
 
 
 def _cmd_score(args):
+    rule = backend.PoolingRule(_config(pipeline.PipelineConfig, args).pool_fraction)
     enroll, test = map(store.load_embeddings, (args.enroll, args.test))
     trials = store.load_trials(args.trials)
-    rule = backend.PoolingRule(args.pool_fraction)
     lda = plda = params = None
+    model = None  # (path, input dimension) of the checkpoint that reads the embeddings
     if args.system == "audio":
         if not args.lda or not args.plda:
             raise UsageError("--system audio requires --lda and --plda")
         lda, plda = backend.load_lda(args.lda), backend.load_plda(args.plda)
+        model = args.lda, lda.input_dim
     if args.system == "vfnet":
         if not args.params:
             raise UsageError("--system vfnet requires --params")
         params = vfnet.load_params(args.params)
+        model = args.params, params.input_dim
+    for path, side in ((args.enroll, enroll), (args.test, test)) if model else ():
+        if len(side) and side.dim != model[1]:
+            raise CheckpointError(f"{model[0]}: takes {model[1]}-d embeddings, "
+                                  f"{path} holds {side.dim}-d")
     scored = pipeline.score_trials(trials, enroll, test, lda, plda, params, rule,
                                    systems=(args.system,))
     store.save_scores(scored[args.system], args.out)

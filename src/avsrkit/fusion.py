@@ -15,11 +15,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_checkpoint
 from .metrics import DcfParams
 from .store import ScoreSet
+from .vfnet import expit
 
 WEIGHT_NORM_CAP = 1e3
 MAX_ITER = 100
@@ -161,6 +161,6 @@ def save_fusion(model: FusionModel, path) -> None:
 
 
 def load_fusion(path) -> FusionModel:
-    arrays, scalars = load_checkpoint(path, "fusion")
-    return FusionModel(weights=arrays["weights"], bias=scalars["bias"],
-                       effective_prior=scalars["effective_prior"])
+    return load_model(path, "fusion", lambda arrays, scalars: FusionModel(
+        weights=arrays["weights"], bias=scalars["bias"],
+        effective_prior=scalars["effective_prior"]))

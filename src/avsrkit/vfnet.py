@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_checkpoint
 
 
 @dataclass
@@ -44,15 +43,20 @@ class VFNetParams:
     flat = None  # not a field: set by flat_like
 
     def __post_init__(self):
+        shapes = []
         for f in fields(self):
             arr = np.asarray(getattr(self, f.name))
             if arr.dtype != np.float32:
                 arr = arr.astype(np.float64, copy=False)
             setattr(self, f.name, arr)
-        if self.voice_w2.shape[1] != self.voice_w1.shape[0]:
-            raise ValueError("voice branch layer shapes do not chain")
-        if self.face_w2.shape[1] != self.face_w1.shape[0]:
-            raise ValueError("face branch layer shapes do not chain")
+            shapes.append(arr.shape)
+        for branch, (w1, b1, w2, b2) in (("voice", shapes[:4]), ("face", shapes[4:])):
+            if (len(w1), len(w2)) != (2, 2) or w2[1] != w1[0]:
+                raise ValueError(f"{branch} branch layer shapes do not chain")
+            if (b1, b2) != (w1[:1], w2[:1]):
+                raise ValueError(f"{branch} branch biases do not match its weights")
+        if (shapes[4][1], shapes[6][0]) != (shapes[0][1], shapes[2][0]):
+            raise ValueError("face and voice branches differ in input or output dimension")
 
     @property
     def input_dim(self) -> int:
@@ -107,8 +111,8 @@ def save_params(params: VFNetParams, path) -> None:
 
 
 def load_params(path) -> VFNetParams:
-    arrays, _ = load_checkpoint(path, "vfnet")
-    return VFNetParams(*(arrays[f.name] for f in fields(VFNetParams)))
+    return load_model(path, "vfnet", lambda arrays, _: VFNetParams(
+        *(arrays[f.name] for f in fields(VFNetParams))))
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,14 @@ def cosine_similarity(a, b):
             raise ValueError(f"{which} argument has zero norm")
     s = np.clip(np.sum(a * b, axis=-1) / (na * nb), -1.0, 1.0)
     return float(s) if s.ndim == 0 else s
+
+
+def expit(x):
+    """The logistic 1 / (1 + exp(-x)), elementwise. exp runs on -|x| only, so
+    no x overflows it, however large."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def pair_probability(similarity) -> PairScore:

@@ -12,6 +12,11 @@ from avsrkit.vfnet import VFNetParams, load_params
 VFNET_ARRAYS = [f.name for f in fields(VFNetParams)]
 
 
+def vfnet_arrays():
+    """Checkpoint arrays of a network with 3-d inputs, hidden layers and outputs."""
+    return {name: np.zeros(3) if "_b" in name else np.eye(3) for name in VFNET_ARRAYS}
+
+
 def write(path, *entries):
     path.write_text("\n".join([MAGIC, "kind\ttest", *entries]) + "\n")
     return path
@@ -109,3 +114,28 @@ class TestLoadCheckpoint:
         with pytest.raises(CheckpointError) as exc:
             load(path)
         assert str(exc.value) == f"{path}:{line}: non-finite values in {name}"
+
+    @pytest.mark.parametrize("load,kind,arrays,scalars,message", [
+        (load_lda, "lda", {"projection": np.eye(2, 3), "mean": np.zeros(2)}, {},
+         "mean of shape (2,) does not match projection of shape (2, 3)"),
+        (load_plda, "plda", {"mu": np.zeros(2), "B": [[1.0, 0.5], [0.0, 1.0]],
+                             "W": np.eye(2)}, {}, "B is not symmetric"),
+        (load_plda, "plda", {"mu": np.zeros(3), "B": np.eye(2), "W": np.eye(2)}, {},
+         "B of shape (2, 2) does not match mu of shape (3,)"),
+        (load_fusion, "fusion", {"weights": np.ones(2)}, {"bias": 0.0, "effective_prior": 1.5},
+         "effective_prior must be in (0, 1)"),
+        (load_params, "vfnet", {**vfnet_arrays(), "voice_w2": np.zeros((3, 2))}, {},
+         "voice branch layer shapes do not chain"),
+        (load_params, "vfnet", {**vfnet_arrays(), "face_w2": np.zeros(9)}, {},
+         "face branch layer shapes do not chain"),
+        (load_params, "vfnet", {**vfnet_arrays(), "face_b2": np.zeros(2)}, {},
+         "face branch biases do not match its weights"),
+        (load_params, "vfnet", {**vfnet_arrays(), "face_w1": np.zeros((3, 2))}, {},
+         "face and voice branches differ in input or output dimension")])
+    def test_loader_names_file_in_model_check(self, tmp_path, load, kind, arrays, scalars,
+                                              message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, kind, arrays, scalars)
+        with pytest.raises(CheckpointError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {message}"

@@ -12,6 +12,7 @@ import pytest
 from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, load_lda, load_plda,
                              save_lda, save_plda)
 from avsrkit import metrics
+from avsrkit.checkpoint import save_checkpoint
 from avsrkit.cli import main
 from avsrkit.pipeline import score_trials
 from avsrkit.store import (load_embeddings, load_scores, load_trials, save_embeddings,
@@ -247,6 +248,55 @@ class TestScoreAudio:
         assert capsys.readouterr().err == f"error: {lda_path}:5: non-finite values in mean\n"
 
 
+class TestScoreCheckpoints:
+    """A checkpoint that fails its model's checks, or takes embeddings of
+    another dimension, is named before any score is written."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--n-train", "40", "--n-test", "4", "--sessions", "3",
+                     "--negatives-per-positive", "1", "--out-dir", str(data)]) == 0
+        return data, load_embeddings(data / "dev.embeddings").dim
+
+    def score(self, data, system, *models):
+        embeddings = str(data / "dev.embeddings")
+        flags = {"audio": ("--lda", "--plda"), "vfnet": ("--params",)}[system]
+        return main(["score", "--system", system, "--enroll", embeddings, "--test", embeddings,
+                     "--trials", str(data / "dev.trials"),
+                     *(arg for flag, path in zip(flags, models) for arg in (flag, str(path))),
+                     "--out", str(data / "scores.tsv")])
+
+    @pytest.mark.parametrize("bad", ["mean", "B"])
+    def test_bad_checkpoint_value_names_file(self, data, tmp_path, capsys, bad):
+        (data, dim), lda_path, plda_path = data, tmp_path / "lda.ckpt", tmp_path / "plda.ckpt"
+        save_checkpoint(lda_path, "lda", {"projection": np.eye(4, dim),
+                                          "mean": np.zeros(dim - (bad == "mean"))})
+        b = np.eye(4)
+        b[0, 1] = 0.5 * (bad == "B")
+        save_checkpoint(plda_path, "plda", {"mu": np.zeros(4), "B": b, "W": np.eye(4)})
+        assert self.score(data, "audio", lda_path, plda_path) == 1
+        assert capsys.readouterr().err == {
+            "mean": f"error: {lda_path}: mean of shape ({dim - 1},) does not match "
+                    f"projection of shape (4, {dim})\n",
+            "B": f"error: {plda_path}: B is not symmetric\n"}[bad]
+        assert not (data / "scores.tsv").exists()
+
+    @pytest.mark.parametrize("system", ["audio", "vfnet"])
+    def test_checkpoint_input_dimension_named(self, data, tmp_path, capsys, system):
+        (data, dim), model = data, tmp_path / "model.ckpt"
+        if system == "audio":
+            save_lda(LdaTransform(np.eye(4, dim // 2), np.zeros(dim // 2)), model)
+            save_plda(PldaModel(mu=np.zeros(4), B=np.eye(4), W=np.eye(4)), tmp_path / "plda")
+            assert self.score(data, system, model, tmp_path / "plda") == 1
+        else:
+            save_params(init_params(input_dim=dim // 2, hidden_dim=6, output_dim=3), model)
+            assert self.score(data, system, model) == 1
+        assert capsys.readouterr().err == (f"error: {model}: takes {dim // 2}-d embeddings, "
+                                           f"{data / 'dev.embeddings'} holds {dim}-d\n")
+        assert not (data / "scores.tsv").exists()
+
+
 class TestSynth:
     def test_writes_benchmark_files(self, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -451,6 +501,18 @@ class TestConfigKeys:
         assert main(["eval", "--scores", str(tmp_path / "nope.tsv"), "--p-target", "2"]) == 1
         err = capsys.readouterr().err
         assert "command line: p_target must be in (0, 1)" in err and "nope.tsv" not in err
+
+    @pytest.mark.parametrize("command,flag,message", [
+        (["fit-backend", "--embeddings", "nope.tsv", "--out-lda", "l", "--out-plda", "p"],
+         ["--lda-dim", "0"], "lda_dim must be >= 1"),
+        (["score", "--system", "visual", "--enroll", "nope.tsv", "--test", "nope.tsv",
+          "--trials", "nope.tsv", "--out", "o"],
+         ["--pool-fraction", "2"], "pool_fraction must be in (0, 1]")])
+    def test_bad_flag_value_named_before_files_read(self, tmp_path, capsys, command, flag,
+                                                    message):
+        assert main([arg.replace("nope", str(tmp_path / "nope")) for arg in command]
+                    + flag) == 1
+        assert capsys.readouterr().err == f"error: command line: {message}\n"
 
     def test_synth_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "gen.config"
