@@ -57,7 +57,8 @@ def _aligned_matrix(system_scores):
         raise ValueError("need at least one system")
     ref = system_scores[0]
     for k, other in enumerate(system_scores[1:], start=2):
-        if (other.enroll_ids, other.test_ids) != (ref.enroll_ids, ref.test_ids):
+        if not (np.array_equal(other.enroll_ids, ref.enroll_ids)
+                and np.array_equal(other.test_ids, ref.test_ids)):
             raise MismatchError(k, f"system {k} trial list does not match system 1")
         if other.labels == ref.labels:
             continue

@@ -17,11 +17,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 MODALITIES = ("voice", "face")
 LABELS = ("target", "nontarget")
 _LABEL_OBJECTS = {label: label for label in LABELS}
 MAX_TARGETS_PER_IDENTITY = 50
+_IDS = StringDType(coerce=False)  # trial and score ids: an id of up to 15 UTF-8 bytes takes 16
 
 
 class FormatError(ValueError):
@@ -76,6 +78,34 @@ def _check_known(column, known, what):
     if unknown:
         row = next(i for i, value in enumerate(column) if value in unknown)
         raise RowError(row, f"unknown {what} {column[row]!r}")
+
+
+def _ids(column, name):
+    """column as a read-only StringDType array; one already, as another table holds, is
+    shared, not copied. A value that is not a str raises a RowError naming its row."""
+    if isinstance(column, np.ndarray) and column.dtype == _IDS and not column.flags.writeable:
+        return column
+    try:
+        ids = np.array(column, dtype=_IDS)
+    except (TypeError, ValueError):
+        row = next((i for i, value in enumerate(column) if not isinstance(value, str)), None)
+        if row is None:
+            raise
+        raise RowError(row, f"{name} of row {row} is {column[row]!r}, not a string") from None
+    ids.flags.writeable = False
+    return ids
+
+
+def _check_unique(enroll_ids, test_ids):
+    """Raise a RowError at the first row whose (enroll, test) pair an earlier row has."""
+    order = np.argsort(test_ids, kind="stable")
+    order = order[np.argsort(enroll_ids[order], kind="stable")]  # by pair, then by row
+    e, t = enroll_ids[order], test_ids[order]
+    later = order[1:][(e[1:] == e[:-1]) & (t[1:] == t[:-1])]  # each pair's rows but its first
+    if later.size:
+        row = int(later.min())
+        first = np.argmax((enroll_ids == enroll_ids[row]) & (test_ids == test_ids[row]))
+        raise RowError(row, f"duplicate trial ({enroll_ids[row]}, {test_ids[row]})", int(first))
 
 
 class EmbeddingStore(_Columns):
@@ -151,26 +181,28 @@ class Trial:
 
 
 class TrialSet(_Columns):
-    """Ordered trials, fully labeled or fully unlabeled, held as columns: the
-    ``enroll_ids``, ``test_ids`` and ``labels`` (None for unlabeled) tuples.
-    Built from Trial rows or by ``from_columns(enroll_ids, test_ids, labels)``."""
+    """Ordered trials, fully labeled or fully unlabeled, held as columns: the read-only
+    StringDType ``enroll_ids`` and ``test_ids`` arrays and the ``labels`` tuple (None for
+    unlabeled). Built from Trial rows or by ``from_columns(enroll_ids, test_ids, labels)``."""
 
     _row, _what, _columns = Trial, "trial set", ("enroll_ids", "test_ids", "labels")
 
     def _fill(self, enroll_ids, test_ids, labels):
-        self.enroll_ids, self.test_ids, self.labels = map(tuple, (enroll_ids, test_ids, labels))
+        self.enroll_ids, self.test_ids = _ids(enroll_ids, "enroll_id"), _ids(test_ids, "test_id")
+        self.labels = tuple(labels)
         _check_known(self.labels, (None,) + LABELS, "label")
-        rows = {}  # (enroll id, test id) -> row
-        for i, pair in enumerate(zip(self.enroll_ids, self.test_ids)):
-            first = rows.setdefault(pair, i)
-            if first != i:
-                raise RowError(i, f"duplicate trial ({pair[0]}, {pair[1]})", first)
-            if (self.labels[i] is None) != (self.labels[0] is None):
-                raise RowError(i, "trial set is partially labeled")
+        partial = len(self.labels)  # the first row labeled unlike row 0, if any
+        if 0 < self.labels.count(None) < partial:
+            partial = next(i for i, label in enumerate(self.labels)
+                           if (label is None) != (self.labels[0] is None))
+        _check_unique(self.enroll_ids[:partial + 1], self.test_ids[:partial + 1])
+        if partial < len(self.labels):
+            raise RowError(partial, "trial set is partially labeled")
 
     def __eq__(self, other):
-        return isinstance(other, TrialSet) and (self.enroll_ids, self.test_ids, self.labels) == \
-            (other.enroll_ids, other.test_ids, other.labels)
+        return (isinstance(other, TrialSet) and self.labels == other.labels
+                and np.array_equal(self.enroll_ids, other.enroll_ids)
+                and np.array_equal(self.test_ids, other.test_ids))
 
     @property
     def labeled(self) -> bool:
@@ -186,17 +218,16 @@ class ScoreEntry:
 
 
 class ScoreSet(_Columns):
-    """Immutable trial scores, optionally labeled, held as columns: the
-    ``enroll_ids``, ``test_ids`` and ``labels`` (None for unlabeled) tuples and
-    the read-only float64 ``scores`` array. Built from ScoreEntry rows or by
+    """Immutable trial scores, optionally labeled, held as columns: the read-only
+    StringDType ``enroll_ids`` and ``test_ids`` arrays, the read-only float64 ``scores``
+    array and the ``labels`` tuple (None for unlabeled). Built from ScoreEntry rows or by
     ``from_columns(enroll_ids, test_ids, scores, labels)``; iteration yields
     the scores as Python floats."""
 
     _row, _what, _columns = ScoreEntry, "score set", ("enroll_ids", "test_ids", "scores", "labels")
 
     def _fill(self, enroll_ids, test_ids, scores, labels):
-        self.enroll_ids = tuple(enroll_ids)
-        self.test_ids = tuple(test_ids)
+        self.enroll_ids, self.test_ids = _ids(enroll_ids, "enroll_id"), _ids(test_ids, "test_id")
         self.scores = np.array(scores, dtype=np.float64)
         self.scores.flags.writeable = False
         self.labels = tuple(labels)
@@ -306,7 +337,7 @@ def _at_lines(path, *linenos):
 
 def _check_filled(**columns):
     """Raise a RowError at the first empty value of the named columns."""
-    empty = [(column.index(""), name) for name, column in columns.items() if "" in column]
+    empty = [(list(column).index(""), name) for name, column in columns.items() if "" in column]
     if empty:
         row, name = min(empty, key=lambda found: found[0])
         raise RowError(row, f"empty {name}")
@@ -339,14 +370,17 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
 
 
 def load_trials(path) -> TrialSet:
-    linenos, columns = [], ([], [], [])  # enroll ids, test ids, labels
+    linenos, enroll_ids, test_ids, labels = [], [], [], []
     for (enroll, test, label), lines in _read_columns(path, (2, 3), "expected 2 or 3 fields"):
         linenos.append(lines)
-        for column, values in zip(columns, (enroll, test, map(_LABEL_OBJECTS.get, label, label))):
-            column += values  # the known labels as one object each
+        enroll_ids.append(np.array(enroll, dtype=_IDS))
+        test_ids.append(np.array(test, dtype=_IDS))
+        labels += map(_LABEL_OBJECTS.get, label, label)  # the known labels as one object each
+    enroll_ids, test_ids = (np.concatenate(c or [[]], dtype=_IDS) for c in (enroll_ids, test_ids))
+    enroll_ids.flags.writeable = test_ids.flags.writeable = False  # so _ids takes them as they are
     with _at_lines(path, *linenos):
-        _check_filled(enroll_id=columns[0], test_id=columns[1])
-        return TrialSet.from_columns(*columns)
+        _check_filled(enroll_id=enroll_ids, test_id=test_ids)
+        return TrialSet.from_columns(enroll_ids, test_ids, labels)
 
 
 def save_trials(trials: TrialSet, path) -> None:
@@ -356,21 +390,26 @@ def save_trials(trials: TrialSet, path) -> None:
 
 
 def load_scores(path, require_labels=False) -> ScoreSet:
-    """Parse a score file. require_labels: each line labeled and both classes present, as
-    metrics and fusion fits need (a FormatError names the first unlabeled line, else the file)."""
-    linenos, scores, (enroll_ids, test_ids, labels) = [], [], ([], [], [])
+    """Parse a score file. require_labels: each line labeled, no trial listed twice and both
+    classes present, as metrics and fusion fits need (a FormatError names the first unlabeled
+    or repeated line, else the file)."""
+    linenos, scores, enroll_ids, test_ids, labels = [], [], [], [], []
     for (enroll, test, text, label), lines in _read_columns(path, (3, 4), "expected 3 or 4 fields"):
         with _at_lines(path, lines):
             scores.append(_floats(text, "malformed score {!r}"))
         linenos.append(lines)
-        enroll_ids += enroll
-        test_ids += test
+        enroll_ids.append(np.array(enroll, dtype=_IDS))
+        test_ids.append(np.array(test, dtype=_IDS))
         labels += map(_LABEL_OBJECTS.get, label, label)  # the known labels as one object each
+    enroll_ids, test_ids = (np.concatenate(c or [[]], dtype=_IDS) for c in (enroll_ids, test_ids))
+    enroll_ids.flags.writeable = test_ids.flags.writeable = False  # so _ids takes them as they are
     with _at_lines(path, *linenos):
         _check_filled(enroll_id=enroll_ids, test_id=test_ids)
         loaded = ScoreSet.from_columns(enroll_ids, test_ids, np.concatenate(scores or [[]]), labels)
         if require_labels and None in labels:
             raise RowError(labels.index(None), "score set is not fully labeled")
+        if require_labels:
+            _check_unique(loaded.enroll_ids, loaded.test_ids)
     if require_labels and len(set(labels)) < 2:
         problem = "need at least one target and one nontarget score" if labels else "no scores"
         raise FormatError(f"{path}: {problem}")

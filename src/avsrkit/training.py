@@ -81,7 +81,7 @@ def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64,
     hold."""
     if not trials.labeled:
         raise ValueError(f"{which} trials must be labeled")
-    ids = trials.enroll_ids + trials.test_ids
+    ids = np.concatenate([trials.enroll_ids, trials.test_ids])
     try:
         used, at = np.unique(store.indices(ids), return_inverse=True)
     except KeyError:

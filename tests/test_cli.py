@@ -117,6 +117,19 @@ class TestEval:
         assert capsys.readouterr().err == \
             f"error: {path}:3: score set is not fully labeled\n"
 
+    def test_repeated_trial_named(self, tmp_path, capsys):
+        path = tmp_path / "d.scores"
+        path.write_text("a\ta\t2.0\ttarget\n# note\na\tb\t-2.0\ttarget\n"
+                        "a\tb\t-1.0\tnontarget\n", encoding="utf-8")
+        assert main(["eval", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:4: duplicate trial (a, b), first on line 3\n"
+        assert main(["fuse", "--dev-scores", str(path), "--eval-scores", str(path),
+                     "--out-model", str(tmp_path / "m.ckpt"),
+                     "--out-scores", str(tmp_path / "f.tsv")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:4: duplicate trial (a, b), first on line 3\n"
+
     def test_undecodable_byte_named(self, tmp_path, capsys):
         path = tmp_path / "b.scores"
         path.write_bytes(b"a\ta\t2.0\ttarget\na\tb\t-2.0\tnon\xfftarget\n")
@@ -213,8 +226,8 @@ class TestScoreAudio:
         score = partial(score_trials, trials, dev, dev, plda=load_plda(plda_path), params=None,
                         rule=PoolingRule(), systems=("audio",))
         got, want = load_scores(out), score(lda=lda)["audio"]
-        assert (got.enroll_ids, got.test_ids, got.labels) == \
-            (want.enroll_ids, want.test_ids, want.labels)
+        assert (got.enroll_ids.tolist(), got.test_ids.tolist(), got.labels) == \
+            (want.enroll_ids.tolist(), want.test_ids.tolist(), want.labels)
         assert got.scores.tobytes() == want.scores.tobytes()
         normed = score(lda=replace(lda, length_norm=True))["audio"]
         assert not np.allclose(got.scores, normed.scores)

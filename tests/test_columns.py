@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 from hypothesis import given, settings, strategies as st
 
 from avsrkit.pipeline import split_enroll_test, split_identities
@@ -217,6 +218,17 @@ def test_validation_messages():
         TrialSet.from_columns(["a", "a"], ["b", "c"], ["target"])
 
 
+@pytest.mark.parametrize("value", [None, 3, 2.5, b"a"])
+def test_non_string_id_named(value):
+    for build in (lambda e, t: ScoreSet.from_columns(e, t, [0.0, 1.0], [None] * 2),
+                  lambda e, t: TrialSet.from_columns(e, t, [None] * 2),
+                  lambda e, t: TrialSet(map(Trial, e, t))):
+        with pytest.raises(RowError, match=f"^enroll_id of row 1 is {value!r}, not a string$"):
+            build(["a", value], ["b", "c"])
+        with pytest.raises(RowError, match=f"^test_id of row 0 is {value!r}, not a string$"):
+            build(["a", "b"], [value, "c"])
+
+
 class TestReadOnlyColumns:
     def test_store_columns(self, records):
         vectors = np.array([r.vector for r in records])
@@ -235,7 +247,11 @@ class TestReadOnlyColumns:
     def test_score_columns(self):
         scores = np.array([0.5, -0.5])
         ss = ScoreSet.from_columns(["a", "a"], ["b", "c"], scores, ["target", "nontarget"])
-        assert isinstance(ss.enroll_ids, tuple) and isinstance(ss.labels, tuple)
+        for ids in (ss.enroll_ids, ss.test_ids):
+            assert ids.dtype == StringDType(coerce=False)
+            with pytest.raises(ValueError, match="read-only"):
+                ids[0] = "z"
+        assert isinstance(ss.labels, tuple)
         with pytest.raises(ValueError, match="read-only"):
             ss.scores[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):

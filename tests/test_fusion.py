@@ -140,6 +140,12 @@ class TestApplyFusion:
         model = FusionModel(weights=[0.0], bias=3.5, effective_prior=0.5)
         assert all(e.score == 3.5 for e in apply_fusion(model, [ss]))
 
+    def test_ids_shared_with_system_1(self, rng):
+        ss1, ss2 = (make_score_set(rng.normal(1, 1, 5), rng.normal(0, 1, 5)) for _ in range(2))
+        model = FusionModel(weights=[1.0, 1.0], bias=0.0, effective_prior=0.5)
+        fused = apply_fusion(model, [ss1, ss2])
+        assert fused.enroll_ids is ss1.enroll_ids and fused.test_ids is ss1.test_ids
+
     def test_system_count_mismatch(self, rng):
         ss = make_score_set([1.0], [0.0])
         model = FusionModel(weights=[1.0, 1.0], bias=0.0, effective_prior=0.5)

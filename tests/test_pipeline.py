@@ -86,7 +86,8 @@ def test_nontarget_draws_pinned():
              "a5296706ff2e05a6a235c165fed9d2f6f3a26f8cb0d0dc1e11150e4f81a3eba3"),
             (build_identity_trials(dev, 4, rng_seed=6), 45,
              "d81ea076f7bec5ed1889b2dc0fa4dd08c882189ea83fdd90bf7e8969378dce58")]:
-        columns = repr((trials.enroll_ids, trials.test_ids, trials.labels)).encode()
+        columns = repr((tuple(trials.enroll_ids.tolist()), tuple(trials.test_ids.tolist()),
+                        trials.labels)).encode()
         assert (len(trials), hashlib.sha256(columns).hexdigest()) == (length, digest)
 
 
@@ -233,6 +234,15 @@ class TestScoreTrials:
         faces = test.grouped("face")
         assert len(trials) == 60
         assert sum(evaluated) == sum(len(faces[t]) for t in trials.test_ids)
+
+    def test_score_sets_share_the_trial_ids(self, rng):
+        split = EmbeddingStore(EmbeddingRecord(f"{i}{m}{j}", f"id{i}", m, rng.standard_normal(3))
+                               for i in range(4) for m in ("voice", "face") for j in range(2))
+        enroll, test = split_enroll_test(split)
+        trials = build_identity_trials(split, 1, rng_seed=0)
+        scored = score_trials(trials, enroll, test, None, None, None, PoolingRule(),
+                              systems=("visual",))["visual"]
+        assert scored.enroll_ids is trials.enroll_ids and scored.test_ids is trials.test_ids
 
 
 class TestSplits:

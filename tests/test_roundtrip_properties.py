@@ -1,7 +1,8 @@
 """Property tests: embedding, score and checkpoint files round-trip every
 finite binary64 value bit for bit, whether it is given as a Python float or
-as a numpy float64; and score fusion is equivariant under an affine map of
-each system's scores."""
+as a numpy float64; score and trial files round-trip any id byte for byte;
+and score fusion is equivariant under an affine map of each system's
+scores."""
 
 import tempfile
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from avsrkit.checkpoint import load_checkpoint, save_checkpoint
 from avsrkit.fusion import apply_fusion, fit_fusion
 from avsrkit.store import (MODALITIES, EmbeddingRecord, EmbeddingStore, ScoreEntry,
-                           ScoreSet, load_embeddings, load_scores, save_embeddings,
-                           save_scores)
+                           ScoreSet, Trial, TrialSet, load_embeddings, load_scores,
+                           load_trials, save_embeddings, save_scores, save_trials)
 
 # any finite binary64 (signed zeros, subnormals and +-max included), as a
 # Python float or as a numpy float64
@@ -58,6 +59,45 @@ def test_score_file_round_trips_bit_exactly(scores, labeled):
     assert [(e.enroll_id, e.test_id, e.label) for e in loaded] == \
         [(e.enroll_id, e.test_id, e.label) for e in entries]
     np.testing.assert_array_equal(bits([e.score for e in loaded]), bits(scores))
+
+
+# any id a line can hold: no tab or line break, no surrogate (not UTF-8),
+# and no leading '#' for the first field (a comment line); long and
+# non-ASCII ids are drawn often, since past 15 UTF-8 bytes an id is stored
+# outside its 16-byte array slot
+ID_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
+ANY_IDS = st.one_of(st.text(ID_CHARS, min_size=1, max_size=30),
+                    st.text(st.sampled_from("aé漢😀 #"), min_size=14, max_size=20))
+FIRST_IDS = ANY_IDS.filter(lambda i: not i.startswith("#"))
+LONG_IDS = ["spk_ünïcødé_0001", "ñ" * 8, "😀" * 4, "a" * 15, "a" * 16, "#seg_0000000000001"]
+
+
+def file_round_trip(save, load, table):
+    """The bytes save writes, the table load reads back from them, and the
+    bytes save writes from that."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        save(table, first)
+        loaded = load(first)
+        save(loaded, second)
+        return first.read_bytes(), loaded, second.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(FIRST_IDS, ANY_IDS), unique=True, max_size=8),
+       labeled=st.booleans())
+@example(pairs=list(zip(LONG_IDS[::-1][1:], LONG_IDS)), labeled=True)
+def test_ids_round_trip_byte_for_byte(pairs, labeled):
+    labels = [("target", "nontarget")[i % 2] if labeled else None for i in range(len(pairs))]
+    trials = TrialSet(Trial(e, t, label) for (e, t), label in zip(pairs, labels))
+    scores = ScoreSet(ScoreEntry(e, t, float(i), label)
+                      for i, ((e, t), label) in enumerate(zip(pairs, labels)))
+    for save, load, table in ((save_trials, load_trials, trials),
+                              (save_scores, load_scores, scores)):
+        written, loaded, rewritten = file_round_trip(save, load, table)
+        assert rewritten == written
+        assert [(row.enroll_id, row.test_id) for row in loaded] == pairs
+        assert all(type(row.enroll_id) is str and type(row.test_id) is str for row in loaded)
 
 
 @settings(max_examples=100, deadline=None)

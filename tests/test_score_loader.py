@@ -5,9 +5,9 @@ array DET writer against per-line references.
 replaced, plus the two checks added with it, in the order the columnar
 loader makes them: the line-level errors (field count, malformed score) in
 file order, then empty ids, then the score set's own checks, then the
-labels and the two classes that ``require_labels`` asks for. ``reference_load_trials`` is the
-trial loader that built one Trial row per line, with the trial set's checks
-written out in their order. ``reference_load_embeddings`` is the per-line
+labels, the unrepeated trials and the two classes that ``require_labels``
+asks for. ``reference_load_trials`` is the trial loader that built one Trial
+row per line, with the trial set's checks written out in their order. ``reference_load_embeddings`` is the per-line
 embedding loader that the chunked one replaced, with the store's checks
 written out in their order. Each loader is also checked with the reader's
 chunk size patched to 1 and 7 characters, so that files span many chunks and
@@ -65,6 +65,12 @@ def reference_load_scores(path, require_labels=False):
     if require_labels and None in labels:
         raise FormatError(f"{path}:{linenos[labels.index(None)]}: "
                           "score set is not fully labeled")
+    firsts = {}
+    for row, pair in enumerate(zip(enroll_ids, test_ids) if require_labels else ()):
+        first = firsts.setdefault(pair, row)
+        if first != row:
+            raise FormatError(f"{path}:{linenos[row]}: duplicate trial ({pair[0]}, {pair[1]}), "
+                              f"first on line {linenos[first]}")
     if require_labels and not labels:
         raise FormatError(f"{path}: no scores")
     if require_labels and len(set(labels)) == 1:
@@ -159,7 +165,7 @@ def outcome(load, path, require_labels):
         s = load(path, require_labels=require_labels)
     except FormatError as exc:
         return "error", str(exc)
-    return s.enroll_ids, s.test_ids, s.labels, s.scores.tobytes()
+    return s.enroll_ids.tolist(), s.test_ids.tolist(), s.labels, s.scores.tobytes()
 
 
 IDS = ["a", "b", "spk01", "seg 7", "é", "a#", "#a", " x"]
@@ -282,7 +288,7 @@ def trial_outcome(load, path):
         trials = load(path)
     except FormatError as exc:
         return "error", str(exc)
-    return trials.enroll_ids, trials.test_ids, trials.labels
+    return trials.enroll_ids.tolist(), trials.test_ids.tolist(), trials.labels
 
 
 def check_trial_file(path, text):
@@ -415,10 +421,9 @@ def test_generated_embedding_files_reach_every_outcome(work_dir):
     assert {"loaded", *EMBEDDING_ERRORS} <= seen
 
 
-def test_score_loader_memory_is_bounded_by_a_chunk(work_dir):
-    """A 200 000-line labeled score file loads at a traced peak of about
-    42 MiB: the score set plus one chunk's pieces. Holding the whole file's
-    pieces at once, as a whole-file split does, peaked at 88 MiB."""
+@pytest.fixture(scope="module")
+def large_score_file(work_dir):
+    """A labeled score file of 200 000 lines, the size of an SRE trial list."""
     n = 200_000
     rng = np.random.default_rng(0)
     is_target = np.arange(n) % 10 == 0
@@ -427,14 +432,37 @@ def test_score_loader_memory_is_bounded_by_a_chunk(work_dir):
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"spk{i // 50:05d}\tseg{i:06d}\t{s!r}\t{'target' if t else 'nontarget'}\n"
                       for i, (s, t) in enumerate(zip(scores, is_target)))
+    return path
+
+
+def traced_load(path):
+    """(score set, traced bytes it holds, traced peak while loading)."""
     tracemalloc.start()
     try:
         loaded = load_scores(path, require_labels=True)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(loaded) == n
+    return loaded, held, peak
+
+
+def test_score_loader_memory_is_bounded_by_a_chunk(large_score_file):
+    """A 200 000-line labeled score file loads at a traced peak of about
+    28 MiB: the score set plus one chunk's pieces (42 MiB when each id was a
+    Python str). Holding the whole file's pieces at once, as a whole-file
+    split does, peaked at 88 MiB."""
+    loaded, _, peak = traced_load(large_score_file)
+    assert len(loaded) == 200_000
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_loaded_score_set_is_small(large_score_file):
+    """The loaded 200 000-line set holds about 9.2 MiB: 16 bytes per id in
+    two StringDType columns, the float64 scores and the labels tuple. A
+    Python str per id held 28 MiB."""
+    loaded, held, _ = traced_load(large_score_file)
+    assert len(loaded) == 200_000
+    assert held < 12 * 2**20, f"loaded set holds {held / 2**20:.1f} MiB"
 
 
 @SETTINGS
