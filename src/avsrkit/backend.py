@@ -41,6 +41,27 @@ def eigh(a, b):
     return lam, l_inv.T @ u
 
 
+def _identity_stats(store: EmbeddingStore, fit: str):
+    """(stats, records, identities, mean) of the voice records of store, for
+    the named fit: stats maps each session count n to ((K_n, d) identity means,
+    pooled (d, d) scatter of the records about their identity's mean) over the
+    K_n identities with n records, in first-seen order; mean is of all records."""
+    rows = store.identity_rows("voice")
+    if len(rows) < 2:
+        raise ValueError(f"need voice records of at least 2 identities to fit {fit}, "
+                         f"found {len(rows)}")
+    stats = {}
+    for n in sorted(set(map(len, rows.values()))):
+        x = store.vectors[[idx for idx in rows.values() if len(idx) == n]]  # (K_n, n, d)
+        means = x.mean(axis=1)
+        x -= means[:, None, :]  # in place: the gather is already a copy
+        centred = x.reshape(-1, x.shape[2])
+        stats[n] = (means, centred.T @ centred)
+    n_total = sum(n * means.shape[0] for n, (means, _) in stats.items())
+    mean = sum(n * means.sum(axis=0) for n, (means, _) in stats.items()) / n_total
+    return stats, n_total, len(rows), mean
+
+
 @dataclass
 class LdaTransform:
     projection: np.ndarray  # (d, D)
@@ -74,27 +95,14 @@ def fit_lda(store: EmbeddingStore, target_dim: int, length_norm: bool = True) ->
     """
     if target_dim < 1:
         raise ValueError("target_dim must be positive")
-    groups = store.grouped("voice")
-    if len(groups) < 2:
-        raise ValueError("need voice records of at least 2 identities to fit LDA, "
-                         f"found {len(groups)}")
-    if max(x.shape[0] for x in groups.values()) < 2:
+    stats, n_total, n_ids, global_mean = _identity_stats(store, "LDA")
+    if max(stats) < 2:
         raise ValueError("need at least one identity with 2 or more records")
 
     dim = store.dim
-    n_total = sum(x.shape[0] for x in groups.values())
-    global_mean = sum(x.sum(axis=0) for x in groups.values()) / n_total
-
-    sw = np.zeros((dim, dim))
-    sb = np.zeros((dim, dim))
-    for x in groups.values():
-        mu_c = x.mean(axis=0)
-        centered = x - mu_c
-        sw += centered.T @ centered
-        diff = mu_c - global_mean
-        sb += x.shape[0] * np.outer(diff, diff)
-    sw /= n_total
-    sb /= n_total
+    sw = sum(scatter for _, scatter in stats.values()) / n_total
+    sb = sum(n * (means - global_mean).T @ (means - global_mean)
+             for n, (means, _) in stats.items()) / n_total
 
     min_eig = np.linalg.eigvalsh(sw)[0]
     if min_eig < 1e-10:
@@ -107,7 +115,7 @@ def fit_lda(store: EmbeddingStore, target_dim: int, length_norm: bool = True) ->
 
     # generalized eigenproblem; eigh normalizes V^T Sw V = I, which whitens
     eigvals, eigvecs = eigh(sb, sw)
-    out_dim = min(target_dim, len(groups) - 1, dim)
+    out_dim = min(target_dim, n_ids - 1, dim)
     order = np.argsort(eigvals)[::-1][:out_dim]
     return LdaTransform(eigvecs[:, order].T.copy(), global_mean, length_norm)
 
@@ -209,21 +217,6 @@ class PldaModel:
         return self.method or "given parameters"
 
 
-def _count_groups(groups):
-    """session count n -> ((K_n, d) identity means, pooled (d, d) scatter of
-    the records about their identity's mean), over the identities with n records."""
-    by_count = {}
-    for x in groups.values():
-        by_count.setdefault(x.shape[0], []).append(x)
-    stats = {}
-    for n, xs in sorted(by_count.items()):
-        x = np.stack(xs)
-        means = x.mean(axis=1)
-        centred = (x - means[:, None, :]).reshape(-1, x.shape[2])
-        stats[n] = (means, centred.T @ centred)
-    return stats
-
-
 def _closed_form(mu, means, scatter, n):
     """Maximum-likelihood (B, W) when every identity has n >= 2 records, or
     None when the within scatter is singular.
@@ -284,14 +277,7 @@ def fit_plda(store: EmbeddingStore, max_iter: int = PLDA_MAX_ITER) -> PldaModel:
     it was fitted and whether it converged; the EM sequence is non-decreasing
     up to numerical slack.
     """
-    groups = store.grouped("voice")
-    if len(groups) < 2:
-        raise ValueError("need voice records of at least 2 identities to fit PLDA, "
-                         f"found {len(groups)}")
-    stats = _count_groups(groups)
-    n_ids = len(groups)
-    n_total = sum(n * means.shape[0] for n, (means, _) in stats.items())
-    mu = sum(n * means.sum(axis=0) for n, (means, _) in stats.items()) / n_total
+    stats, n_total, n_ids, mu = _identity_stats(store, "PLDA")
 
     [n, *ragged] = stats
     if not ragged and n >= 2:

@@ -73,13 +73,11 @@ def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positiv
 def split_enroll_test(embedding_store: EmbeddingStore):
     """Per identity and modality, first half of records (by id) enrolls,
     the rest tests. Every identity needs >= 2 records per modality."""
-    groups = {identity: {"voice": [], "face": []}
-              for identity in dict.fromkeys(embedding_store.identity_ids)}
-    for i in sorted(range(len(embedding_store)), key=embedding_store.record_ids.__getitem__):
-        groups[embedding_store.identity_ids[i]][embedding_store.modalities[i]].append(i)
+    groups = {modality: embedding_store.identity_rows(modality) for modality in ("voice", "face")}
     enroll, test = [], []
-    for identity, by_modality in groups.items():
-        for modality, rows in by_modality.items():
+    for identity in dict.fromkeys(embedding_store.identity_ids):
+        for modality, by_identity in groups.items():
+            rows = sorted(by_identity.get(identity, []), key=embedding_store.record_ids.__getitem__)
             if len(rows) < 2:
                 raise ValueError(
                     f"identity {identity!r} has {len(rows)} {modality} records; "
@@ -205,7 +203,11 @@ def run_pipeline(config: PipelineConfig) -> str:
     Report: TSV with one row per system configuration, columns
     system, eer, min_dcf, act_dcf.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ValueError(f"out_dir {config.out_dir!r} cannot be made a directory: "
+                         f"{exc.strerror}") from None
 
     def out(name):
         return os.path.join(config.out_dir, name)
@@ -214,6 +216,16 @@ def run_pipeline(config: PipelineConfig) -> str:
         train_store, dev_store, eval_store = (store.load_embeddings(path) for path in (
             config.train_embeddings, config.dev_embeddings, config.eval_embeddings))
         dev_trials, eval_trials = map(store.load_trials, (config.dev_trials, config.eval_trials))
+        for path, split_store in ((config.dev_embeddings, dev_store),
+                                  (config.eval_embeddings, eval_store)):
+            if len(split_store) and len(train_store) and split_store.dim != train_store.dim:
+                raise ValueError(f"{path}: holds {split_store.dim}-d embeddings, "
+                                 f"{config.train_embeddings} holds {train_store.dim}-d")
+        # dev trials fit the fusion and eval trials are reported: both need both classes
+        for path, trials in ((config.dev_trials, dev_trials), (config.eval_trials, eval_trials)):
+            if not set(store.LABELS) <= set(trials.labels):
+                raise ValueError(f"{path}: need labeled trials, at least one target "
+                                 "and one nontarget")
 
     with _stage("fit-backend"):
         lda, plda = fit_backend(train_store, config.lda_dim, config.length_norm,

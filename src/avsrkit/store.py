@@ -163,14 +163,19 @@ class EmbeddingStore(_Columns):
     def restrict(self, modality: str) -> "EmbeddingStore":
         return self.subset([i for i, m in enumerate(self.modalities) if m == modality])
 
-    def grouped(self, modality):
-        """identity -> (n, D) matrix of its records of one modality, rows in
-        insertion order; identities in first-seen order."""
+    def identity_rows(self, modality) -> dict:
+        """identity -> row indices of its records of one modality, in store
+        order; identities in first-seen order."""
         rows = {}
         for i, (identity, m) in enumerate(zip(self.identity_ids, self.modalities)):
             if m == modality:
                 rows.setdefault(identity, []).append(i)
-        return {identity: self.vectors[idx] for identity, idx in rows.items()}
+        return rows
+
+    def grouped(self, modality):
+        """identity -> (n, D) matrix of its records of one modality, rows in
+        insertion order; identities in first-seen order."""
+        return {key: self.vectors[rows] for key, rows in self.identity_rows(modality).items()}
 
 
 @dataclass(frozen=True)
@@ -433,24 +438,21 @@ def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
     given the seed.
     """
     rng = np.random.default_rng(rng_seed)
-    ids, by_identity = {"voice": [], "face": []}, {}  # record ids of each modality, in store order
-    for record_id, identity, modality in zip(store.record_ids, store.identity_ids,
-                                             store.modalities):
-        ids[modality].append(record_id)
-        by_identity.setdefault(identity, {"voice": [], "face": []})[modality].append(record_id)
-    if not ids["voice"] or not ids["face"]:
+    ids, voices, faces = store.record_ids, store.identity_rows("voice"), store.identity_rows("face")
+    if not voices or not faces:
         raise ValueError("store must contain both voice and face records")
 
     targets = []
-    for _, own in sorted(by_identity.items()):
-        pairs = [(v, f) for v in own["voice"] for f in own["face"]]
+    for identity in sorted(voices.keys() & faces.keys()):
+        pairs = [(ids[v], ids[f]) for v in voices[identity] for f in faces[identity]]
         if len(pairs) > MAX_TARGETS_PER_IDENTITY:
             idx = rng.choice(len(pairs), size=MAX_TARGETS_PER_IDENTITY, replace=False)
             pairs = [pairs[i] for i in sorted(idx)]
         targets.extend(pairs)
 
-    return sample_nontargets(targets, ids["voice"], ids["face"],
-                             dict(zip(store.record_ids, store.identity_ids)),
+    left, right = ([ids[i] for i in sorted(j for group in rows.values() for j in group)]
+                   for rows in (voices, faces))  # each modality's record ids, in store order
+    return sample_nontargets(targets, left, right, dict(zip(ids, store.identity_ids)),
                              negatives_per_positive, rng)
 
 

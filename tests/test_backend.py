@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh as scipy_eigh
 from scipy.stats import multivariate_normal
 
 from avsrkit.backend import (LdaTransform, PldaModel, PoolingRule, fit_lda,
@@ -78,6 +79,27 @@ class TestLda:
             n += arr.shape[0]
         sw /= n
         assert np.linalg.norm(sw - np.eye(dim)) < 1e-6
+
+    def test_ragged_counts_match_per_identity_reference(self, rng):
+        # 40 identities of 1 to 5 voice records each, in shuffled order
+        identity = rng.permutation(np.repeat(np.arange(40), rng.integers(1, 6, size=40)))
+        x = 2.0 * rng.standard_normal((40, 6))[identity] + rng.standard_normal((len(identity), 6))
+        store = EmbeddingStore.from_columns([f"r{i}" for i in range(len(x))],
+                                            [f"id{k}" for k in identity], ["voice"] * len(x), x)
+        lda = fit_lda(store, 4)
+        mean = x.mean(axis=0)
+        sw, sb = np.zeros((6, 6)), np.zeros((6, 6))
+        for k in range(40):
+            rows = x[identity == k]
+            centred = rows - rows.mean(axis=0)
+            sw += centred.T @ centred
+            sb += len(rows) * np.outer(rows.mean(axis=0) - mean, rows.mean(axis=0) - mean)
+        sw, sb = sw / len(x), sb / len(x)
+        p = lda.projection
+        np.testing.assert_allclose(lda.mean, mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(p @ sw @ p.T, np.eye(4), rtol=0, atol=1e-10)
+        top = scipy_eigh(sb, sw, eigvals_only=True)[::-1][:4]  # descending
+        np.testing.assert_allclose(p @ sb @ p.T, np.diag(top), rtol=0, atol=1e-10)
 
     def test_singular_within_scatter_regularized(self, rng):
         # duplicate records per class make the within scatter rank deficient

@@ -703,6 +703,52 @@ class TestPipelineExitCodes:
         assert capsys.readouterr().err == f"error: {argv[2]}: {message}\n"
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_embeddings_of_another_dimension_named(self, data, tmp_path, capsys):
+        data, argv = data
+        path = data / "eval.embeddings"
+        lines = [line.split("\t") for line in path.read_text().splitlines()]
+        path.write_text("".join("\t".join(fields[:3] + [",".join(fields[3].split(",")[:32])])
+                                + "\n" for fields in lines))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage 'load-data' failed: ")
+        assert (f"{path}: holds 32-d embeddings, {data / 'train.embeddings'} holds 64-d"
+                in err)
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("split", ["dev", "eval"])
+    @pytest.mark.parametrize("keep", [
+        lambda fields: fields[:2],                        # labels stripped
+        lambda fields: fields if fields[2] == "target" else None,
+        lambda fields: fields if fields[2] == "nontarget" else None,
+    ], ids=["unlabeled", "targets only", "nontargets only"])
+    def test_trials_without_both_labeled_classes_named(self, data, tmp_path, capsys, split,
+                                                        keep):
+        data, argv = data
+        path = data / f"{split}.trials"
+        kept = (keep(line.split("\t")) for line in path.read_text().splitlines())
+        path.write_text("".join("\t".join(fields) + "\n" for fields in kept if fields))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline stage 'load-data' failed: ")
+        assert (f"{path}: need labeled trials, at least one target and one nontarget"
+                in err)
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+    def test_out_dir_that_cannot_be_a_directory_named(self, data, tmp_path, capsys, under):
+        data, argv = data
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / "out" if under else blocker
+        config = Path(argv[2])
+        config.write_text(config.read_text().replace(f"out_dir = {tmp_path / 'out'}\n",
+                                                     f"out_dir = {out_dir}\n"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out_dir {str(out_dir)!r} cannot be made a directory: ")
+        assert blocker.read_text() == "not a directory\n"
+
     def test_runtime_failure_exits_2(self, data, capsys, monkeypatch):
         from avsrkit import training
 

@@ -55,6 +55,17 @@ class TestRowSelectionMatchesPerRecordReference:
             for identity, vectors in want.items():
                 np.testing.assert_array_equal(got[identity], vectors)
 
+    def test_identity_rows(self, records):
+        store = EmbeddingStore(records)
+        for modality in MODALITIES:
+            want = {}
+            for i, r in enumerate(records):
+                if r.modality == modality:
+                    want.setdefault(r.identity_id, []).append(i)
+            got = store.identity_rows(modality)
+            assert list(got) == list(want)  # first-seen identity order
+            assert got == want
+
     def test_rows(self, records, rng):
         store = EmbeddingStore(records)
         picks = [records[i] for i in rng.integers(len(records), size=2 * len(records))]
