@@ -131,6 +131,7 @@ def project_store(lda: LdaTransform, store: EmbeddingStore) -> EmbeddingStore:
             raise ValueError(f"record {store.record_ids[int(np.argmin(norm))]!r} "
                              "projects to the zero vector")
         vectors = vectors / norm
+    vectors.flags.writeable = False  # so the new store holds it as it is
     return EmbeddingStore.from_columns(store.record_ids, store.identity_ids,
                                        store.modalities, vectors)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,11 @@ class FusionModel:
     weights: np.ndarray  # one per input system
     bias: float
     effective_prior: float
+    # how fit_fusion ended: Newton steps taken, final |grad| (at the last step's
+    # point, before any cap) and whether WEIGHT_NORM_CAP bound; None for given parameters
+    iterations: int | None = field(default=None, compare=False)
+    grad_norm: float | None = field(default=None, compare=False)
+    capped: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
@@ -107,10 +112,9 @@ def fit_fusion(system_scores, params: DcfParams = DcfParams()) -> FusionModel:
 
     theta = np.zeros(x.shape[1])
     loss, grad, hess = _objective(theta, x, is_target, prior)
-    capped = False
-    for _ in range(MAX_ITER):
-        if np.linalg.norm(grad) < GRAD_TOL:
-            break
+    capped, iterations = False, 0
+    while iterations < MAX_ITER and np.linalg.norm(grad) >= GRAD_TOL:
+        iterations += 1
         # lstsq: a constant system's all-zero column makes hess singular
         direction = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         slope = float(grad @ direction)
@@ -133,17 +137,19 @@ def fit_fusion(system_scores, params: DcfParams = DcfParams()) -> FusionModel:
     # trial on the right side of the decision boundary, whether the fit hit
     # the cap or its gradient vanished at finite weights
     a = x @ theta + math.log(prior / (1.0 - prior))
+    grad_norm = float(np.linalg.norm(grad))
     if capped or (np.all(a[is_target] > 0.0) and np.all(a[~is_target] < 0.0)):
         warnings.warn("fusion training data is separable; weights stopped at norm "
                       f"{np.linalg.norm(theta):.3g} (cap {WEIGHT_NORM_CAP:g})")
-    elif np.linalg.norm(grad) >= GRAD_TOL:
+    elif grad_norm >= GRAD_TOL:
         warnings.warn(f"fusion fit did not converge in {MAX_ITER} Newton steps: "
-                      f"|grad| = {np.linalg.norm(grad):.3e}")
+                      f"|grad| = {grad_norm:.3e}")
 
     w_std = theta[:-1]
     weights = w_std / std
     bias = float(theta[-1] - (w_std * mean / std).sum())
-    return FusionModel(weights=weights, bias=bias, effective_prior=prior)
+    return FusionModel(weights=weights, bias=bias, effective_prior=prior, iterations=iterations,
+                       grad_norm=grad_norm, capped=capped)
 
 
 def apply_fusion(model: FusionModel, system_scores) -> ScoreSet:
@@ -152,6 +158,7 @@ def apply_fusion(model: FusionModel, system_scores) -> ScoreSet:
     if len(system_scores) != len(model.weights):
         raise ValueError(f"model expects {len(model.weights)} systems, got {len(system_scores)}")
     fused = _aligned_matrix(system_scores) @ model.weights + model.bias
+    fused.flags.writeable = False  # so the fused set holds it as it is
     ref = system_scores[0]
     return ScoreSet.from_columns(ref.enroll_ids, ref.test_ids, fused, ref.labels)
 

@@ -161,17 +161,23 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
                      ("a transformed voice template", "a transformed face"))
         scores["vfnet"] = backend.pool_cosines(templates, faces, e_at, t_at, rule,
                                                link=lambda s: vfnet.pair_probability(s).p_same)
+    for column in scores.values():
+        column.flags.writeable = False  # so each score set holds it as it is
     return {system: ScoreSet.from_columns(*ids, scores[system], trials.labels)
             for system in systems}
 
 
 def split_identities(embedding_store: EmbeddingStore, valid_fraction: float, seed: int):
     """Identity-disjoint (train, valid) stores; validation must not share
-    identities with training or early stopping cannot see identity overfit."""
+    identities with training or early stopping cannot see identity overfit.
+    Each side needs at least 2 identities for its nontarget trials."""
     ids = sorted(set(embedding_store.identity_ids))
+    n_valid = max(2, int(valid_fraction * len(ids)))
+    if len(ids) - n_valid < 2:
+        raise ValueError(f"found {len(ids)} identities, need at least {n_valid + 2} to keep "
+                         f"{n_valid} for validation and 2 for training")
     rng = np.random.default_rng([seed, 11])
     perm = rng.permutation(len(ids))
-    n_valid = max(2, int(valid_fraction * len(ids)))
     valid_ids = {ids[i] for i in perm[:n_valid]}
     in_valid = [identity in valid_ids for identity in embedding_store.identity_ids]
     return (embedding_store.subset(i for i, valid in enumerate(in_valid) if not valid),

@@ -80,20 +80,28 @@ def _check_known(column, known, what):
         raise RowError(row, f"unknown {what} {column[row]!r}")
 
 
-def _ids(column, name):
-    """column as a read-only StringDType array; one already, as another table holds, is
-    shared, not copied. A value that is not a str raises a RowError naming its row."""
-    if isinstance(column, np.ndarray) and column.dtype == _IDS and not column.flags.writeable:
+def _frozen(column, dtype):
+    """column as a read-only array of dtype: one already (a view only if its base is read-only
+    too) is shared, anything else copied and the copy frozen, so a caller's array stays its own."""
+    if (isinstance(column, np.ndarray) and column.dtype == dtype and not column.flags.writeable
+            and (column.base is None
+                 or isinstance(column.base, np.ndarray) and not column.base.flags.writeable)):
         return column
+    array = np.array(column, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _ids(column, name):
+    """column as a read-only StringDType array (see _frozen). A value that is not a str
+    raises a RowError naming its row."""
     try:
-        ids = np.array(column, dtype=_IDS)
+        return _frozen(column, _IDS)
     except (TypeError, ValueError):
         row = next((i for i, value in enumerate(column) if not isinstance(value, str)), None)
         if row is None:
             raise
         raise RowError(row, f"{name} of row {row} is {column[row]!r}, not a string") from None
-    ids.flags.writeable = False
-    return ids
 
 
 def _check_unique(enroll_ids, test_ids):
@@ -128,8 +136,7 @@ class EmbeddingStore(_Columns):
             if len(vector) != dim:
                 raise RowError(i, f"record {self.record_ids[i]!r} has dimension {len(vector)}, "
                                   f"store dimension is {dim}")
-        self.vectors = np.array(vectors, dtype=np.float64).reshape(n, dim)
-        self.vectors.flags.writeable = False
+        self.vectors = _frozen(vectors, np.float64).reshape(n, dim)  # a view of it, read-only
         _check_known(self.modalities, MODALITIES, "modality")
         self._index = {}  # record id -> row
         for i, record_id in enumerate(self.record_ids):
@@ -156,9 +163,11 @@ class EmbeddingStore(_Columns):
     def subset(self, indices) -> "EmbeddingStore":
         """The store of the rows at the given indices, in their order."""
         indices = list(indices)
+        vectors = self.vectors[indices]
+        vectors.flags.writeable = False  # so the new store holds it as it is
         return EmbeddingStore.from_columns(
             [self.record_ids[i] for i in indices], [self.identity_ids[i] for i in indices],
-            [self.modalities[i] for i in indices], self.vectors[indices])
+            [self.modalities[i] for i in indices], vectors)
 
     def restrict(self, modality: str) -> "EmbeddingStore":
         return self.subset([i for i, m in enumerate(self.modalities) if m == modality])
@@ -233,8 +242,7 @@ class ScoreSet(_Columns):
 
     def _fill(self, enroll_ids, test_ids, scores, labels):
         self.enroll_ids, self.test_ids = _ids(enroll_ids, "enroll_id"), _ids(test_ids, "test_id")
-        self.scores = np.array(scores, dtype=np.float64)
-        self.scores.flags.writeable = False
+        self.scores = _frozen(scores, np.float64)
         self.labels = tuple(labels)
         finite = np.isfinite(self.scores)
         if not finite.all():
@@ -359,6 +367,7 @@ def load_embeddings(path) -> EmbeddingStore:
         for column, chunk in zip(columns, ids):
             column += chunk
     values = np.concatenate(values or [[]])
+    values.flags.writeable = False  # so the store holds it as it is
     one_size = len(set(dims)) == 1  # else no rows, or each apart for the store to name a misfit
     vectors = values.reshape(len(dims), -1) if one_size else np.split(values, np.cumsum(dims))[:-1]
     with _at_lines(path, *linenos):
@@ -407,10 +416,12 @@ def load_scores(path, require_labels=False) -> ScoreSet:
         test_ids.append(np.array(test, dtype=_IDS))
         labels += map(_LABEL_OBJECTS.get, label, label)  # the known labels as one object each
     enroll_ids, test_ids = (np.concatenate(c or [[]], dtype=_IDS) for c in (enroll_ids, test_ids))
-    enroll_ids.flags.writeable = test_ids.flags.writeable = False  # so _ids takes them as they are
+    scores = np.concatenate(scores or [[]])
+    # read-only, so the score set holds the three arrays as they are
+    enroll_ids.flags.writeable = test_ids.flags.writeable = scores.flags.writeable = False
     with _at_lines(path, *linenos):
         _check_filled(enroll_id=enroll_ids, test_id=test_ids)
-        loaded = ScoreSet.from_columns(enroll_ids, test_ids, np.concatenate(scores or [[]]), labels)
+        loaded = ScoreSet.from_columns(enroll_ids, test_ids, scores, labels)
         if require_labels and None in labels:
             raise RowError(labels.index(None), "score set is not fully labeled")
         if require_labels:

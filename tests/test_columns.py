@@ -269,3 +269,45 @@ class TestReadOnlyColumns:
             ss.scores_and_labels()[0][0] = 1.0
         scores[0] = 9.0
         assert ss.scores[0] == 0.5
+
+    # each table's float column, built around the given values
+    FLOAT_COLUMNS = {
+        "vectors": lambda values: EmbeddingStore.from_columns(
+            ["r0", "r1", "r2"], ["a", "a", "b"], ["voice"] * 3, values).vectors,
+        "scores": lambda values: ScoreSet.from_columns(
+            ["a", "a", "b"], ["b", "c", "c"], values, [None] * 3).scores,
+    }
+    SHAPES = {"vectors": (3, 2), "scores": (3,)}
+
+    def fresh(self, column):
+        return np.full(self.SHAPES[column], 0.5)  # writable, owns its data
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_read_only_float_column_is_shared(self, column):
+        values = self.fresh(column)
+        values.flags.writeable = False
+        view = values.ravel().reshape(values.shape)  # a read-only view of a read-only base
+        assert view.base is values
+        for given in (values, view):
+            held = self.FLOAT_COLUMNS[column](given)
+            assert np.shares_memory(held, given)
+            assert not held.flags.writeable
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_writable_float_column_is_copied(self, column):
+        values = self.fresh(column)
+        held = self.FLOAT_COLUMNS[column](values)
+        assert not np.shares_memory(held, values)
+        assert values.flags.writeable and not held.flags.writeable
+        values[0] = 9.0
+        assert held[0].tolist() != values[0].tolist()
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_read_only_view_of_writable_base_is_copied(self, column):
+        base = self.fresh(column)
+        view = base.view()
+        view.flags.writeable = False
+        held = self.FLOAT_COLUMNS[column](view)
+        assert not np.shares_memory(held, base)
+        base[0] = 9.0  # the base's owner can still write it
+        assert held[0].tolist() != base[0].tolist()

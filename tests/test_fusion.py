@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from avsrkit.fusion import (FusionModel, apply_fusion, fit_fusion,
+from avsrkit.fusion import (GRAD_TOL, MAX_ITER, FusionModel, apply_fusion, fit_fusion,
                             load_fusion, save_fusion)
 from avsrkit.metrics import DcfParams, compute_metrics
 from avsrkit.store import ScoreSet
@@ -63,10 +63,33 @@ class TestFitFusion:
         assert np.linalg.norm(grad) < 1e-8
 
     def test_separable_data_caps_weights(self, rng):
+        # a margin of about 2 lets the gradient vanish at finite weights, inside the cap
         ss = make_score_set(rng.uniform(1.0, 2.0, 40), rng.uniform(-2.0, -1.0, 40))
         with pytest.warns(UserWarning, match="separable"):
             model = fit_fusion([ss])
         assert np.isfinite(model.weights).all()
+        assert model.capped is False
+        assert model.grad_norm < GRAD_TOL
+
+    def test_narrow_separable_margin_binds_the_cap(self, rng):
+        # one of 2e-3 needs weights past WEIGHT_NORM_CAP first
+        tar = np.append(1e-3, rng.uniform(1.0, 2.0, 39))
+        ss = make_score_set(tar, np.append(-1e-3, rng.uniform(-2.0, -1.0, 39)))
+        with pytest.warns(UserWarning, match=r"separable; weights stopped at norm 1e\+03"):
+            model = fit_fusion([ss])
+        assert model.capped is True
+        assert 1 <= model.iterations < MAX_ITER
+        assert model.grad_norm > GRAD_TOL
+
+    def test_diagnostics_on_well_behaved_data(self, rng):
+        ss = true_llr_scores(rng, 2000)
+        noisy = make_score_set(rng.normal(1.0, 2.0, 1000), rng.normal(0.0, 2.0, 1000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_fusion([ss, noisy])
+        assert model.capped is False
+        assert 1 <= model.iterations < MAX_ITER
+        assert model.grad_norm < GRAD_TOL
 
     def test_misaligned_trial_lists_rejected(self, rng):
         ss1 = make_score_set([1.0, 2.0], [0.0])
@@ -180,6 +203,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
         assert loaded.effective_prior == model.effective_prior
+        assert (loaded.iterations, loaded.grad_norm, loaded.capped) == (None, None, None)
 
     def test_numpy_scalar_bias_round_trips(self, tmp_path):
         model = FusionModel(weights=[2.0], bias=np.float64(0.25), effective_prior=0.05)

@@ -18,9 +18,9 @@ from avsrkit.training import TrainConfig
 from avsrkit.vfnet import cosine_similarity, init_params, pair_forward
 
 
-def tiny_benchmark(tmp_path, seed=0):
-    gen = GenConfig(d_id=2, d_voice=8, d_face=8, n_identities_train=40,
-                    n_identities_test=12, rng_seed=seed)
+def tiny_benchmark(tmp_path, seed=0, **gen):
+    gen = replace(GenConfig(d_id=2, d_voice=8, d_face=8, n_identities_train=40,
+                            n_identities_test=12, rng_seed=seed), **gen)
     train, dev, eval_ = generate_av_benchmark(gen, dev_eval_sessions=2)
     paths = {}
     for name, s in [("train", train), ("dev", dev), ("eval", eval_)]:
@@ -278,6 +278,15 @@ class TestSplits:
         assert len(a) + len(b) == len(s)
         assert len(ids_b) == 5
 
+    @pytest.mark.parametrize("n_identities", [2, 3])
+    def test_identity_split_needs_four_identities(self, rng, n_identities):
+        s = EmbeddingStore.from_columns(
+            [f"r{i}" for i in range(n_identities)], [f"id{i}" for i in range(n_identities)],
+            ["voice"] * n_identities, rng.standard_normal((n_identities, 2)))
+        with pytest.raises(ValueError, match=f"^found {n_identities} identities, need at "
+                                             "least 4 to keep 2 for validation and 2 for"):
+            split_identities(s, 0.1, seed=0)
+
 
 class TestRunPipeline:
     def test_end_to_end_report(self, tmp_path):
@@ -311,6 +320,13 @@ class TestRunPipeline:
         config = tiny_benchmark(tmp_path)
         config = replace(config, train_embeddings=str(tmp_path / "missing.embeddings"))
         with pytest.raises(PipelineError, match="load-data"):
+            run_pipeline(config)
+
+    def test_too_few_training_identities_named(self, tmp_path):
+        # 5 voices per identity, so that LDA's within scatter of 3 identities is regular
+        config = tiny_benchmark(tmp_path, n_identities_train=3, voice_sessions_per_identity=5)
+        with pytest.raises(PipelineError, match="'train-vfnet' failed: found 3 identities, "
+                                                "need at least 4"):
             run_pipeline(config)
 
     def test_markdown_render(self, tmp_path):
