@@ -2,7 +2,7 @@
 
 Subcommands: synth, train-vfnet, fit-backend, score, fuse, eval, pipeline.
 Exit codes: 0 success, 1 validation error (bad flags, malformed or missing
-files), 2 runtime failure.
+files, a file where a directory is needed or the reverse), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from .config import ConfigError, build, config_keys, parse_kv_file
 
 class UsageError(Exception):
     pass
+
+
+# an existing path of the wrong kind: a directory to be read or written as a file, or the reverse
+_IN_THE_WAY = (IsADirectoryError, NotADirectoryError, FileExistsError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,11 +278,16 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
+    except _IN_THE_WAY as exc:
+        flags = (f"--{dest.replace('_', '-')} " for dest, value in vars(args).items()
+                 if value and exc.filename in (value if isinstance(value, list) else [value]))
+        print(f"error: {next(flags, '')}{exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        return 1
     except Exception as exc:
         # a pipeline stage reports bad input like a subcommand does
         cause = exc.cause if isinstance(exc, pipeline.PipelineError) else exc
         if isinstance(cause, (UsageError, ConfigError, store.FormatError, CheckpointError,
-                              FileNotFoundError, ValueError)):
+                              FileNotFoundError, ValueError, *_IN_THE_WAY)):
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"failure: {exc}", file=sys.stderr)

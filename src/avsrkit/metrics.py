@@ -60,18 +60,18 @@ class MetricReport:
 
 
 def _roc_arrays(tar, non):
-    """(thresholds, p_miss, p_fa) of target and nontarget score arrays."""
+    """(thresholds, p_miss, p_fa) of sorted target and nontarget score arrays."""
     thresholds = np.unique(np.concatenate([tar, non]))
     # at threshold t: miss iff target score < t, false alarm iff nontarget >= t
-    n_miss = np.searchsorted(np.sort(tar), thresholds, side="left")
-    n_fa = non.shape[0] - np.searchsorted(np.sort(non), thresholds, side="left")
+    n_miss = np.searchsorted(tar, thresholds, side="left")
+    n_fa = non.shape[0] - np.searchsorted(non, thresholds, side="left")
     return (np.concatenate([[-math.inf], thresholds, [math.inf]]),
             np.concatenate([[0.0], n_miss / tar.shape[0], [1.0]]),
             np.concatenate([[1.0], n_fa / non.shape[0], [0.0]]))
 
 
 def _eer_arrays(tar, non) -> float:
-    return _eer_roc(*_roc_arrays(tar, non)[1:])
+    return _eer_roc(*_roc_arrays(np.sort(tar), np.sort(non))[1:])
 
 
 def _eer_roc(p_miss, p_fa) -> float:
@@ -85,9 +85,9 @@ def _eer_roc(p_miss, p_fa) -> float:
 
 
 def _auc_arrays(tar, non) -> float:
-    non_sorted = np.sort(non)
-    below = np.searchsorted(non_sorted, tar, side="left")
-    below_or_equal = np.searchsorted(non_sorted, tar, side="right")
+    """AUC of target scores and sorted nontarget scores."""
+    below = np.searchsorted(non, tar, side="left")
+    below_or_equal = np.searchsorted(non, tar, side="right")
     wins = below + 0.5 * (below_or_equal - below)
     return float(wins.sum() / (tar.shape[0] * non.shape[0]))
 
@@ -106,7 +106,7 @@ def _dcf_roc(thresholds, p_miss, p_fa, params: DcfParams):
 
 def compute_metrics(scores: ScoreSet, params: DcfParams = DcfParams()) -> MetricReport:
     s, is_target = scores.scores_and_labels()
-    tar, non = s[is_target], s[~is_target]
+    tar, non = np.sort(s[is_target]), np.sort(s[~is_target])  # each class sorted once
     thresholds, p_miss, p_fa = _roc_arrays(tar, non)
     mdcf, threshold, act_dcf = _dcf_roc(thresholds, p_miss, p_fa, params)
     return MetricReport(eer=_eer_roc(p_miss, p_fa), auc=_auc_arrays(tar, non), min_dcf=mdcf,

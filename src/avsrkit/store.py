@@ -106,6 +106,9 @@ def _ids(column, name):
 
 def _check_unique(enroll_ids, test_ids):
     """Raise a RowError at the first row whose (enroll, test) pair an earlier row has."""
+    e, t = enroll_ids, test_ids
+    if ((e[1:] > e[:-1]) | ((e[1:] == e[:-1]) & (t[1:] > t[:-1]))).all():
+        return  # strictly increasing pairs are all distinct: one pass, no sort
     order = np.argsort(test_ids, kind="stable")
     order = order[np.argsort(enroll_ids[order], kind="stable")]  # by pair, then by row
     e, t = enroll_ids[order], test_ids[order]
@@ -302,9 +305,17 @@ def _read_columns(path, widths, expected):
                 rows, row = rows[:wrong[0]], rows[wrong[0]]
                 error = f"{path}:{lineno + row}: {expected}, got {width[row]}"
             if rows.size:
-                pieces = text.replace("\n", "\t").split("\t") + [None]
-                index = [np.where(k < width[rows], first[rows] + k, -1) for k in range(max(widths))]
-                yield [list(map(pieces.__getitem__, i.tolist())) for i in index], rows + lineno
+                pieces, w, n = text.replace("\n", "\t").split("\t"), width[rows[0]], rows.size
+                # data lines that are lines 0..n-1, all w fields wide, are pieces[:w * n]
+                if rows[-1] == n - 1 and (width[rows] == w).all():
+                    columns = [pieces[k:w * n:w] if k < w else [None] * n
+                               for k in range(max(widths))]
+                else:
+                    pieces.append(None)
+                    columns = [list(map(pieces.__getitem__,
+                                        np.where(k < width[rows], first[rows] + k, -1).tolist()))
+                               for k in range(max(widths))]
+                yield columns, rows + lineno
             if error:
                 raise FormatError(error)
             lineno += breaks.size

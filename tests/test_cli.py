@@ -435,6 +435,41 @@ class TestFuse:
         assert capsys.readouterr().err == f"error: {dev}: {message}\n"
 
 
+class TestPathInTheWay:
+    """An output path that names a directory, or a file where a directory is
+    needed, is a bad flag: exit 1 naming the flag and the path."""
+
+    @pytest.mark.parametrize("command,flag,kind,message", [
+        ("eval", "--out", "directory", "Is a directory"),
+        ("eval", "--det-points", "directory", "Is a directory"),
+        ("fuse", "--out-model", "directory", "Is a directory"),
+        ("synth", "--out-dir", "file", "File exists"),
+    ])
+    def test_flag_and_path_named(self, tmp_path, capsys, command, flag, kind, message):
+        scores = tmp_path / "s.scores"
+        scores.write_text("a\ta\t1.0\ttarget\na\tb\t-1.0\tnontarget\nb\tb\t-0.5\ttarget\n"
+                          "b\ta\t0.5\tnontarget\n", encoding="utf-8")
+        blocker = tmp_path / "blocker"
+        blocker.mkdir() if kind == "directory" else blocker.write_text("kept\n")
+        argv = {"eval": ["eval", "--scores", str(scores)],
+                "fuse": ["fuse", "--dev-scores", str(scores), "--eval-scores", str(scores),
+                         "--out-model", str(tmp_path / "m.ckpt"),
+                         "--out-scores", str(tmp_path / "f.tsv")],
+                "synth": ["synth", "--n-train", "4", "--n-test", "3", "--sessions", "2",
+                          "--negatives-per-positive", "1"]}[command]
+        assert main(argv + [flag, str(blocker)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {str(blocker)!r}: {message}\n"
+        assert blocker.is_dir() if kind == "directory" else blocker.read_text() == "kept\n"
+
+    def test_file_in_the_way_of_a_parent_named(self, tmp_path, capsys):
+        scores, blocker = tmp_path / "s.scores", tmp_path / "blocker"
+        scores.write_text("a\ta\t1.0\ttarget\na\tb\t-1.0\tnontarget\n", encoding="utf-8")
+        blocker.write_text("kept\n")
+        assert main(["eval", "--scores", str(scores), "--out", str(blocker / "r.tsv")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --out {str(blocker / 'r.tsv')!r}: Not a directory\n"
+
+
 class TestConfigKeys:
     def test_pipeline_unknown_keys_named(self, tmp_path, capsys):
         cfg = tmp_path / "pipeline.config"
@@ -748,6 +783,14 @@ class TestPipelineExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: out_dir {str(out_dir)!r} cannot be made a directory: ")
         assert blocker.read_text() == "not a directory\n"
+
+    def test_directory_in_the_way_of_an_output_named(self, data, tmp_path, capsys):
+        data, argv = data
+        (tmp_path / "out" / "lda.ckpt").mkdir(parents=True)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: pipeline stage 'fit-backend' failed: [Errno 21] Is a directory: "
+            f"{str(tmp_path / 'out' / 'lda.ckpt')!r}\n")
 
     def test_runtime_failure_exits_2(self, data, capsys, monkeypatch):
         from avsrkit import training

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from avsrkit.pipeline import split_enroll_test, split_identities
 from avsrkit.store import (LABELS, MODALITIES, EmbeddingRecord, EmbeddingStore, RowError,
-                           ScoreEntry, ScoreSet, Trial, TrialSet)
+                           ScoreEntry, ScoreSet, Trial, TrialSet, _check_unique)
 
 
 def ragged_records(rng):
@@ -227,6 +227,55 @@ def test_validation_messages():
         assert exc.value.row == 1
     with pytest.raises(ValueError, match="trial set columns differ in length"):
         TrialSet.from_columns(["a", "a"], ["b", "c"], ["target"])
+
+
+# ids whose code point order and byte lengths differ: multi-byte UTF-8 and a prefix pair
+PAIR_IDS = ["a", "ab", "b", "z", "é", "ée", "ß", "日", "日本", "𝄞"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_repeated_pair_named_as_a_dict_pass_names_it(data):
+    """Distinct pairs sorted, reverse-sorted or shuffled, then 0-2 copies of pairs put
+    in: right after their original (next to it in sorted order) or at a random place.
+    The check names the first repeat and its original as a dict pass does, on both
+    its paths (pairs strictly increasing, and any other order)."""
+    pairs = sorted(data.draw(st.sets(st.tuples(*[st.sampled_from(PAIR_IDS)] * 2), max_size=12)))
+    order = data.draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    pairs = {"sorted": pairs, "reversed": pairs[::-1],
+             "shuffled": data.draw(st.permutations(pairs))}[order]
+    for _ in range(data.draw(st.integers(0, 2)) if pairs else 0):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        at = i + 1 if data.draw(st.booleans()) else data.draw(st.integers(0, len(pairs)))
+        pairs.insert(at, pairs[i])
+    firsts, expected = {}, None
+    for row, pair in enumerate(pairs):
+        if firsts.setdefault(pair, row) != row:
+            expected = (row, firsts[pair], f"duplicate trial ({pair[0]}, {pair[1]})")
+            break
+    enroll_ids, test_ids = (np.array([pair[k] for pair in pairs], dtype=StringDType())
+                            for k in (0, 1))
+    try:
+        found = _check_unique(enroll_ids, test_ids)
+    except RowError as exc:
+        found = (exc.row, exc.first, str(exc))
+    assert found == expected
+
+
+def test_increasing_pairs_checked_without_a_sort(monkeypatch):
+    """10 000 strictly increasing pairs, 50 test ids per enrollment id, pass in one
+    vectorised comparison: no argsort runs."""
+    rows = range(10_000)
+    enroll_ids = np.array([f"spk{i // 50:05d}" for i in rows], dtype=StringDType())
+    test_ids = np.array([f"seg{i:06d}" for i in rows], dtype=StringDType())
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.argsort called")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    assert _check_unique(enroll_ids, test_ids) is None
+    with pytest.raises(AssertionError, match="np.argsort called"):  # any other order sorts
+        _check_unique(enroll_ids[::-1], test_ids[::-1])
 
 
 @pytest.mark.parametrize("value", [None, 3, 2.5, b"a"])

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import avsrkit.store
@@ -228,6 +228,13 @@ def check_score_file(path, text, require_labels):
 
 @SETTINGS
 @given(text=score_files(), require_labels=st.booleans())
+# chunks the reader must not take as uniform, and ones it may: a blank line before a last
+# line with no newline, a last line with no newline, a comment between two uniform runs,
+# and field counts that differ (these examples recur for trials and embeddings)
+@example(text="\n\t\tnan", require_labels=False)
+@example(text="a\tb\t0.5\ttarget\nb\ta\t-1.5\tnontarget", require_labels=True)
+@example(text="a\tb\t0.5\ttarget\n# note\nb\ta\t-1.5\tnontarget\n", require_labels=True)
+@example(text="a\tb\t0.5\nb\ta\t-1.5\ttarget\nb\tb\t2.5\n", require_labels=False)
 def test_loader_matches_per_line_reference(work_dir, text, require_labels):
     check_score_file(work_dir / "s.scores", text, require_labels)
 
@@ -298,6 +305,10 @@ def check_trial_file(path, text):
 
 @SETTINGS
 @given(text=trial_files())
+@example(text="\n\t\tnan")
+@example(text="a\tb\ttarget\nb\ta\tnontarget")
+@example(text="a\tb\ttarget\n# note\nb\ta\tnontarget\n")
+@example(text="a\tb\nb\ta\ttarget\nb\tb\n")
 def test_trial_loader_matches_per_line_reference(work_dir, text):
     check_trial_file(work_dir / "t.trials", text)
 
@@ -391,6 +402,11 @@ def check_embedding_file(path, text):
 
 @SETTINGS
 @given(text=embedding_files())
+@example(text="\n\t\tnan")
+@example(text="\n\t\t\tnan")
+@example(text="r0\ta\tvoice\t1,2\nr1\tb\tface\t3,4")
+@example(text="r0\ta\tvoice\t1,2\n# note\nr1\tb\tface\t3,4\n")
+@example(text="r0\ta\tvoice\t1,2\nr1\tb\tface\nr2\tb\tface\t3,4\n")
 def test_embedding_loader_matches_per_line_reference(work_dir, text):
     check_embedding_file(work_dir / "e.emb", text)
 
