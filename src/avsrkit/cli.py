@@ -231,8 +231,6 @@ def _cmd_eval(args):
     line = (f"{report.eer:.6f}\t{report.auc:.6f}\t{report.min_dcf:.6f}\t"
             f"{report.act_dcf:.6f}\t{report.min_dcf_threshold:.6f}\t"
             f"{params.bayes_threshold:.6f}")
-    print(header)
-    print(line)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(header + "\n" + line + "\n")
@@ -241,6 +239,8 @@ def _cmd_eval(args):
         with open(args.det_points, "w", encoding="utf-8") as fh:
             fh.write("threshold\tp_miss\tp_fa\n" + "".join(
                 f"{t!r}\t{pm!r}\t{pf!r}\n" for t, pm, pf in zip(*columns)))
+    print(header)  # last, so a run that fails on an output path prints no report
+    print(line)
     return 0
 
 

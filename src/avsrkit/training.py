@@ -39,7 +39,7 @@ class TrainConfig:
     learning_rate: float = 3e-4
     batch_size: int = 256
     max_epochs: int = 40
-    patience: int = 6
+    patience: int = 3
     rng_seed: int = 0
     hidden_dim: int = 256
     output_dim: int = 128

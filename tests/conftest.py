@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -15,6 +16,23 @@ def make_score_set(tar, non):
     entries += [ScoreEntry(f"n{i}", f"n{i}x", float(s), "nontarget")
                 for i, s in enumerate(non)]
     return ScoreSet(entries)
+
+
+def golden_key():
+    """numpy version and BLAS build: GEMM bits, and so the output digests,
+    can differ across BLAS kernels."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas.get('version')}"
+
+
+def check_golden(name, digest):
+    """Compare an output's sha256 with tests/golden.json's record for this
+    numpy and BLAS build; skip, naming the key, where there is none."""
+    records = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
+    key = golden_key()
+    if key not in records:
+        pytest.skip(f"tests/golden.json has no record for {key!r}")
+    assert digest == records[key][name], f"{name} sha256 {digest} under {key!r}"
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ pipeline runs) are session-scoped and shared across criteria. Run with
     pytest tests/test_acceptance.py -v
 """
 
+import hashlib
 import math
 import time
 from dataclasses import fields, replace
@@ -24,7 +25,7 @@ from avsrkit.synth import GenConfig, generate, generate_av_benchmark, oracle_eer
 from avsrkit.training import TrainConfig, train, _gather_pairs, _pair_scores
 from avsrkit.vfnet import (VFNetParams, batch_loss_grad, matching_accuracy,
                            pair_probability)
-from conftest import ACCEPTANCE_RESULTS, make_score_set
+from conftest import ACCEPTANCE_RESULTS, check_golden, make_score_set
 from oracles import brute_act_dcf, brute_auc, brute_eer, brute_min_dcf
 
 
@@ -349,3 +350,7 @@ def test_criterion_9_determinism(pipeline_runs):
     announce(9, "pipeline determinism", passed,
              "reports bitwise identical" if passed else "reports differ")
     assert passed
+
+
+def test_report_matches_golden_digest(pipeline_runs):
+    check_golden("report.tsv", hashlib.sha256(pipeline_runs["texts"][0].encode()).hexdigest())

@@ -469,6 +469,15 @@ class TestPathInTheWay:
         assert capsys.readouterr().err == \
             f"error: --out {str(blocker / 'r.tsv')!r}: Not a directory\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--det-points"])
+    def test_eval_prints_no_report_on_failure(self, tmp_path, capsys, flag):
+        # eval writes its files before it prints, so exit 1 leaves stdout empty
+        scores, blocker = tmp_path / "s.scores", tmp_path / "blocker"
+        scores.write_text("a\ta\t1.0\ttarget\na\tb\t-1.0\tnontarget\n", encoding="utf-8")
+        blocker.mkdir()
+        assert main(["eval", "--scores", str(scores), flag, str(blocker)]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestConfigKeys:
     def test_pipeline_unknown_keys_named(self, tmp_path, capsys):

@@ -150,6 +150,22 @@ class TestTrain:
         assert len(report.train_loss) == epochs
         assert report.stopped_by == stopped_by
 
+    def test_patience_only_cuts_the_tail(self):
+        # the batch stream does not depend on patience, so a shorter patience
+        # runs the first epochs of the longer run and stops patience + 1
+        # epochs after its own best
+        store, tr, va = small_data()
+        config = replace(SMALL_CONFIG, max_epochs=30, patience=1)
+        short = train(store, tr, va, config)
+        long = train(store, tr, va, replace(config, patience=5))
+        n = len(short.train_loss)
+        assert n < len(long.train_loss)
+        assert short.train_loss == long.train_loss[:n]
+        assert short.validation_eer == long.validation_eer[:n]
+        assert short.best_epoch == int(np.argmin(short.validation_eer))
+        # the last epoch run is best_epoch + patience + 1
+        assert n == min(short.best_epoch + config.patience + 2, config.max_epochs)
+
     def test_float32_training_state_and_float64_result(self, monkeypatch):
         steps = []
 
