@@ -7,17 +7,17 @@ actDCF punishes miscalibration while minDCF does not.
 import numpy as np
 
 from avsrkit import DcfParams, compute_metrics
-from avsrkit.store import ScoreEntry, ScoreSet
+from avsrkit.store import ScoreSet
 
 rng = np.random.default_rng(42)
 
 # targets score higher on average, but the distributions overlap
 tar = rng.normal(2.0, 1.0, 400)
 non = rng.normal(0.0, 1.0, 1600)
-scores = ScoreSet(
-    [ScoreEntry(f"t{i}", f"t{i}", float(s), "target") for i, s in enumerate(tar)]
-    + [ScoreEntry(f"n{i}", f"n{i}x", float(s), "nontarget") for i, s in enumerate(non)]
-)
+scores = ScoreSet.from_columns(
+    [f"t{i}" for i in range(tar.size)] + [f"n{i}" for i in range(non.size)],
+    [f"t{i}" for i in range(tar.size)] + [f"n{i}x" for i in range(non.size)],
+    np.concatenate([tar, non]), ["target"] * tar.size + ["nontarget"] * non.size)
 
 params = DcfParams(p_target=0.05, c_miss=1.0, c_fa=1.0)
 report = compute_metrics(scores, params)  # every metric from one ROC sweep

@@ -7,8 +7,8 @@ pairs.
 
 import numpy as np
 
-from avsrkit import fit_lda, fit_plda, plda_llr, project_store
-from avsrkit.store import EmbeddingRecord, EmbeddingStore
+from avsrkit import fit_lda, fit_plda, plda_group_llr, project_store
+from avsrkit.store import EmbeddingStore
 
 rng = np.random.default_rng(7)
 
@@ -16,13 +16,14 @@ rng = np.random.default_rng(7)
 # along a few strong directions, session noise isotropic
 D, N_ID, N_SESS = 20, 100, 6
 identity_scale = np.linspace(3.0, 0.3, D)
-records = []
+record_ids, identity_ids, vectors = [], [], []
 for i in range(N_ID):
     mean = identity_scale * rng.standard_normal(D)
     for j in range(N_SESS):
-        vec = mean + 0.8 * rng.standard_normal(D)
-        records.append(EmbeddingRecord(f"id{i:03d}_s{j}", f"id{i:03d}", "voice", vec))
-store = EmbeddingStore(records)
+        record_ids.append(f"id{i:03d}_s{j}")
+        identity_ids.append(f"id{i:03d}")
+        vectors.append(mean + 0.8 * rng.standard_normal(D))
+store = EmbeddingStore.from_columns(record_ids, identity_ids, ["voice"] * len(vectors), vectors)
 
 print("=== LDA ===")
 lda = fit_lda(store, target_dim=10, length_norm=True)
@@ -35,15 +36,13 @@ plda = fit_plda(projected)
 # generalized eigenproblem; ragged session counts would be fitted by EM
 print(f"fit: {plda.describe_fit()} (log-likelihood {plda.loglik_history[-1]:.1f})")
 
-# score some same-identity and cross-identity pairs
-by_id = {}
-for rec in projected:
-    by_id.setdefault(rec.identity_id, []).append(rec.vector)
+# score some same-identity and cross-identity pairs, each record a group of one:
+# identity i's first record against its second, and against identity i + 50's first
+by_id = projected.grouped("voice")
 ids = sorted(by_id)
-
-same = [plda_llr(plda, by_id[i][0], by_id[i][1]) for i in ids[:50]]
-diff = [plda_llr(plda, by_id[a][0], by_id[b][0])
-        for a, b in zip(ids[:50], ids[50:100])]
+firsts, seconds = [by_id[i][:1] for i in ids], [by_id[i][1:2] for i in ids]
+same = plda_group_llr(plda, firsts, seconds, np.arange(50), np.arange(50))
+diff = plda_group_llr(plda, firsts, firsts, np.arange(50), np.arange(50, 100))
 print(f"\nmean llr, same identity:  {np.mean(same):+.2f}")
 print(f"mean llr, cross identity: {np.mean(diff):+.2f}")
 print("positive llr favors the same-identity hypothesis, so the gap is the "

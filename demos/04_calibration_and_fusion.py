@@ -8,7 +8,7 @@ thresholding at the Bayes point is nearly optimal on fresh data.
 import numpy as np
 
 from avsrkit import DcfParams, apply_fusion, compute_metrics, fit_fusion
-from avsrkit.store import ScoreEntry, ScoreSet
+from avsrkit.store import ScoreSet
 
 rng = np.random.default_rng(11)
 
@@ -17,11 +17,10 @@ def observe(n_tar, n_non, quality, scale):
     """A noisy verification system: higher `quality` separates better."""
     tar = scale * rng.normal(quality, 1.0, n_tar)
     non = scale * rng.normal(0.0, 1.0, n_non)
-    entries = [ScoreEntry(f"t{i}", f"t{i}", float(s), "target")
-               for i, s in enumerate(tar)]
-    entries += [ScoreEntry(f"n{i}", f"n{i}x", float(s), "nontarget")
-                for i, s in enumerate(non)]
-    return ScoreSet(entries)
+    return ScoreSet.from_columns(
+        [f"t{i}" for i in range(n_tar)] + [f"n{i}" for i in range(n_non)],
+        [f"t{i}" for i in range(n_tar)] + [f"n{i}x" for i in range(n_non)],
+        np.concatenate([tar, non]), ["target"] * n_tar + ["nontarget"] * n_non)
 
 
 params = DcfParams(p_target=0.05)

@@ -6,17 +6,14 @@ logistic-regression calibration and fusion, and a synthetic linear-Gaussian
 benchmark with an exact Bayes scorer.
 """
 
-from .store import (EmbeddingRecord, EmbeddingStore, ScoreEntry, ScoreSet,
-                    Trial, TrialSet, build_crossmodal_trials, load_embeddings,
-                    load_scores, load_trials, save_embeddings, save_scores,
+from .store import (EmbeddingStore, ScoreSet, TrialSet, build_crossmodal_trials,
+                    load_embeddings, load_scores, load_trials, save_embeddings, save_scores,
                     save_trials)
-from .vfnet import (PairScore, VFNetParams, cosine_similarity, init_params,
-                    load_params, pair_forward, pair_probability, save_params,
-                    transform_face, transform_voice)
+from .vfnet import (VFNetParams, cosine_similarity, init_params, load_params, pair_probability,
+                    save_params, transform_face, transform_voice)
 from .training import TrainConfig, TrainReport, train
 from .backend import (LdaTransform, PldaModel, PoolingRule, fit_lda, fit_plda,
-                      plda_group_llr, plda_llr, pool_cosines, project_store,
-                      score_face_trial)
+                      plda_group_llr, pool_cosines, project_store)
 from .metrics import DcfParams, MetricReport, compute_metrics
 from .fusion import FusionModel, apply_fusion, fit_fusion
 from .synth import (GenConfig, OracleScorer, generate, generate_av_benchmark,

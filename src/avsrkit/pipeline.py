@@ -160,7 +160,7 @@ def score_trials(trials: TrialSet, enroll: EmbeddingStore, test: EmbeddingStore,
         _check_norms(ids, (e_at, t_at), templates, faces,
                      ("a transformed voice template", "a transformed face"))
         scores["vfnet"] = backend.pool_cosines(templates, faces, e_at, t_at, rule,
-                                               link=lambda s: vfnet.pair_probability(s).p_same)
+                                               link=vfnet.pair_probability)
     for column in scores.values():
         column.flags.writeable = False  # so each score set holds it as it is
     return {system: ScoreSet.from_columns(*ids, scores[system], trials.labels)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -92,16 +93,21 @@ def _frozen(column, dtype):
     return array
 
 
+def _check_strings(column, name):
+    """Raise a RowError naming the first value of column that is not a str."""
+    if not all(map(isinstance, column, repeat(str))):
+        row = next(i for i, value in enumerate(column) if not isinstance(value, str))
+        raise RowError(row, f"{name} of row {row} is {column[row]!r}, not a string")
+
+
 def _ids(column, name):
     """column as a read-only StringDType array (see _frozen). A value that is not a str
     raises a RowError naming its row."""
     try:
         return _frozen(column, _IDS)
     except (TypeError, ValueError):
-        row = next((i for i, value in enumerate(column) if not isinstance(value, str)), None)
-        if row is None:
-            raise
-        raise RowError(row, f"{name} of row {row} is {column[row]!r}, not a string") from None
+        _check_strings(column, name)
+        raise
 
 
 def _check_unique(enroll_ids, test_ids):
@@ -133,6 +139,8 @@ class EmbeddingStore(_Columns):
         self.record_ids = tuple(record_ids)
         self.identity_ids = tuple(identity_ids)
         self.modalities = tuple(modalities)
+        _check_strings(self.record_ids, "record_id")
+        _check_strings(self.identity_ids, "identity_id")
         n = len(self.record_ids)
         dim = len(vectors[0]) if n else 0
         for i, vector in enumerate(vectors):
@@ -238,8 +246,7 @@ class ScoreSet(_Columns):
     """Immutable trial scores, optionally labeled, held as columns: the read-only
     StringDType ``enroll_ids`` and ``test_ids`` arrays, the read-only float64 ``scores``
     array and the ``labels`` tuple (None for unlabeled). Built from ScoreEntry rows or by
-    ``from_columns(enroll_ids, test_ids, scores, labels)``; iteration yields
-    the scores as Python floats."""
+    ``from_columns(enroll_ids, test_ids, scores, labels)``."""
 
     _row, _what, _columns = ScoreEntry, "score set", ("enroll_ids", "test_ids", "scores", "labels")
 
@@ -253,9 +260,6 @@ class ScoreSet(_Columns):
             raise RowError(i, f"non-finite score for trial ({self.enroll_ids[i]}, "
                               f"{self.test_ids[i]})")
         _check_known(self.labels, (None,) + LABELS, "label")
-
-    def __iter__(self):
-        return map(ScoreEntry, self.enroll_ids, self.test_ids, self.scores.tolist(), self.labels)
 
     @property
     def labeled(self) -> bool:

@@ -76,9 +76,10 @@ def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64,
     trials use, once, in ``dtype``; each trial's voice and face row among
     them; the target mask. Raises ValueError naming ``which`` trials when
     they are unlabeled or lack targets or nontargets, ValueError naming the
-    first trial with a record not in the store, and TrainingError naming the
-    first record, in trial order and voices first, that ``dtype`` cannot
-    hold."""
+    first trial with a record not in the store, ValueError naming ``which``
+    trials, the first trial whose enroll record is not a voice or whose test
+    record is not a face, and the side, and TrainingError naming the first
+    record, in trial order and voices first, that ``dtype`` cannot hold."""
     if not trials.labeled:
         raise ValueError(f"{which} trials must be labeled")
     ids = np.concatenate([trials.enroll_ids, trials.test_ids])
@@ -89,6 +90,13 @@ def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64,
         e, t = next(pair for pair in zip(trials.enroll_ids, trials.test_ids)
                     if not known.issuperset(pair))
         raise ValueError(f"trial ({e}, {t}): no record {t if e in known else e!r} in store")
+    is_voice = np.array(list(map(store.modalities.__getitem__, used.tolist()))) == "voice"
+    wrong = is_voice[at].reshape(2, -1) != [[True], [False]]  # (enroll, test) side x trial
+    if wrong.any():
+        i = int(np.argmax(wrong.any(axis=0)))
+        problem = "enroll record is not a voice" if wrong[0, i] else "test record is not a face"
+        raise ValueError(f"{which} trial ({trials.enroll_ids[i]}, {trials.test_ids[i]}): "
+                         f"{problem}")
     limit = np.finfo(dtype).max
     over = (store.vectors.max(axis=1)[used] > limit) | (store.vectors.min(axis=1)[used] < -limit)
     if over.any():

@@ -62,9 +62,6 @@ class VFNetParams:
     def input_dim(self) -> int:
         return self.voice_w1.shape[1]
 
-    def copy(self) -> "VFNetParams":
-        return VFNetParams(*(getattr(self, f.name).copy() for f in fields(self)))
-
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -117,9 +114,7 @@ def load_params(path) -> VFNetParams:
 
 @dataclass(frozen=True)
 class PairScore:
-    similarity: float  # each field an array when scored from an array
     p_same: float
-    p_diff: float
 
 
 def _branch_forward(w1, b1, w2, b2, x):
@@ -179,16 +174,15 @@ def expit(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def pair_probability(similarity) -> PairScore:
-    """Two-way softmax over (S, 1-S); equals logistic(2S - 1). A float gives
-    float fields, an array of similarities array fields."""
+def pair_probability(similarity):
+    """Same-person probability p_same, the two-way softmax over (S, 1-S);
+    equals logistic(2S - 1). A float gives a float, an array of similarities
+    an array."""
     s = np.asarray(similarity, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise ValueError("similarity must be finite")
     p_same = expit(2.0 * s - 1.0)
-    if s.ndim == 0:
-        s, p_same = float(s), float(p_same)
-    return PairScore(similarity=s, p_same=p_same, p_diff=1.0 - p_same)
+    return float(p_same) if s.ndim == 0 else p_same
 
 
 def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
@@ -250,7 +244,7 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
 def pair_forward(params: VFNetParams, e_v, e_f) -> PairScore:
     """Full forward pass: transform both embeddings and score the pair."""
     s = cosine_similarity(transform_voice(params, e_v), transform_face(params, e_f))
-    return pair_probability(s)
+    return PairScore(pair_probability(s))
 
 
 def matching_accuracy(params: VFNetParams, triplets) -> float:

@@ -165,7 +165,7 @@ def test_criterion_2_eq1_identity():
     worst = 0.0
     for s in s_values:
         literal = 1.0 / (1.0 + math.exp(1.0 - 2.0 * s))
-        worst = max(worst, abs(pair_probability(float(s)).p_same - literal))
+        worst = max(worst, abs(pair_probability(float(s)) - literal))
     passed = worst < 1e-12
     announce(2, "Eq.-1 identity", passed, f"max abs err {worst:.2e}")
     assert passed

@@ -652,6 +652,24 @@ class TestTrainVfnet:
                                            "and nontargets\n")
         assert not (tmp_path / "net.ckpt").exists()
 
+    def test_face_enrollment_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore.from_columns(["v1", "f1", "v2", "f2"], ["A", "A", "B", "B"],
+                                            ["voice", "face"] * 2, rng.standard_normal((4, 3)))
+        save_embeddings(store, tmp_path / "e.embeddings")
+        save_trials(TrialSet.from_columns(["f1", "f1"], ["v1", "v2"], ["target", "nontarget"]),
+                    tmp_path / "train.trials")
+        save_trials(TrialSet.from_columns(["v2", "v2"], ["f2", "f1"], ["target", "nontarget"]),
+                    tmp_path / "valid.trials")
+        argv = ["train-vfnet", "--embeddings", str(tmp_path / "e.embeddings"),
+                "--train-trials", str(tmp_path / "train.trials"),
+                "--valid-trials", str(tmp_path / "valid.trials"),
+                "--out-params", str(tmp_path / "net.ckpt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("error: training trial (f1, v1): enroll record "
+                                           "is not a voice\n")
+        assert not (tmp_path / "net.ckpt").exists()
+
 
 class TestFitBackend:
     def test_face_only_embeddings_name_missing_voices(self, tmp_path, capsys):

@@ -289,6 +289,16 @@ def test_non_string_id_named(value):
             build(["a", "b"], [value, "c"])
 
 
+@pytest.mark.parametrize("value", [None, 3, 2.5, b"a"])
+def test_non_string_store_id_named(value):
+    def build(record_ids, identity_ids):
+        EmbeddingStore.from_columns(record_ids, identity_ids, ["voice"] * 2, [[0.0], [1.0]])
+    with pytest.raises(RowError, match=f"^record_id of row 1 is {value!r}, not a string$"):
+        build(["a", value], ["A", "B"])
+    with pytest.raises(RowError, match=f"^identity_id of row 0 is {value!r}, not a string$"):
+        build(["a", "b"], [value, "B"])
+
+
 class TestReadOnlyColumns:
     def test_store_columns(self, records):
         vectors = np.array([r.vector for r in records])

@@ -138,6 +138,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="^training trials must be labeled$"):
             train(store, unlabeled, va, SMALL_CONFIG)
 
+    def test_wrong_modality_named(self):
+        store, tr, va = small_data()
+        swapped = TrialSet.from_columns(va.test_ids, va.enroll_ids, va.labels)
+        with pytest.raises(ValueError, match=f"^validation trial \\({va.test_ids[0]}, "
+                           f"{va.enroll_ids[0]}\\): enroll record is not a voice$"):
+            train(store, tr, swapped, SMALL_CONFIG)
+        test_ids = tr.test_ids.copy()
+        test_ids[-1] = tr.enroll_ids[-1]  # a voice against a voice, in the last trial only
+        voice_test = TrialSet.from_columns(tr.enroll_ids, test_ids, tr.labels)
+        with pytest.raises(ValueError, match=f"^training trial \\({tr.enroll_ids[-1]}, "
+                           f"{tr.enroll_ids[-1]}\\): test record is not a face$"):
+            train(store, voice_test, va, SMALL_CONFIG)
+
     @pytest.mark.parametrize("max_epochs,patience,epochs,stopped_by", [
         (5, 0, 2, "patience"), (2, 0, 2, "patience"), (3, 5, 3, "max_epochs")])
     def test_stop_reason(self, max_epochs, patience, epochs, stopped_by):

@@ -116,28 +116,24 @@ class TestCosine:
 
 class TestPairProbability:
     def test_symmetry_point(self):
-        p = pair_probability(0.5)
-        assert p.p_same == pytest.approx(0.5, abs=1e-15)
-        assert p.p_diff == pytest.approx(0.5, abs=1e-15)
+        assert pair_probability(0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_s_equal_one(self):
         # e / (e + 1)
-        assert pair_probability(1.0).p_same == \
+        assert pair_probability(1.0) == \
             pytest.approx(math.e / (math.e + 1.0), abs=1e-12)
-        assert pair_probability(1.0).p_same == pytest.approx(0.731059, abs=1e-6)
+        assert pair_probability(1.0) == pytest.approx(0.731059, abs=1e-6)
 
     def test_s_equal_zero_complement(self):
-        p0 = pair_probability(0.0).p_same
-        p1 = pair_probability(1.0).p_same
+        p0 = pair_probability(0.0)
+        p1 = pair_probability(1.0)
         assert p0 == pytest.approx(0.268941, abs=1e-6)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_literal_softmax_form(self):
         for s in np.linspace(-10.0, 10.0, 1000):
             literal = math.exp(s) / (math.exp(s) + math.exp(1.0 - s))
-            p = pair_probability(s)
-            assert abs(p.p_same - literal) < 1e-12
-            assert abs(p.p_same + p.p_diff - 1.0) < 1e-12
+            assert abs(pair_probability(s) - literal) < 1e-12
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -167,7 +163,7 @@ class TestPairGrad:
         params = random_params(rng)
         e_v = rng.standard_normal(6)
         e_f = rng.standard_normal(6)
-        x = 2.0 * pair_forward(params, e_v, e_f).similarity - 1.0
+        x = 2.0 * cosine_similarity(transform_voice(params, e_v), transform_face(params, e_f)) - 1.0
         assert pair_loss_grad(params, e_v, e_f, True)[0] == \
             pytest.approx(np.logaddexp(0.0, -x), abs=1e-12)
         assert pair_loss_grad(params, e_v, e_f, False)[0] == \
@@ -210,7 +206,7 @@ class TestPairGrad:
         # d loss / dS for a same pair is -2 (1 - p_same): vanishes only as p -> 1
         h = 1e-7
         for s in [-0.8, 0.0, 0.9]:
-            p = pair_probability(s).p_same
+            p = pair_probability(s)
             numeric = (pair_loss_grad(*linear_pair(s + h), True)[0]
                        - pair_loss_grad(*linear_pair(s - h), True)[0]) / (2.0 * h)
             assert numeric == pytest.approx(-2.0 * (1.0 - p), abs=1e-6)
@@ -285,7 +281,7 @@ class TestPrecision:
 
     def test_parameters_are_not_cast(self, rng):
         params, voices, faces, same = self.batch(rng)
-        before = params.copy()
+        before = params.flat_like(np.float64, copy=True)
         batch_loss_grad(params, voices.astype(np.float32), faces.astype(np.float32), same)
         for f in fields(VFNetParams):
             arr = getattr(params, f.name)
