@@ -12,7 +12,6 @@ Scores are written with ``repr()`` so binary64 values round-trip bit-exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -484,21 +483,42 @@ def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
 
 def sample_nontargets(targets, left_ids, right_ids, identity_of, negatives_per_positive,
                       rng) -> TrialSet:
-    """Labeled trials: the target pairs, then negatives_per_positive (>= 1) distinct
+    """Labeled trials: the distinct target pairs, then negatives_per_positive (>= 1) distinct
     cross-identity pairs per target, drawn uniformly, left then right, from
-    left_ids x right_ids."""
+    left_ids x right_ids (each id once per side), skipping drawn targets. Pairs are
+    drawn in blocks, one ``rng.integers`` call over tiled (n_left, n_right) bounds
+    each, which is the stream of drawing pair by pair; the last block leaves
+    ``rng`` past the last pair kept."""
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
     n_nontargets = negatives_per_positive * len(targets)
-    left, right = (Counter(map(identity_of.__getitem__, ids)) for ids in (left_ids, right_ids))
-    n_cross = len(left_ids) * len(right_ids) - sum(n * right[i] for i, n in left.items())
+    n_left, n_right = len(left_ids), len(right_ids)
+    codes = {}  # identity -> code
+    left, right = (np.array([codes.setdefault(identity_of[i], len(codes)) for i in ids],
+                            dtype=np.int64) for ids in (left_ids, right_ids))
+    chosen = dict.fromkeys(targets)
+    if len(chosen) < len(targets):
+        seen = set()
+        pair = next(p for p in targets if p in seen or seen.add(p))
+        raise ValueError(f"target pair ({pair[0]}, {pair[1]}) given twice")
+    at = [dict(zip(ids, range(len(ids)))) for ids in (left_ids, right_ids)]
+    skip = np.array([at[0][a] * n_right + at[1][b] for a, b in chosen
+                     if a in at[0] and b in at[1]], dtype=np.int64)  # pair codes of targets
+    skip = skip[left[skip // n_right] != right[skip % n_right]]  # those a draw can keep
+    n_cross = n_left * n_right - int(np.bincount(left, minlength=len(codes))
+                                     @ np.bincount(right, minlength=len(codes))) - skip.size
     if n_nontargets > n_cross:
         raise ValueError(f"requested {n_nontargets} nontargets but only {n_cross} pairs exist")
-    chosen = dict.fromkeys(targets)  # the trials: targets, then nontargets as drawn
-    while len(chosen) < len(targets) + n_nontargets:
-        a = left_ids[rng.integers(len(left_ids))]
-        b = right_ids[rng.integers(len(right_ids))]
-        if identity_of[a] != identity_of[b]:
-            chosen.setdefault((a, b))
-    return TrialSet.from_columns([a for a, _ in chosen], [b for _, b in chosen],
+    drawn = np.empty(0, dtype=np.int64)  # distinct pair codes i * n_right + j, in draw order
+    while drawn.size < n_nontargets:
+        fresh = max(n_cross - drawn.size, 1) / (n_left * n_right)  # share of new pairs
+        k = min(int(1.1 * (n_nontargets - drawn.size) / fresh) + 64, 1 << 20)
+        i, j = rng.integers(0, np.tile([n_left, n_right], k)).reshape(k, 2).T
+        drawn = np.concatenate([drawn, (i * n_right + j)[left[i] != right[j]]])
+        drawn = drawn[np.sort(np.unique(drawn, return_index=True)[1])]
+        if skip.size:
+            drawn = drawn[~np.isin(drawn, skip)]
+    i, j = np.divmod(drawn[:n_nontargets], n_right)
+    return TrialSet.from_columns([a for a, _ in chosen] + [left_ids[x] for x in i.tolist()],
+                                 [b for _, b in chosen] + [right_ids[x] for x in j.tolist()],
                                  ["target"] * len(targets) + ["nontarget"] * n_nontargets)

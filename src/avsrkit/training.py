@@ -36,8 +36,8 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 3e-4
-    batch_size: int = 256
+    learning_rate: float = 2e-3
+    batch_size: int = 1024
     max_epochs: int = 40
     patience: int = 3
     rng_seed: int = 0

@@ -19,7 +19,7 @@ steps of 1/300 and one run's reduction says little. This study:
   each system's EER next to the EER of the Bayes-optimal scorer of its inputs
   (``perfbench/references.BayesIdentityScorer``).
 
-It gates nothing. Run from the repository root (about 2 minutes on one core):
+It gates nothing. Run from the repository root (about 70 s on one core):
 
     PYTHONPATH=src python studies/headline.py --out studies/headline.json
 """

@@ -59,7 +59,7 @@ class TestConfigBuilders:
         assert config.learning_rate == 0.01
         assert config.rng_seed == 7
         assert config.hidden_dim == 16
-        assert config.batch_size == 256  # default untouched
+        assert config.batch_size == TrainConfig().batch_size  # default untouched
 
     def test_train_validation_still_applies(self):
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestBuild:
                                         "lr": ("0.1", 3), "c_fa": ("3", 4)}, "p")
         assert config.lda_dim == 4 and config.length_norm is False
         assert config.train.learning_rate == 0.1 and config.dcf.c_fa == 3.0
-        assert config.train.batch_size == 256 and config.dcf.p_target == 0.05
+        assert config.train.batch_size == TrainConfig().batch_size and config.dcf.p_target == 0.05
 
     def test_base_keeps_fields_not_given(self):
         base = build(PipelineConfig, {"lr": ("0.1", 1), "lda_dim": ("4", 2)}, "p")

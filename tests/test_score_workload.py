@@ -1,8 +1,9 @@
-"""The benchmark's `score` and `evaluate` workloads pass their checks against
-perfbench/references.py. `score` (LDA, PLDA and trial scoring at 300 identities) is in no
-gated run; `evaluate` covers the score loaders, `apply_fusion` and `avsrkit eval` at
-trial-list scale, which no other tier-1 test reaches. The same runs' output digests
-are checked against tests/golden.json."""
+"""The benchmark's `score`, `evaluate` and `experiment` workloads pass their checks
+against perfbench/references.py. `score` (LDA, PLDA and trial scoring at 300 identities)
+is in no gated run; `evaluate` covers the score loaders, `apply_fusion` and `avsrkit
+eval` at trial-list scale, which no other tier-1 test reaches; `experiment` is the
+paper's experiment from files, vfnet training included, so a change to the model moves
+its digest. The same runs' output digests are checked against tests/golden.json."""
 
 import json
 import re
@@ -17,7 +18,7 @@ from conftest import check_golden
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module", params=["score", "evaluate"])
+@pytest.fixture(scope="module", params=["score", "evaluate", "experiment"])
 def workload_run(request):
     # one untimed pass; run.py points itself at ROOT/src
     result = subprocess.run([sys.executable, "perfbench/run.py", "--workload", request.param,

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import avsrkit.store
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, FormatError,
                            ScoreEntry, ScoreSet, Trial, TrialSet,
                            build_crossmodal_trials, load_embeddings,
-                           load_scores, load_trials, save_embeddings,
-                           save_scores, save_trials)
+                           load_scores, load_trials, sample_nontargets,
+                           save_embeddings, save_scores, save_trials)
 
 
 def write(path, text):
@@ -261,3 +262,75 @@ class TestBuildCrossmodalTrials:
         ])
         with pytest.raises(ValueError, match=r"^requested 1 nontargets but only 0 pairs exist$"):
             build_crossmodal_trials(store, 1, 0)
+
+
+def test_cross_identity_target_leaves_one_pair_fewer():
+    # two cross-identity pairs, one of them a target: one nontarget is left
+    identity_of = {"v1": "A", "f1": "A", "v2": "B", "f2": "B"}
+    args = [("v1", "f2")], ["v1", "v2"], ["f1", "f2"], identity_of
+    trials = sample_nontargets(*args, 1, np.random.default_rng(0))
+    assert list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist())) == [
+        ("v1", "f2"), ("v2", "f1")]
+    with pytest.raises(ValueError, match=r"^requested 2 nontargets but only 1 pairs exist$"):
+        sample_nontargets(*args, 2, np.random.default_rng(0))
+
+
+def test_repeated_target_named():
+    identity_of = {"v1": "A", "f1": "A", "v2": "B", "f2": "B", "v3": "C", "f3": "C"}
+    with pytest.raises(ValueError, match=r"^target pair \(v1, f1\) given twice$"):
+        sample_nontargets([("v1", "f1"), ("v2", "f2"), ("v1", "f1")], ["v1", "v2", "v3"],
+                          ["f1", "f2", "f3"], identity_of, 1, np.random.default_rng(0))
+
+
+def sample_pair_by_pair(targets, left_ids, right_ids, identity_of, negatives_per_positive,
+                        rng):
+    """The trials of drawing one (left, right) pair per turn, two scalar draws
+    each, and keeping each new cross-identity pair that is not a target."""
+    chosen = dict.fromkeys(targets)
+    while len(chosen) < (1 + negatives_per_positive) * len(targets):
+        a = left_ids[rng.integers(len(left_ids))]
+        b = right_ids[rng.integers(len(right_ids))]
+        if identity_of[a] != identity_of[b]:
+            chosen.setdefault((a, b))
+    return list(chosen)
+
+
+@st.composite
+def sampler_inputs(draw):
+    """Targets, left and right ids, identity map and negatives per target that
+    leave enough free cross-identity pairs, from identity-level lists (every id
+    its own identity) and record-level lists (ids grouped by identity); some
+    lists ask for every free pair, some record-level targets cross identities."""
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        ids = [f"id{i}" for i in range(n)]
+        left, right, identity_of, targets = ids, ids, {i: i for i in ids}, [(i, i) for i in ids]
+    else:
+        identity_of = {}
+        left, right = [], []
+        for side, name in ((left, "v"), (right, "f")):
+            for i in range(n):
+                for k in range(draw(st.integers(0, 3))):
+                    side.append(f"{name}{i}_{k}")
+                    identity_of[side[-1]] = i
+        pairs = [(a, b) for a in left for b in right]
+        targets = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30, unique=True)
+                       if pairs else st.just([]))
+    n_cross = sum(identity_of[a] != identity_of[b] for a in left for b in right)
+    n_free = n_cross - sum(identity_of[a] != identity_of[b] for a, b in targets)
+    most = n_free // len(targets) if targets else 0
+    assume(most >= 1)
+    npp = draw(st.one_of(st.just(most), st.integers(1, most)))
+    return targets, left, right, identity_of, npp
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sampler_inputs(), st.integers(0, 2**32))
+def test_block_sampler_matches_pair_by_pair_draws(inputs, seed):
+    targets, left, right, identity_of, npp = inputs
+    trials = sample_nontargets(targets, left, right, identity_of, npp,
+                               np.random.default_rng(seed))
+    expected = sample_pair_by_pair(targets, left, right, identity_of, npp,
+                                   np.random.default_rng(seed))
+    assert list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist())) == expected
+    assert trials.labels == ("target",) * len(targets) + ("nontarget",) * (npp * len(targets))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -179,6 +180,38 @@ class TestTrain:
         # the last epoch run is best_epoch + patience + 1
         assert n == min(short.best_epoch + config.patience + 2, config.max_epochs)
 
+    def test_batch_larger_than_the_list_repeats_its_pairs(self, monkeypatch, rng):
+        # 6 targets and 6 nontargets at batch_size 32: one batch per epoch,
+        # each half 16 pairs from back-to-back shuffles (_tiled_permutation),
+        # so two shuffles in full and 4 pairs of a third
+        store = EmbeddingStore([EmbeddingRecord(f"{modality}{i}", f"id{i}", modality,
+                                                rng.standard_normal(4))
+                                for i in range(6) for modality in ("voice", "face")])
+        trials = build_crossmodal_trials(store, 1, rng_seed=0)
+        batches = []
+
+        def recording_loss_grad(params, voices, faces, same):
+            batches.append((voices.copy(), faces.copy(), same.copy()))
+            return batch_loss_grad(params, voices, faces, same)
+
+        monkeypatch.setattr(training, "batch_loss_grad", recording_loss_grad)
+        config = replace(SMALL_CONFIG, batch_size=32, max_epochs=3, patience=3)
+        first = train(store, trials, trials, config)
+        assert len(batches) == len(first.train_loss) == 3
+        for voices, faces, same in batches:
+            assert same[:16].all() and not same[16:].any()
+            # one voice per identity, so a target pair is known by its voice row
+            repeats = Counter(row.tobytes() for row in voices[:16])
+            assert sorted(repeats.values()) == [2, 2, 3, 3, 3, 3]
+            assert len({pair.tobytes() for pair in np.hstack([voices, faces])[16:]}) == 6
+
+        second = train(store, trials, trials, config)
+        assert second.train_loss == first.train_loss
+        assert second.validation_eer == first.validation_eer
+        assert params_equal(second.final_params, first.final_params)
+        assert all(np.array_equal(x, y) for one, two in zip(batches[:3], batches[3:])
+                   for x, y in zip(one, two))
+
     def test_float32_training_state_and_float64_result(self, monkeypatch):
         steps = []
 
@@ -291,10 +324,11 @@ class TestValidationScores:
 
 
 def test_training_memory_scales_with_records(default_train_split):
-    """One epoch on the default benchmark peaks at about 14 MiB traced:
-    float32 voice and face rows for each of the 32400 training pairs alone
-    would add 16.6 MB, and branch outputs gathered for all 3600 validation
-    pairs at once 7 MiB."""
+    """One epoch on the default benchmark peaks at 14.3 MiB traced at the
+    default 1024-pair batches (12.4 MiB at 256-pair batches): float32 voice
+    and face rows for each of the 32400 training pairs alone would add
+    16.6 MB, and branch outputs gathered for all 3600 validation pairs at
+    once 7 MiB."""
     store, tr, va = default_train_split
     tracemalloc.start()
     try:
