@@ -1,6 +1,9 @@
 """Mini-batch trainer for the voice-face network.
 
-Batches are balanced (equal target/nontarget halves), the optimizer is Adam,
+Each epoch shuffles the training list's voice identities and cuts the pairs,
+grouped by identity in that order, into near-equal batches, so an epoch
+covers every pair once and an identity's pairs share a batch or two. A batch
+runs each branch once per distinct record it holds. The optimizer is Adam,
 and model selection uses held-out validation EER with early stopping.
 Training runs in float32: the rows, the weights, each batch's gradients and
 Adam's two moments are float32, and the weights, gradients and each moment
@@ -157,18 +160,17 @@ def _pair_scores(params: VFNetParams, rows, voice_at, face_at):
     return scores
 
 
-def _tiled_permutation(rng, n, total):
-    """Deterministic index stream of the given length cycling fresh shuffles."""
-    return np.concatenate([rng.permutation(n) for _ in range(-(-total // n))])[:total]
-
-
 def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
           config: TrainConfig) -> TrainReport:
     """Train on labeled cross-modal trials; keep the best-validation epoch.
 
-    Each batch holds batch_size // 2 targets and as many nontargets; the
-    batch gradient is the mean pair gradient, computed in float32 and applied
-    to the float32 weights. Raises ValueError when either trial list is
+    Each epoch draws one permutation of the training pairs' voice identities
+    (each enroll record's identity), orders the pairs by it, keeping list
+    order within an identity, and cuts them into ceil(len / batch_size)
+    batches of near-equal size. A batch keeps the list's labels, so it holds
+    about as many nontargets per target as the list (negatives_per_positive).
+    The batch gradient is the mean pair gradient, computed in float32 and
+    applied to the float32 weights. Raises ValueError when either trial list is
     unlabeled or lacks targets or nontargets, TrainingError naming a training
     record that float32 cannot hold, and TrainingError with the epoch, the
     batch and example trial ids if a batch's loss or gradient goes non-finite.
@@ -183,10 +185,10 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     rng = np.random.default_rng([config.rng_seed, 7])
     optimizer = _Adam(config.learning_rate, params)
 
-    tar_idx = np.flatnonzero(t_same)
-    non_idx = np.flatnonzero(~t_same)
-    half = config.batch_size // 2
-    n_batches = max(math.ceil(tar_idx.size / half), math.ceil(non_idx.size / half))
+    _, identity = np.unique(np.array(store.identity_ids)[store.indices(train_trials.enroll_ids)],
+                            return_inverse=True)  # each pair's voice identity, as a code
+    n_batches = math.ceil(t_same.size / config.batch_size)
+    bounds = np.linspace(0, t_same.size, n_batches + 1).astype(int)
 
     train_losses = []
     valid_eers = []
@@ -195,13 +197,13 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     stopped_by = "max_epochs"
     since_best = 0
     for epoch in range(config.max_epochs):
-        t_stream = tar_idx[_tiled_permutation(rng, tar_idx.size, n_batches * half)]
-        n_stream = non_idx[_tiled_permutation(rng, non_idx.size, n_batches * half)]
+        order = np.argsort(rng.permutation(identity.max() + 1)[identity], kind="stable")
         epoch_loss = 0.0
         for b in range(n_batches):
-            idx = np.concatenate([t_stream[b * half:(b + 1) * half],
-                                  n_stream[b * half:(b + 1) * half]])
-            loss, grads = batch_loss_grad(params, rows[voice_at[idx]], rows[face_at[idx]],
+            idx = order[bounds[b]:bounds[b + 1]]
+            voices, v_at = np.unique(voice_at[idx], return_inverse=True)
+            faces, f_at = np.unique(face_at[idx], return_inverse=True)
+            loss, grads = batch_loss_grad(params, rows[voices], rows[faces], v_at, f_at,
                                           t_same[idx])
             if not (math.isfinite(loss) and np.isfinite(grads.flat).all()):
                 what = ("loss" if not math.isfinite(loss)

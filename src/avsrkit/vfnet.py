@@ -185,40 +185,63 @@ def pair_probability(similarity):
     return float(p_same) if s.ndim == 0 else p_same
 
 
-def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
+def _row_sums(pair_rows, at, n_rows):
+    """(n_rows, k) sums of the (n, k) pair_rows by row index ``at``; a row no
+    pair names sums to zero. Pass j adds each row's j-th pair, in pair order,
+    so a row named once gets its pair's values as they are."""
+    order = np.argsort(at, kind="stable")
+    counts = np.bincount(at, minlength=n_rows)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(at.size) - (np.cumsum(counts) - counts)[at[order]]
+    sums = np.zeros((n_rows, pair_rows.shape[1]), dtype=pair_rows.dtype)
+    for j in range(counts.max(initial=0)):
+        pick = rank == j
+        sums[at[pick]] += pair_rows[pick]
+    return sums
+
+
+def batch_loss_grad(params: VFNetParams, voices, faces, voice_at, face_at, same_mask):
     """Mean pair loss and its gradient over a batch of (voice, face) pairs.
 
-    voices/faces are (n, d_in); same_mask is boolean (n,). Returns
-    (mean_loss, grads) with grads shaped like params and viewing one new flat
-    buffer (``grads.flat``). The branch passes run in the rows' precision:
-    float32 rows give float32 matrix products and gradients, any other rows
-    float64; the weights are cast to it only where they differ. The loss of
-    each pair and their mean are float64 either way. Raises if any
-    transformed vector has zero norm (cosine gradient undefined there).
+    voices/faces are the batch's distinct (n_v, d_in) and (n_f, d_in) rows;
+    pair i is (voices[voice_at[i]], faces[face_at[i]]) with label
+    same_mask[i]. Each branch runs forward and backward once per row, on the
+    sum of its pairs' gradients; per-pair callers pass ``np.arange`` indices.
+    Returns (mean_loss, grads) with grads shaped like params and viewing one
+    new flat buffer (``grads.flat``). The branch passes run in the rows'
+    precision: float32 rows give float32 matrix products and gradients, any
+    other rows float64; the weights are cast to it only where they differ.
+    The loss of each pair and their mean are float64 either way. A pair with
+    a zero-norm transformed vector scores S = 0 and passes no gradient (the
+    cosine has none there), so a record whose ReLUs are all off at
+    initialisation does not stop training.
     """
     voices = np.asarray(voices)
     dtype = np.float32 if voices.dtype == np.float32 else np.float64
     voices = voices.astype(dtype, copy=False)
     faces = np.asarray(faces).astype(dtype, copy=False)
+    voice_at, face_at = np.asarray(voice_at), np.asarray(face_at)
     same_mask = np.asarray(same_mask, dtype=bool)
-    n = voices.shape[0]
+    n = voice_at.size
     vw1, vb1, vw2, vb2, fw1, fb1, fw2, fb2 = (
         w.astype(dtype, copy=False) for w in params.as_dict().values())
 
-    u, av = _branch_forward(vw1, vb1, vw2, vb2, voices)
-    f, af = _branch_forward(fw1, fb1, fw2, fb2, faces)
+    u_rows, av = _branch_forward(vw1, vb1, vw2, vb2, voices)
+    f_rows, af = _branch_forward(fw1, fb1, fw2, fb2, faces)
+    u, f = u_rows[voice_at], f_rows[face_at]
     nu = np.linalg.norm(u, axis=1)
     nf = np.linalg.norm(f, axis=1)
-    for which, norm in (("voice", nu), ("face", nf)):
-        if np.any(norm == 0.0):
-            raise ValueError(f"zero-norm transformed {which} at batch index {int(np.argmin(norm))}")
+    live = (nu > 0.0) & (nf > 0.0)
+    nu[nu == 0.0] = 1.0  # so a zero vector's S and cosine terms are 0, not NaN
+    nf[nf == 0.0] = 1.0
 
     s = np.einsum("ij,ij->i", u, f) / (nu * nf)
     x = 2.0 * s.astype(np.float64, copy=False) - 1.0
     losses = np.where(same_mask, np.logaddexp(0.0, -x), np.logaddexp(0.0, x))
     p = expit(x)
-    # d loss / dS: -2(1-p) for same pairs, 2p for different pairs
-    ds = (np.where(same_mask, -2.0 * (1.0 - p), 2.0 * p) / n).astype(dtype, copy=False)
+    # d loss / dS: -2(1-p) for same pairs, 2p for different pairs; none through a zero vector
+    ds = (np.where(live, np.where(same_mask, -2.0 * (1.0 - p), 2.0 * p), 0.0)
+          / n).astype(dtype, copy=False)
 
     inv = 1.0 / (nu * nf)
     gu = f * inv[:, None]
@@ -230,8 +253,9 @@ def batch_loss_grad(params: VFNetParams, voices, faces, same_mask):
 
     grads = params.flat_like(dtype)
     g = grads.as_dict()
-    for branch, g_out, w2, a, x_in in (("voice", gu, vw2, av, voices),
-                                       ("face", gf, fw2, af, faces)):
+    for branch, g_out, w2, a, x_in in (
+            ("voice", _row_sums(gu, voice_at, len(voices)), vw2, av, voices),
+            ("face", _row_sums(gf, face_at, len(faces)), fw2, af, faces)):
         gh = g_out @ w2
         gh *= a > 0.0  # the ReLU mask: a > 0 exactly where its input is
         np.matmul(gh.T, x_in, out=g[f"{branch}_w1"])

@@ -8,18 +8,20 @@ steps of 1/300 and one run's reduction says little. This study:
 
 - fits LDA/PLDA once on the default train split, and scores and fuses on the
   default dev split, as ``run_pipeline`` does;
-- trains vfnet at each training seed under each early-stopping patience, with
-  the seed's own validation split and trial lists, as ``run_pipeline`` does;
+- trains vfnet at each training seed under each early-stopping patience
+  given (``main`` gives the default one), with the seed's own validation
+  split and trial lists, as ``run_pipeline`` does;
 - scores fresh eval draws (``synth._make_split``, 4+4 sessions, streams the
   benchmark does not use) of 300 and of 3000 identities, plus the default
   eval split;
 - reports the headline per patience (mean, sd, range, and the sd of the seed
-  means and of the draw means), the paired difference between patiences, the
-  epochs each patience trains, how often audio-visual beats audio alone, and
-  each system's EER next to the EER of the Bayes-optimal scorer of its inputs
-  (``perfbench/references.BayesIdentityScorer``).
+  means and of the draw means), the paired difference when two patiences are
+  given, the epochs each patience trains, how often audio-visual beats audio
+  alone, each system's mean EER, minDCF and actDCF (the EER reduction cannot
+  see calibration), and its EER next to the EER of the Bayes-optimal scorer
+  of its inputs (``perfbench/references.BayesIdentityScorer``).
 
-It gates nothing. Run from the repository root (about 70 s on one core):
+It gates nothing. Run from the repository root (about 40 s on one core):
 
     PYTHONPATH=src python studies/headline.py --out studies/headline.json
 """
@@ -100,15 +102,16 @@ class Draw:
         self.bayes = bayes_eers(scorer, self.enroll, self.test, self.trials)
 
 
-def fused_eers(models, scores, dcf):
+def fused_metrics(models, scores, dcf):
+    """Each report system's eval MetricReport."""
     return {name: metrics.compute_metrics(
-        fusion.apply_fusion(models[name], [scores[s] for s in systems]), dcf).eer
+        fusion.apply_fusion(models[name], [scores[s] for s in systems]), dcf)
         for name, systems in SYSTEMS.items()}
 
 
-def reduction(eers):
+def reduction(reports):
     """Relative EER reduction of audio-visual+vfnet over audio-visual, in %."""
-    av, avv = (eers[name] for name in HEADLINE)
+    av, avv = (reports[name].eer for name in HEADLINE)
     return 100.0 * (av - avv) / av
 
 
@@ -148,7 +151,7 @@ def run_study(gen: synth.GenConfig, seeds, patiences, small_draws: int, large_dr
     fixed = {name: fusion.fit_fusion([dev.scores[s] for s in systems], dcf)
              for name, systems in SYSTEMS.items() if "vfnet" not in systems}
 
-    runs = {}  # patience -> seed -> {"report": TrainReport, size: [eers per draw]}
+    runs = {}  # patience -> seed -> {"report": TrainReport, size: [metrics per draw]}
     for patience in patiences:
         for seed in seeds:
             t0 = time.perf_counter()
@@ -171,7 +174,7 @@ def run_study(gen: synth.GenConfig, seeds, patiences, small_draws: int, large_dr
                                   for name, systems in SYSTEMS.items() if "vfnet" in systems}}
             run = {"report": report, "train_s": train_s}
             for size, group in draws.items():
-                run[size] = [fused_eers(models, scored(d), dcf) for d in group]
+                run[size] = [fused_metrics(models, scored(d), dcf) for d in group]
             runs.setdefault(patience, {})[seed] = run
             log(f"patience {patience} seed {seed}: {len(report.train_loss)} epochs "
                 f"(best {report.best_epoch}), train {train_s:.1f} s, headline "
@@ -201,14 +204,16 @@ def summarize(gen, seeds, patiences, draws, runs, large_identities):
             "best_validation_eer": [min(per[s]["report"].validation_eer) for s in seeds],
             "train_s": [round(per[s]["train_s"], 2) for s in seeds],
             "default_eval_seed_%d" % seeds[0]: {
-                name: per[seeds[0]]["default"][0][name] for name in HEADLINE},
+                name: per[seeds[0]]["default"][0][name].eer for name in HEADLINE},
         }
         entry["epochs_total"] = sum(entry["epochs"])
         for size in sizes:
             entry[f"headline_{size}"] = spread(table(patience, size, reduction))
-            entry[f"eer_{size}"] = {name: float(np.mean(table(patience, size,
-                                                              lambda e: e[name])))
-                                    for name in SYSTEMS}
+            for metric in ("eer", "min_dcf", "act_dcf"):
+                entry[f"{metric}_{size}"] = {
+                    name: float(np.mean(table(patience, size,
+                                              lambda e: getattr(e[name], metric))))
+                    for name in SYSTEMS}
         result["patience"][str(patience)] = entry
     if len(patiences) == 2:
         short, long = sorted(patiences)
@@ -224,7 +229,7 @@ def summarize(gen, seeds, patiences, draws, runs, large_identities):
                 **spread(diff)}
     first = runs[patiences[0]][seeds[0]]  # audio and audio-visual do not depend on vfnet
     for size in sizes:
-        av_wins = [e["audio-visual"] < e["audio"] for e in first[size]]
+        av_wins = [e["audio-visual"].eer < e["audio"].eer for e in first[size]]
         result[f"av_beats_audio_{size}"] = f"{sum(av_wins)} of {len(av_wins)}"
         result[f"bayes_eer_{size}"] = {name: float(np.mean([d.bayes[name] for d in draws[size]]))
                                        for name in SYSTEMS}
@@ -235,7 +240,8 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--out", default="studies/headline.json")
     args = p.parse_args(argv)
-    result = run_study(synth.GenConfig(), seeds=range(8), patiences=[6, 3], small_draws=10,
+    result = run_study(synth.GenConfig(), seeds=range(8),
+                       patiences=[training.TrainConfig().patience], small_draws=10,
                        large_draws=3, large_identities=3000)
     text = json.dumps(result, indent=1)
     Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -137,7 +137,7 @@ def test_criterion_1_gradient_correctness(rng):
         e_v = rng.standard_normal((1, dim))
         e_f = rng.standard_normal((1, dim))
         same = [k % 2 == 0]
-        _, grads = batch_loss_grad(params, e_v, e_f, same)
+        _, grads = batch_loss_grad(params, e_v, e_f, [0], [0], same)
         for f in fields(VFNetParams):
             arr = getattr(params, f.name)
             analytic = getattr(grads, f.name)
@@ -145,9 +145,9 @@ def test_criterion_1_gradient_correctness(rng):
                 idx = tuple(int(rng.integers(s)) for s in arr.shape)
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = batch_loss_grad(params, e_v, e_f, same)
+                lp, _ = batch_loss_grad(params, e_v, e_f, [0], [0], same)
                 arr[idx] = orig - h
-                lm, _ = batch_loss_grad(params, e_v, e_f, same)
+                lm, _ = batch_loss_grad(params, e_v, e_f, [0], [0], same)
                 arr[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 scale = max(abs(analytic[idx]), 1e-6)

@@ -1,5 +1,6 @@
 """studies/headline.py runs end to end on a toy generator and reports its
-headline for each patience, with the paired difference."""
+headline and each system's EER, minDCF and actDCF for each patience, with
+the paired difference."""
 
 import json
 import sys
@@ -31,7 +32,10 @@ def test_toy_study_reports_each_patience_and_their_difference():
         for size in ("small", "large"):
             stats = entry[f"headline_{size}"]
             assert stats["min"] <= stats["mean"] <= stats["max"]
-            assert set(entry[f"eer_{size}"]) == set(headline.SYSTEMS)
+            for metric in ("eer", "min_dcf", "act_dcf"):
+                assert set(entry[f"{metric}_{size}"]) == set(headline.SYSTEMS)
+            assert all(0.0 <= value <= entry[f"act_dcf_{size}"][name]
+                       for name, value in entry[f"min_dcf_{size}"].items())
     for size, n in (("small", 2), ("large", 1)):
         assert result["draws"][size]["count"] == n
         assert result[f"paired_difference_{size}"]["what"].startswith("headline at patience 1")

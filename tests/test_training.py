@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -67,8 +68,8 @@ class TestTrain:
 
     def test_zero_learning_rate_is_noop(self):
         store, tr, va = small_data()
-        # batch half of 30 divides the 270 targets and 270 nontargets, so
-        # every epoch is an exact cover and the mean loss cannot drift
+        # every epoch covers the 540 pairs once, in 9 equal batches of 60, so
+        # the mean of the batch means is the pairs' mean and cannot drift
         config = replace(SMALL_CONFIG, learning_rate=0.0, max_epochs=3,
                          batch_size=60)
         report = train(store, tr, va, config)
@@ -180,37 +181,76 @@ class TestTrain:
         # the last epoch run is best_epoch + patience + 1
         assert n == min(short.best_epoch + config.patience + 2, config.max_epochs)
 
-    def test_batch_larger_than_the_list_repeats_its_pairs(self, monkeypatch, rng):
-        # 6 targets and 6 nontargets at batch_size 32: one batch per epoch,
-        # each half 16 pairs from back-to-back shuffles (_tiled_permutation),
-        # so two shuffles in full and 4 pairs of a third
-        store = EmbeddingStore([EmbeddingRecord(f"{modality}{i}", f"id{i}", modality,
-                                                rng.standard_normal(4))
-                                for i in range(6) for modality in ("voice", "face")])
-        trials = build_crossmodal_trials(store, 1, rng_seed=0)
+    def recorded_batches(self, monkeypatch, store, tr, va, config):
+        """Train; return the report and each batch's pairs as (voice
+        identity, trial index) lists, in batch order, one list per epoch."""
+        key = {}  # (voice row, face row) bytes -> trial index
+        for i, (e, t) in enumerate(zip(tr.enroll_ids, tr.test_ids)):
+            pair = store.vectors[store.indices([e, t])].astype(np.float32)
+            key[pair.tobytes()] = i
+        identity = dict(zip(store.record_ids, store.identity_ids))
         batches = []
 
-        def recording_loss_grad(params, voices, faces, same):
-            batches.append((voices.copy(), faces.copy(), same.copy()))
-            return batch_loss_grad(params, voices, faces, same)
+        def recording_loss_grad(params, voices, faces, voice_at, face_at, same):
+            pairs = [key[np.stack([v, f]).tobytes()] for v, f in zip(voices[voice_at],
+                                                                     faces[face_at])]
+            assert [tr.labels[i] == "target" for i in pairs] == same.tolist()
+            batches.append([(identity[tr.enroll_ids[i]], i) for i in pairs])
+            return batch_loss_grad(params, voices, faces, voice_at, face_at, same)
 
         monkeypatch.setattr(training, "batch_loss_grad", recording_loss_grad)
-        config = replace(SMALL_CONFIG, batch_size=32, max_epochs=3, patience=3)
-        first = train(store, trials, trials, config)
-        assert len(batches) == len(first.train_loss) == 3
-        for voices, faces, same in batches:
-            assert same[:16].all() and not same[16:].any()
-            # one voice per identity, so a target pair is known by its voice row
-            repeats = Counter(row.tobytes() for row in voices[:16])
-            assert sorted(repeats.values()) == [2, 2, 3, 3, 3, 3]
-            assert len({pair.tobytes() for pair in np.hstack([voices, faces])[16:]}) == 6
+        report = train(store, tr, va, config)
+        per_epoch = len(batches) // len(report.train_loss)
+        return report, [batches[i:i + per_epoch] for i in range(0, len(batches), per_epoch)]
 
-        second = train(store, trials, trials, config)
-        assert second.train_loss == first.train_loss
-        assert second.validation_eer == first.validation_eer
-        assert params_equal(second.final_params, first.final_params)
-        assert all(np.array_equal(x, y) for one, two in zip(batches[:3], batches[3:])
-                   for x, y in zip(one, two))
+    @pytest.mark.parametrize("batch_size,n_batches", [(32, 17), (2048, 1)])
+    def test_each_epoch_covers_every_pair_once(self, monkeypatch, batch_size, n_batches):
+        # 540 pairs: 17 batches of 31-32 pairs, or one batch of all when the
+        # batch is larger than the list
+        store, tr, va = small_data()
+        config = replace(SMALL_CONFIG, batch_size=batch_size, max_epochs=3, patience=3)
+        _, epochs = self.recorded_batches(monkeypatch, store, tr, va, config)
+        assert len(epochs) == 3
+        for batches in epochs:
+            assert len(batches) == n_batches
+            assert max(map(len, batches)) - min(map(len, batches)) <= 1
+            assert sorted(i for b in batches for _, i in b) == list(range(len(tr)))
+        assert epochs[0] != epochs[1]  # a fresh identity order each epoch
+
+    def test_identity_pairs_share_a_batch_or_two_at_a_cut(self, monkeypatch):
+        store, tr, va = small_data()
+        config = replace(SMALL_CONFIG, max_epochs=3, patience=3)
+        sizes = Counter(dict(zip(store.record_ids, store.identity_ids))[e]
+                        for e in tr.enroll_ids)
+        assert max(sizes.values()) < len(tr) // math.ceil(len(tr) / config.batch_size)
+        for batches in self.recorded_batches(monkeypatch, store, tr, va, config)[1]:
+            stream = [pair for b in batches for pair in b]
+            cuts = np.cumsum([len(b) for b in batches])[:-1]
+            # one run of pairs per identity, in list order within it
+            runs = [(who, [i for _, i in group]) for who, group in
+                    itertools.groupby(stream, key=lambda pair: pair[0])]
+            assert sorted(who for who, _ in runs) == sorted(sizes)
+            assert all(pairs == sorted(pairs) for _, pairs in runs)
+            # a run crosses at most one cut
+            ends = np.cumsum([len(pairs) for _, pairs in runs])
+            starts = ends - [len(pairs) for _, pairs in runs]
+            for lo, hi in zip(starts, ends):
+                assert np.sum((cuts > lo) & (cuts < hi)) <= 1
+
+    def test_record_dead_at_initialisation_in_the_first_batch(self, monkeypatch):
+        # a zero face vector meets zero biases at initialisation, so its
+        # transformed face is the zero vector, whose cosine has no gradient;
+        # one batch holds every pair, so the first step meets it
+        store, tr, va = small_data()
+        vectors = store.vectors.copy()
+        dead = store.indices([tr.test_ids[0]])[0]
+        vectors[dead] = 0.0
+        store = EmbeddingStore.from_columns(store.record_ids, store.identity_ids,
+                                            store.modalities, vectors)
+        config = replace(SMALL_CONFIG, batch_size=len(tr), max_epochs=2, patience=2)
+        report, epochs = self.recorded_batches(monkeypatch, store, tr, va, config)
+        assert 0 in [i for _, i in epochs[0][0]]
+        assert all(math.isfinite(loss) for loss in report.train_loss)
 
     def test_float32_training_state_and_float64_result(self, monkeypatch):
         steps = []
@@ -324,11 +364,11 @@ class TestValidationScores:
 
 
 def test_training_memory_scales_with_records(default_train_split):
-    """One epoch on the default benchmark peaks at 14.3 MiB traced at the
-    default 1024-pair batches (12.4 MiB at 256-pair batches): float32 voice
-    and face rows for each of the 32400 training pairs alone would add
-    16.6 MB, and branch outputs gathered for all 3600 validation pairs at
-    once 7 MiB."""
+    """One epoch on the default benchmark peaks at 12.5 MiB traced at the
+    default 1024-pair batches, which run each branch once per distinct
+    record (14.3 MiB when each pair ran its own rows): float32 voice and
+    face rows for each of the 32400 training pairs alone would add 16.6 MB,
+    and branch outputs gathered for all 3600 validation pairs at once 7 MiB."""
     store, tr, va = default_train_split
     tracemalloc.start()
     try:

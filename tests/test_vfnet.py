@@ -34,7 +34,7 @@ def linear_pair(s):
 
 def pair_loss_grad(params, e_v, e_f, same):
     """Loss and gradient of one labeled pair, a batch of one row."""
-    return batch_loss_grad(params, [e_v], [e_f], [same])
+    return batch_loss_grad(params, [e_v], [e_f], [0], [0], [same])
 
 
 def random_params(rng, dim=6):
@@ -212,6 +212,84 @@ class TestPairGrad:
             assert numeric == pytest.approx(-2.0 * (1.0 - p), abs=1e-6)
 
 
+class TestRepeatedRows:
+    """A batch names its distinct rows once and each pair by index into them."""
+
+    def batch(self, rng, dim=6):
+        params = random_params(rng, dim)
+        voices, faces = rng.standard_normal((3, dim)), rng.standard_normal((4, dim))
+        voice_at = np.array([0, 0, 1, 2, 2, 2, 1, 0])  # each row named by several pairs
+        face_at = np.array([0, 1, 1, 2, 3, 0, 3, 2])
+        return params, voices, faces, voice_at, face_at, rng.random(8) < 0.5
+
+    def test_matches_central_differences_at_criterion_1_bound(self, rng):
+        # float64 rows, the step and the relative-error bound of acceptance criterion 1
+        h = 1e-5
+        worst = 0.0
+        for _ in range(8):
+            params, voices, faces, voice_at, face_at, same = self.batch(rng)
+            _, grads = batch_loss_grad(params, voices, faces, voice_at, face_at, same)
+            for f in fields(VFNetParams):
+                arr = getattr(params, f.name)
+                for _ in range(4):
+                    idx = tuple(int(rng.integers(s)) for s in arr.shape)
+                    orig = arr[idx]
+                    arr[idx] = orig + h
+                    lp, _ = batch_loss_grad(params, voices, faces, voice_at, face_at, same)
+                    arr[idx] = orig - h
+                    lm, _ = batch_loss_grad(params, voices, faces, voice_at, face_at, same)
+                    arr[idx] = orig
+                    analytic = getattr(grads, f.name)[idx]
+                    fd = (lp - lm) / (2.0 * h)
+                    worst = max(worst, abs(fd - analytic) / max(abs(analytic), 1e-6))
+        assert worst < 1e-4
+
+    def test_equals_the_batch_of_gathered_pairs(self, rng):
+        for _ in range(5):
+            params, voices, faces, voice_at, face_at, same = self.batch(rng)
+            loss, grads = batch_loss_grad(params, voices, faces, voice_at, face_at, same)
+            at = np.arange(len(same))
+            want_loss, want = batch_loss_grad(params, voices[voice_at], faces[face_at], at, at,
+                                              same)
+            assert loss == pytest.approx(want_loss, rel=1e-14)
+            np.testing.assert_allclose(grads.flat, want.flat, rtol=1e-12, atol=1e-15)
+
+    def test_unnamed_row_gets_no_gradient(self, rng):
+        params, voices, faces, voice_at, face_at, same = self.batch(rng)
+        extra = np.vstack([voices, rng.standard_normal(voices.shape[1])])  # row 3, no pair
+        loss, grads = batch_loss_grad(params, extra, faces, voice_at, face_at, same)
+        want_loss, want = batch_loss_grad(params, voices, faces, voice_at, face_at, same)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grads.flat, want.flat)
+
+
+class TestZeroOutput:
+    def dead_face_batch(self, rng):
+        """Three pairs; the face of pair 1 is a zero vector and the face
+        biases are zero, so its transformed face is the zero vector."""
+        params = random_params(rng)
+        params.face_b1[:] = 0.0
+        params.face_b2[:] = 0.0
+        voices, faces = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
+        faces[1] = 0.0
+        return params, voices, faces, np.array([True, True, False])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scores_zero_and_passes_no_gradient(self, rng, dtype):
+        params, voices, faces, same = self.dead_face_batch(rng)
+        voices, faces = voices.astype(dtype), faces.astype(dtype)
+        at = np.arange(3)
+        loss, grads = batch_loss_grad(params, voices, faces, at, at, same)
+        live = np.array([0, 2])
+        live_loss, live_grads = batch_loss_grad(params, voices[live], faces[live], np.arange(2),
+                                                np.arange(2), same[live])
+        # S = 0 for the same pair: softplus(1); the live pairs' gradient, over 3 pairs
+        assert loss == pytest.approx((2.0 * live_loss + np.logaddexp(0.0, 1.0)) / 3.0, rel=1e-6)
+        assert np.isfinite(grads.flat).all()
+        np.testing.assert_allclose(grads.flat, live_grads.flat * (2.0 / 3.0), rtol=1e-5,
+                                   atol=1e-7 * np.abs(live_grads.flat).max())
+
+
 def float64_batch_loss_grad(params, voices, faces, same_mask):
     """batch_loss_grad as written before mixed precision, float64 throughout."""
     voices = np.asarray(voices, dtype=np.float64)
@@ -260,9 +338,10 @@ class TestPrecision:
     def test_float32_rows_match_float64(self, rng):
         for _ in range(5):
             params, voices, faces, same = self.batch(rng)
-            loss64, g64 = batch_loss_grad(params, voices, faces, same)
+            at = np.arange(len(same))
+            loss64, g64 = batch_loss_grad(params, voices, faces, at, at, same)
             loss32, g32 = batch_loss_grad(params, voices.astype(np.float32),
-                                          faces.astype(np.float32), same)
+                                          faces.astype(np.float32), at, at, same)
             assert isinstance(loss32, float)
             assert abs(loss32 - loss64) < 1e-6
             for f in fields(VFNetParams):
@@ -273,7 +352,8 @@ class TestPrecision:
     def test_float64_rows_keep_the_float64_bits(self, rng):
         for _ in range(5):
             params, voices, faces, same = self.batch(rng)
-            loss, grads = batch_loss_grad(params, voices, faces, same)
+            at = np.arange(len(same))
+            loss, grads = batch_loss_grad(params, voices, faces, at, at, same)
             want_loss, want_grads = float64_batch_loss_grad(params, voices, faces, same)
             assert loss == want_loss
             for f, want in zip(fields(VFNetParams), want_grads):
@@ -282,7 +362,8 @@ class TestPrecision:
     def test_parameters_are_not_cast(self, rng):
         params, voices, faces, same = self.batch(rng)
         before = params.flat_like(np.float64, copy=True)
-        batch_loss_grad(params, voices.astype(np.float32), faces.astype(np.float32), same)
+        at = np.arange(len(same))
+        batch_loss_grad(params, voices.astype(np.float32), faces.astype(np.float32), at, at, same)
         for f in fields(VFNetParams):
             arr = getattr(params, f.name)
             assert arr.dtype == np.float64
