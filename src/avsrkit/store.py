@@ -12,7 +12,7 @@ Scores are written with ``repr()`` so binary64 values round-trip bit-exactly.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -370,12 +370,24 @@ def _check_filled(**columns):
         raise RowError(row, f"empty {name}")
 
 
+def _coordinates(texts):
+    """The comma-separated numbers of texts as one float64 array: by numpy's
+    C reader if it reads one row of one width per text, else by _floats (an empty
+    text it skips, \\x1c-\\x1f it takes as whitespace, a number only float() reads)."""
+    if "" not in texts and not any(map("\n".join(texts).__contains__, "\x1c\x1d\x1e\x1f")):
+        with suppress(ValueError):
+            rows = np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            if rows.shape[0] == len(texts) and rows.shape[1] >= 1:
+                return rows.ravel()
+    return _floats(texts, "malformed coordinate list", sep=",")
+
+
 def load_embeddings(path) -> EmbeddingStore:
     """Parse an embedding file; dimension is inferred from the first record."""
     linenos, values, dims, columns = [], [], [], ([], [], [])  # ids, identity ids, modalities
     for (*ids, coords), lines in _read_columns(path, (4,), "expected 4 tab-separated fields"):
         with _at_lines(path, lines):
-            values.append(_floats(coords, "malformed coordinate list", sep=","))
+            values.append(_coordinates(coords))
         dims += [text.count(",") + 1 for text in coords]
         linenos.append(lines)
         for column, chunk in zip(columns, ids):

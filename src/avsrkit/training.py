@@ -75,14 +75,15 @@ class TrainReport:
 
 def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64,
                   which: str = "training"):
-    """(rows, voice_at, face_at, same) of labeled trials: each record the
-    trials use, once, in ``dtype``; each trial's voice and face row among
-    them; the target mask. Raises ValueError naming ``which`` trials when
-    they are unlabeled or lack targets or nontargets, ValueError naming the
-    first trial with a record not in the store, ValueError naming ``which``
-    trials, the first trial whose enroll record is not a voice or whose test
-    record is not a face, and the side, and TrainingError naming the first
-    record, in trial order and voices first, that ``dtype`` cannot hold."""
+    """(rows, voice_at, face_at, same, used) of labeled trials: each record
+    the trials use, once, in ``dtype``; each trial's voice and face row among
+    them; the target mask; each row's store index. Raises ValueError naming
+    ``which`` trials when they are unlabeled or lack targets or nontargets,
+    ValueError naming the first trial with a record not in the store,
+    ValueError naming ``which`` trials, the first trial whose enroll record is
+    not a voice or whose test record is not a face, and the side, and
+    TrainingError naming the first record, in trial order and voices first,
+    that ``dtype`` cannot hold."""
     if not trials.labeled:
         raise ValueError(f"{which} trials must be labeled")
     ids = np.concatenate([trials.enroll_ids, trials.test_ids])
@@ -108,7 +109,8 @@ def _gather_pairs(store: EmbeddingStore, trials: TrialSet, dtype=np.float64,
     same = np.array([label == "target" for label in trials.labels], dtype=bool)
     if same.all() or not same.any():
         raise ValueError(f"{which} trials need both targets and nontargets")
-    return store.vectors[used].astype(dtype, copy=False), at[:len(trials)], at[len(trials):], same
+    return (store.vectors[used].astype(dtype, copy=False), at[:len(trials)], at[len(trials):],
+            same, used)
 
 
 class _Adam:
@@ -175,8 +177,8 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     record that float32 cannot hold, and TrainingError with the epoch, the
     batch and example trial ids if a batch's loss or gradient goes non-finite.
     """
-    rows, voice_at, face_at, t_same = _gather_pairs(store, train_trials, np.float32)
-    valid_rows, valid_voice_at, valid_face_at, v_same = _gather_pairs(
+    rows, voice_at, face_at, t_same, used = _gather_pairs(store, train_trials, np.float32)
+    valid_rows, valid_voice_at, valid_face_at, v_same, _ = _gather_pairs(
         store, valid_trials, which="validation")
 
     best_params = init_params(input_dim=store.dim, hidden_dim=config.hidden_dim,
@@ -185,7 +187,7 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     rng = np.random.default_rng([config.rng_seed, 7])
     optimizer = _Adam(config.learning_rate, params)
 
-    _, identity = np.unique(np.array(store.identity_ids)[store.indices(train_trials.enroll_ids)],
+    _, identity = np.unique(np.array(store.identity_ids)[used[voice_at]],
                             return_inverse=True)  # each pair's voice identity, as a code
     n_batches = math.ceil(t_same.size / config.batch_size)
     bounds = np.linspace(0, t_same.size, n_batches + 1).astype(int)

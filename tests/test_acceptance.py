@@ -56,7 +56,7 @@ def trained_model():
     report = train(train_store, train_trials, valid_trials, config)
 
     test_trials = build_crossmodal_trials(test_store, 1, BENCH.rng_seed + 2)
-    rows, voice_at, face_at, same = _gather_pairs(test_store, test_trials)
+    rows, voice_at, face_at, same, _ = _gather_pairs(test_store, test_trials)
     scores = _pair_scores(report.final_params, rows, voice_at, face_at)
     held_out_eer = _eer_arrays(scores[same], scores[~same])
 

@@ -407,6 +407,12 @@ def check_embedding_file(path, text):
 @example(text="r0\ta\tvoice\t1,2\nr1\tb\tface\t3,4")
 @example(text="r0\ta\tvoice\t1,2\n# note\nr1\tb\tface\t3,4\n")
 @example(text="r0\ta\tvoice\t1,2\nr1\tb\tface\nr2\tb\tface\t3,4\n")
+# inputs numpy's text reader skips, rejects or reads otherwise than float()
+@example(text="r0\ta\tvoice\t")
+@example(text="r0\ta\tvoice\t1_0")
+@example(text="r0\ta\tvoice\t\u0661\u0662")
+@example(text="r0\ta\tvoice\t1,2\nr1\tb\tface\t3\n")
+@example(text="r0\ta\tvoice\t\x1c1")
 def test_embedding_loader_matches_per_line_reference(work_dir, text):
     check_embedding_file(work_dir / "e.emb", text)
 

@@ -313,8 +313,9 @@ class TestNumericFailures:
 class TestGatherPairs:
     def test_each_used_record_once_and_rows_bit_for_bit(self):
         store, tr, _ = small_data()
-        rows, voice_at, face_at, same = _gather_pairs(store, tr, np.float32)
+        rows, voice_at, face_at, same, used = _gather_pairs(store, tr, np.float32)
         assert rows.dtype == np.float32
+        assert rows.tobytes() == store.vectors[used].astype(np.float32).tobytes()
         assert len(rows) == len(set(tr.enroll_ids) | set(tr.test_ids))
         for at, ids in ((voice_at, tr.enroll_ids), (face_at, tr.test_ids)):
             want = store.vectors[store.indices(ids)].astype(np.float32)
@@ -328,7 +329,7 @@ class TestGatherPairs:
         store = EmbeddingStore.from_columns(store.record_ids + ("unused",),
                                             store.identity_ids + ("idX",),
                                             store.modalities + ("face",), vectors)
-        rows, _, _, _ = _gather_pairs(store, trials, np.float32)
+        rows, *_ = _gather_pairs(store, trials, np.float32)
         assert np.isfinite(rows).all()
         train(store, trials, trials, replace(TestNumericFailures.CONFIG, max_epochs=1))
 
@@ -349,14 +350,14 @@ class TestValidationScores:
         store, _, va = small_data()
         params = init_params(input_dim=store.dim, hidden_dim=4, output_dim=3)
         params.face_w2[:] = 0.0  # every face output is the zero bias
-        rows, voice_at, face_at, _ = _gather_pairs(store, va)
+        rows, voice_at, face_at, *_ = _gather_pairs(store, va)
         with pytest.raises(ValueError, match="zero norm"):
             _pair_scores(params, rows, voice_at, face_at)
 
     def test_per_record_scores_equal_per_pair_scores_bitwise(self, default_train_split):
         store, _, va = default_train_split
         params = init_params(input_dim=store.dim, seed=3)
-        rows, voice_at, face_at, _ = _gather_pairs(store, va)
+        rows, voice_at, face_at, *_ = _gather_pairs(store, va)
         assert len(np.unique(voice_at)) < len(va) and len(np.unique(face_at)) < len(va)
         voices, faces = (store.vectors[store.indices(ids)] for ids in (va.enroll_ids, va.test_ids))
         per_pair = cosine_similarity(transform_voice(params, voices), transform_face(params, faces))
@@ -364,11 +365,13 @@ class TestValidationScores:
 
 
 def test_training_memory_scales_with_records(default_train_split):
-    """One epoch on the default benchmark peaks at 12.5 MiB traced at the
+    """One epoch on the default benchmark peaks at 12.6 MiB traced at the
     default 1024-pair batches, which run each branch once per distinct
-    record (14.3 MiB when each pair ran its own rows): float32 voice and
-    face rows for each of the 32400 training pairs alone would add 16.6 MB,
-    and branch outputs gathered for all 3600 validation pairs at once 7 MiB."""
+    record and sum its pair gradients through a 0.44 MB voices x faces
+    matrix (12.5 MiB with per-pair gradient rows; 14.3 MiB when each pair
+    ran its own rows): float32 voice and face rows for each of the 32400
+    training pairs alone would add 16.6 MB, and branch outputs gathered for
+    all 3600 validation pairs at once 7 MiB."""
     store, tr, va = default_train_split
     tracemalloc.start()
     try:

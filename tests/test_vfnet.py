@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from avsrkit.vfnet import (VFNetParams, batch_loss_grad, cosine_similarity,
                            init_params, load_params, matching_accuracy,
@@ -324,6 +325,51 @@ def float64_batch_loss_grad(params, voices, faces, same_mask):
             [*back(gu, p.voice_w2, hv, av, voices), *back(gf, p.face_w2, hf, af, faces)])
 
 
+@st.composite
+def named_batches(draw, dim=6):
+    """A float64 batch and its pairs: rows named by several pairs, one
+    (voice, face) pair given twice, a voice row no pair names, and a face row
+    (row 0, named by pair 0) whose transformed vector is zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = random_params(rng, dim)
+    params.face_b1[:] = 0.0
+    params.face_b2[:] = 0.0
+    n_voices, n_faces = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    n = draw(st.integers(max(n_voices, n_faces) + 1, 16))
+    voice_at = draw(st.lists(st.integers(0, n_voices - 1), min_size=n, max_size=n))
+    face_at = draw(st.lists(st.integers(0, n_faces - 1), min_size=n, max_size=n))
+    face_at[0], face_at[1] = 0, draw(st.integers(1, n_faces - 1))
+    voice_at[-1], face_at[-1] = voice_at[1], face_at[1]  # pair 1, live, again
+    voices = rng.standard_normal((n_voices + 1, dim))  # the last row: no pair
+    faces = rng.standard_normal((n_faces, dim))
+    faces[0] = 0.0
+    same = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return params, voices, faces, np.array(voice_at), np.array(face_at), same
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=named_batches())
+def test_row_sums_match_the_per_pair_gradients(batch):
+    params, voices, faces, voice_at, face_at, same = batch
+    loss, grads = batch_loss_grad(params, voices, faces, voice_at, face_at, same)
+    at = np.arange(len(same))
+    pair_voices, pair_faces = voices[voice_at], faces[face_at]
+    assert loss == batch_loss_grad(params, pair_voices, pair_faces, at, at, same)[0]
+    # a zero transformed vector passes nothing: the live pairs' mean gradient, over all pairs
+    live = ((np.linalg.norm(transform_voice(params, pair_voices), axis=1) > 0.0)
+            & (np.linalg.norm(transform_face(params, pair_faces), axis=1) > 0.0))
+    assume(live.any())
+    _, want_grads = float64_batch_loss_grad(params, pair_voices[live], pair_faces[live],
+                                            same[live])
+    _, grads32 = batch_loss_grad(params, voices.astype(np.float32), faces.astype(np.float32),
+                                 voice_at, face_at, same)
+    scale = np.abs(grads.flat).max()
+    for f, want in zip(fields(VFNetParams), want_grads):
+        got = getattr(grads, f.name)
+        assert np.abs(got - want * (live.sum() / len(same))).max() <= 1e-12 * scale
+        assert np.abs(getattr(grads32, f.name) - got).max() <= 1e-4 * scale
+
+
 class TestPrecision:
     """Float32 rows run the branches in float32 and give float32 gradients;
     the loss and everything computed from float64 rows stay float64."""
@@ -356,8 +402,9 @@ class TestPrecision:
             loss, grads = batch_loss_grad(params, voices, faces, at, at, same)
             want_loss, want_grads = float64_batch_loss_grad(params, voices, faces, same)
             assert loss == want_loss
+            # each row's pair gradients are summed by matrix products, in their own order
             for f, want in zip(fields(VFNetParams), want_grads):
-                np.testing.assert_array_equal(getattr(grads, f.name), want)
+                assert np.abs(getattr(grads, f.name) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_parameters_are_not_cast(self, rng):
         params, voices, faces, same = self.batch(rng)
