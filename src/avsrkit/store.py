@@ -23,6 +23,7 @@ MODALITIES = ("voice", "face")
 LABELS = ("target", "nontarget")
 _LABEL_OBJECTS = {label: label for label in LABELS}
 MAX_TARGETS_PER_IDENTITY = 50
+NONTARGET_BLOCK_PAIRS = 1024  # most pairs of a cross-modal nontarget block: one default batch
 _IDS = StringDType(coerce=False)  # trial and score ids: an id of up to 15 UTF-8 bytes takes 16
 
 
@@ -371,15 +372,17 @@ def _check_filled(**columns):
 
 
 def _coordinates(texts):
-    """The comma-separated numbers of texts as one float64 array: by numpy's
-    C reader if it reads one row of one width per text, else by _floats (an empty
-    text it skips, \\x1c-\\x1f it takes as whitespace, a number only float() reads)."""
+    """(values, widths): the comma-separated numbers of texts as one float64
+    array, and each text's count of them. By numpy's C reader if it reads one
+    row of one width per text, else by _floats (an empty text it skips,
+    \\x1c-\\x1f it takes as whitespace, a number only float() reads)."""
     if "" not in texts and not any(map("\n".join(texts).__contains__, "\x1c\x1d\x1e\x1f")):
         with suppress(ValueError):
             rows = np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
             if rows.shape[0] == len(texts) and rows.shape[1] >= 1:
-                return rows.ravel()
-    return _floats(texts, "malformed coordinate list", sep=",")
+                return rows.ravel(), [rows.shape[1]] * len(texts)
+    return (_floats(texts, "malformed coordinate list", sep=","),
+            [text.count(",") + 1 for text in texts])
 
 
 def load_embeddings(path) -> EmbeddingStore:
@@ -387,8 +390,9 @@ def load_embeddings(path) -> EmbeddingStore:
     linenos, values, dims, columns = [], [], [], ([], [], [])  # ids, identity ids, modalities
     for (*ids, coords), lines in _read_columns(path, (4,), "expected 4 tab-separated fields"):
         with _at_lines(path, lines):
-            values.append(_coordinates(coords))
-        dims += [text.count(",") + 1 for text in coords]
+            chunk, widths = _coordinates(coords)
+        values.append(chunk)
+        dims += widths
         linenos.append(lines)
         for column, chunk in zip(columns, ids):
             column += chunk
@@ -467,12 +471,17 @@ def save_scores(scores: ScoreSet, path) -> None:
 
 def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
                             rng_seed: int) -> TrialSet:
-    """Labeled voice-face trials: same-identity targets plus shuffled negatives.
+    """Labeled voice-face trials: same-identity targets plus sampled negatives.
 
     Targets enumerate all (voice, face) record pairs sharing an identity, at
-    most MAX_TARGETS_PER_IDENTITY per identity; negatives are sampled
-    uniformly over cross-identity pairs without replacement. Deterministic
-    given the seed.
+    most MAX_TARGETS_PER_IDENTITY per identity. Negatives are distinct
+    cross-identity pairs drawn uniformly within identity blocks. A list of at
+    most NONTARGET_BLOCK_PAIRS pairs is one block: sample_nontargets draws its
+    negatives over the whole store. A longer list cuts a seeded shuffle of the
+    identities into blocks (``_identity_blocks``), and each block's negatives
+    pair its own voices and faces; where that leaves one block,
+    sample_nontargets draws over the whole store after the shuffle.
+    Deterministic given the seed.
     """
     rng = np.random.default_rng(rng_seed)
     ids, voices, faces = store.record_ids, store.identity_rows("voice"), store.identity_rows("face")
@@ -487,10 +496,55 @@ def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
             pairs = [pairs[i] for i in sorted(idx)]
         targets.extend(pairs)
 
+    npp = negatives_per_positive
+    if npp >= 1 and (1 + npp) * len(targets) > NONTARGET_BLOCK_PAIRS:
+        identities = sorted(voices.keys() | faces.keys())
+        identities = [identities[i] for i in rng.permutation(len(identities))]
+        counts = [np.array([len(rows.get(i, ())) for i in identities], dtype=np.int64)
+                  for rows in (voices, faces)]
+        block, need, cross = _identity_blocks(*counts, npp)
+        if need.size > 1:  # records by identity, in shuffled order, so by block
+            sides = [[ids[r] for i in identities for r in rows.get(i, ())]
+                     for rows in (voices, faces)]
+            who = [np.repeat(np.arange(len(identities)), n) for n in counts]
+            sizes = [np.bincount(block, n).astype(np.int64) for n in counts]
+            i, j = _draw_pairs(*who, *sizes, need, cross, rng)
+            return TrialSet.from_columns(
+                [a for a, _ in targets] + [sides[0][x] for x in i.tolist()],
+                [b for _, b in targets] + [sides[1][x] for x in j.tolist()],
+                ["target"] * len(targets) + ["nontarget"] * i.size)
     left, right = ([ids[i] for i in sorted(j for group in rows.values() for j in group)]
                    for rows in (voices, faces))  # each modality's record ids, in store order
     return sample_nontargets(targets, left, right, dict(zip(ids, store.identity_ids)),
-                             negatives_per_positive, rng)
+                             npp, rng)
+
+
+def _identity_blocks(n_voices, n_faces, negatives_per_positive):
+    """(block, need, cross): each identity's block, and each block's nontarget
+    count and cross-identity pair count, for identities in the given order with
+    n_voices and n_faces records. Identity i has t = min(v f,
+    MAX_TARGETS_PER_IDENTITY) targets and (1 + negatives_per_positive) t pairs.
+    A block is a run of identities: with n blocks, the one whose running pair
+    count starts at s goes to block floor(s n / total), and one without targets
+    to the block before it. n is the least count that keeps each block within
+    NONTARGET_BLOCK_PAIRS pairs, given the most pairs of one identity, and is
+    cut by a quarter at a time while a block has fewer cross-identity pairs
+    than its negatives_per_positive per target; so each block of several holds
+    targets and at least two identities."""
+    targets = np.minimum(n_voices * n_faces, MAX_TARGETS_PER_IDENTITY)
+    pairs = (1 + negatives_per_positive) * targets
+    total = int(pairs.sum())
+    start = np.cumsum(pairs) - pairs
+    n = -(-total // max(NONTARGET_BLOCK_PAIRS - int(pairs.max()), 1))
+    while True:
+        block = np.maximum.accumulate(np.where(pairs > 0, start * n // total, 0))
+        block = np.unique(block, return_inverse=True)[1]
+        voices, faces, same, held = (np.bincount(block, w).astype(np.int64) for w in
+                                     (n_voices, n_faces, n_voices * n_faces, targets))
+        need, cross = negatives_per_positive * held, voices * faces - same
+        if n == 1 or (need <= cross).all():
+            return block, need, cross
+        n = n * 3 // 4
 
 
 def sample_nontargets(targets, left_ids, right_ids, identity_of, negatives_per_positive,
@@ -498,9 +552,9 @@ def sample_nontargets(targets, left_ids, right_ids, identity_of, negatives_per_p
     """Labeled trials: the distinct target pairs, then negatives_per_positive (>= 1) distinct
     cross-identity pairs per target, drawn uniformly, left then right, from
     left_ids x right_ids (each id once per side), skipping drawn targets. Pairs are
-    drawn in blocks, one ``rng.integers`` call over tiled (n_left, n_right) bounds
-    each, which is the stream of drawing pair by pair; the last block leaves
-    ``rng`` past the last pair kept."""
+    drawn a turn at a time (``_draw_pairs``), one ``rng.integers`` call over tiled
+    (n_left, n_right) bounds each, which is the stream of drawing pair by pair; the
+    last turn leaves ``rng`` past the last pair kept."""
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
     n_nontargets = negatives_per_positive * len(targets)
@@ -521,16 +575,41 @@ def sample_nontargets(targets, left_ids, right_ids, identity_of, negatives_per_p
                                      @ np.bincount(right, minlength=len(codes))) - skip.size
     if n_nontargets > n_cross:
         raise ValueError(f"requested {n_nontargets} nontargets but only {n_cross} pairs exist")
-    drawn = np.empty(0, dtype=np.int64)  # distinct pair codes i * n_right + j, in draw order
-    while drawn.size < n_nontargets:
-        fresh = max(n_cross - drawn.size, 1) / (n_left * n_right)  # share of new pairs
-        k = min(int(1.1 * (n_nontargets - drawn.size) / fresh) + 64, 1 << 20)
-        i, j = rng.integers(0, np.tile([n_left, n_right], k)).reshape(k, 2).T
-        drawn = np.concatenate([drawn, (i * n_right + j)[left[i] != right[j]]])
-        drawn = drawn[np.sort(np.unique(drawn, return_index=True)[1])]
-        if skip.size:
-            drawn = drawn[~np.isin(drawn, skip)]
-    i, j = np.divmod(drawn[:n_nontargets], n_right)
+    i, j = _draw_pairs(left, right, *np.array([[n_left], [n_right], [n_nontargets], [n_cross]]),
+                       rng, skip)
     return TrialSet.from_columns([a for a, _ in chosen] + [left_ids[x] for x in i.tolist()],
                                  [b for _, b in chosen] + [right_ids[x] for x in j.tolist()],
                                  ["target"] * len(targets) + ["nontarget"] * n_nontargets)
+
+
+def _draw_pairs(left, right, left_sizes, right_sizes, need, cross, rng, skip=None):
+    """need[b] distinct pairs (i, j) with left[i] != right[j] for each block b,
+    drawn uniformly, left then right, from block b's ids: the b-th runs of
+    left_sizes and right_sizes ids. cross[b] counts block b's pairs that qualify,
+    and a pair coded i * len(right) + j in skip does not. Each turn draws every
+    short block's pairs in one ``rng.integers`` call, about 1.1 times what it
+    lacks at its share of qualifying pairs, and keeps each new distinct one in
+    draw order. Returns (i, j), block by block, in draw order within a block."""
+    n_right = len(right)
+    left_at, right_at = (np.cumsum(sizes) - sizes for sizes in (left_sizes, right_sizes))
+    block_of = np.repeat(np.arange(need.size), left_sizes)  # each left id's block
+    have = np.zeros_like(need)
+    drawn = np.empty(0, dtype=np.int64)  # distinct pair codes, in draw order
+    while (short := np.flatnonzero(have < need)).size:
+        fresh = (np.maximum(cross[short] - have[short], 1)
+                 / (left_sizes[short] * right_sizes[short]))  # share of new pairs
+        k = np.minimum((1.1 * (need[short] - have[short]) / fresh).astype(np.int64) + 64,
+                       (1 << 20) // short.size)
+        b = np.repeat(short, k)
+        i, j = rng.integers(0, np.column_stack([left_sizes[b], right_sizes[b]]).ravel()
+                            ).reshape(-1, 2).T
+        i, j = i + left_at[b], j + right_at[b]
+        drawn = np.concatenate([drawn, (i * n_right + j)[left[i] != right[j]]])
+        drawn = drawn[np.sort(np.unique(drawn, return_index=True)[1])]
+        if skip is not None and skip.size:
+            drawn = drawn[~np.isin(drawn, skip)]
+        have = np.bincount(block_of[drawn // n_right], minlength=need.size)
+    block = block_of[drawn // n_right]
+    order = np.argsort(block, kind="stable")
+    rank = np.arange(order.size) - np.searchsorted(block[order], block[order])
+    return np.divmod(drawn[order[rank < need[block[order]]]], n_right)

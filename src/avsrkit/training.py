@@ -1,9 +1,11 @@
 """Mini-batch trainer for the voice-face network.
 
-Each epoch shuffles the training list's voice identities and cuts the pairs,
-grouped by identity in that order, into near-equal batches, so an epoch
-covers every pair once and an identity's pairs share a batch or two. A batch
-runs each branch once per distinct record it holds. The optimizer is Adam,
+The training list's identities fall into blocks: the connected components
+of the graph whose edges are its pairs' (voice identity, face identity).
+Each epoch shuffles the blocks and the identities within them, groups the
+pairs in that order and packs whole blocks into batches, so an epoch covers
+every pair once and a batch runs each branch once per distinct record of the
+few identities it holds. The optimizer is Adam,
 and model selection uses held-out validation EER with early stopping.
 Training runs in float32: the rows, the weights, each batch's gradients and
 Adam's two moments are float32, and the weights, gradients and each moment
@@ -162,15 +164,51 @@ def _pair_scores(params: VFNetParams, rows, voice_at, face_at):
     return scores
 
 
+def _components(a, b, n):
+    """Each of n nodes' connected component under the edges (a[k], b[k]),
+    numbered from 0 in the order of each component's least node. Each round
+    lowers both ends of every edge to the smaller of their labels, then
+    points each label at its own label; a label is always a node of its
+    component, so labels that agree on every edge name the components."""
+    label = np.arange(n)
+    while (label[a] != label[b]).any():
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        label = label[label]
+    return np.unique(label, return_inverse=True)[1]
+
+
+def _batch_bounds(sizes, batch_size):
+    """Batch bounds over runs of pairs of the given sizes, in order: runs go
+    whole into a batch while it holds at most batch_size pairs, and a run
+    longer than batch_size is cut alone into ceil(size / batch_size) batches
+    of near-equal size."""
+    bounds, end = [0], 0
+    for size in sizes.tolist():
+        if end > bounds[-1] and end + size - bounds[-1] > batch_size:
+            bounds.append(end)
+        if size > batch_size:
+            n = math.ceil(size / batch_size)
+            bounds += (end + np.linspace(0, size, n + 1).astype(int))[1:].tolist()
+        end += size
+    return bounds if bounds[-1] == end else bounds + [end]
+
+
 def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
           config: TrainConfig) -> TrainReport:
     """Train on labeled cross-modal trials; keep the best-validation epoch.
 
-    Each epoch draws one permutation of the training pairs' voice identities
-    (each enroll record's identity), orders the pairs by it, keeping list
-    order within an identity, and cuts them into ceil(len / batch_size)
-    batches of near-equal size. A batch keeps the list's labels, so it holds
-    about as many nontargets per target as the list (negatives_per_positive).
+    The list's identities fall into blocks, the connected components of its
+    pairs' (voice identity, face identity) graph. Each epoch draws one
+    permutation of the identities and, when there are several blocks, one of
+    the blocks; it orders the pairs by their voice identity's block, then by
+    that identity, keeping list order within an identity, and packs whole
+    blocks into batches of at most batch_size pairs (``_batch_bounds``). A
+    block larger than batch_size is cut into ceil(its pairs / batch_size)
+    batches of near-equal size, so a one-block list is cut as a whole. A batch
+    keeps the list's labels, so it holds about as many nontargets per target
+    as the list (negatives_per_positive).
     The batch gradient is the mean pair gradient, computed in float32 and
     applied to the float32 weights. Raises ValueError when either trial list is
     unlabeled or lacks targets or nontargets, TrainingError naming a training
@@ -187,10 +225,11 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     rng = np.random.default_rng([config.rng_seed, 7])
     optimizer = _Adam(config.learning_rate, params)
 
-    _, identity = np.unique(np.array(store.identity_ids)[used[voice_at]],
-                            return_inverse=True)  # each pair's voice identity, as a code
-    n_batches = math.ceil(t_same.size / config.batch_size)
-    bounds = np.linspace(0, t_same.size, n_batches + 1).astype(int)
+    names, code = np.unique(np.array(store.identity_ids)[used], return_inverse=True)
+    identity = code[voice_at]  # each pair's voice identity, as a code
+    component = _components(identity, code[face_at], names.size)
+    n_components = int(component.max()) + 1
+    component_pairs = np.bincount(component[identity], minlength=n_components)
 
     train_losses = []
     valid_eers = []
@@ -199,7 +238,14 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     stopped_by = "max_epochs"
     since_best = 0
     for epoch in range(config.max_epochs):
-        order = np.argsort(rng.permutation(identity.max() + 1)[identity], kind="stable")
+        rank = rng.permutation(names.size)  # identities, then blocks, by their rank
+        blocks = np.zeros(1, dtype=np.int64)
+        if n_components > 1:
+            blocks = rng.permutation(n_components)
+            rank += names.size * blocks[component]
+        order = np.argsort(rank[identity], kind="stable")
+        bounds = _batch_bounds(component_pairs[np.argsort(blocks)], config.batch_size)
+        n_batches = len(bounds) - 1
         epoch_loss = 0.0
         for b in range(n_batches):
             idx = order[bounds[b]:bounds[b + 1]]

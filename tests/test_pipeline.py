@@ -77,13 +77,19 @@ class TestBuildIdentityTrials:
 
 def test_nontarget_draws_pinned():
     """Both trial builders draw their nontargets through one sampler; the
-    columns they build keep the SHA-256 they had with a sampler each."""
+    columns they build keep the SHA-256 they had with a sampler each. A
+    cross-modal list within one nontarget block (900 pairs) keeps it too;
+    one of several blocks (1800 pairs) is pinned at its block draws."""
     gen = GenConfig(d_id=2, d_voice=4, d_face=4, n_identities_train=12, n_identities_test=9,
                     voice_sessions_per_identity=8, face_sessions_per_identity=8, rng_seed=3)
     train, dev, _ = generate_av_benchmark(gen)
+    half = set(sorted(set(train.identity_ids))[:6])
+    one_block = train.subset([r for r, i in enumerate(train.identity_ids) if i in half])
     for trials, length, digest in [
+            (build_crossmodal_trials(one_block, 2, rng_seed=5), 900,  # 6 x 50 capped targets
+             "dd4e3e97ca28a52d58486c9f98198606c48bcf4793a057a7e7c9a21be72b8e42"),
             (build_crossmodal_trials(train, 2, rng_seed=5), 1800,  # 12 x 50 capped targets
-             "a5296706ff2e05a6a235c165fed9d2f6f3a26f8cb0d0dc1e11150e4f81a3eba3"),
+             "02768f03f2057fbb6d85d62b6e374cf33c24628b7e2b6717319c89be01087214"),
             (build_identity_trials(dev, 4, rng_seed=6), 45,
              "d81ea076f7bec5ed1889b2dc0fa4dd08c882189ea83fdd90bf7e8969378dce58")]:
         columns = repr((tuple(trials.enroll_ids.tolist()), tuple(trials.test_ids.tolist()),

@@ -1,3 +1,6 @@
+from collections import Counter
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +11,7 @@ from avsrkit.store import (EmbeddingRecord, EmbeddingStore, FormatError,
                            build_crossmodal_trials, load_embeddings,
                            load_scores, load_trials, sample_nontargets,
                            save_embeddings, save_scores, save_trials)
+from avsrkit.pipeline import build_identity_trials
 
 
 def write(path, text):
@@ -334,3 +338,67 @@ def test_block_sampler_matches_pair_by_pair_draws(inputs, seed):
                                    np.random.default_rng(seed))
     assert list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist())) == expected
     assert trials.labels == ("target",) * len(targets) + ("nontarget",) * (npp * len(targets))
+
+
+@st.composite
+def block_store_inputs(draw):
+    """A store of identities with 0-4 voices and 0-4 faces each (at least one
+    record), negatives per target, and a nontarget block size small enough to
+    cut most stores into several blocks; the store has enough cross-identity
+    pairs for its nontargets."""
+    counts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+                           min_size=2, max_size=24))
+    records = [EmbeddingRecord(f"{m[0]}{i}_{k}", f"id{i:02d}", m, [float(k)])
+               for i, (v, f) in enumerate(counts)
+               for m, n in (("voice", v), ("face", f)) for k in range(n)]
+    targets = sum(v * f for v, f in counts)
+    cross = sum(v for v, _ in counts) * sum(f for _, f in counts) - targets
+    assume(targets >= 1)
+    npp = draw(st.integers(1, 3))
+    assume(npp * targets <= cross)
+    return EmbeddingStore(records), npp, draw(st.integers(4, 200))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block_store_inputs(), st.integers(0, 2**32))
+def test_crossmodal_nontargets_drawn_within_identity_blocks(inputs, seed):
+    store, npp, block_pairs = inputs
+    with patch.object(avsrkit.store, "NONTARGET_BLOCK_PAIRS", block_pairs):
+        trials = build_crossmodal_trials(store, npp, seed)
+        # the blocks, from the same seeded shuffle (no identity reaches the target cap)
+        identity = dict(zip(store.record_ids, store.identity_ids))
+        names = sorted(set(store.identity_ids))
+        names = [names[i] for i in np.random.default_rng(seed).permutation(len(names))]
+        n_voices, n_faces = (np.array([sum(identity[r] == i and m == modality for r, m in
+                                           zip(store.record_ids, store.modalities))
+                                       for i in names]) for modality in ("voice", "face"))
+        block = dict(zip(names, avsrkit.store._identity_blocks(n_voices, n_faces, npp)[0]))
+    pairs = list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist()))
+    n_targets = trials.labels.count("target")
+    targets, nontargets = pairs[:n_targets], pairs[n_targets:]
+    assert all(identity[a] == identity[b] for a, b in targets)
+    assert trials.labels == ("target",) * n_targets + ("nontarget",) * (npp * n_targets)
+    assert len(set(pairs)) == len(pairs)
+    assert all(identity[a] != identity[b] for a, b in nontargets)
+    if (1 + npp) * n_targets > block_pairs and max(block.values()) > 0:
+        assert all(block[identity[a]] == block[identity[b]] for a, b in nontargets)
+        assert min(Counter(block.values()).values()) >= 2
+    else:  # one block: the pair-by-pair draws over the whole store
+        left, right = ([r for r, m in zip(store.record_ids, store.modalities) if m == modality]
+                       for modality in ("voice", "face"))
+        rng = np.random.default_rng(seed)
+        if (1 + npp) * n_targets > block_pairs:
+            rng.permutation(len(names))
+        assert pairs == sample_pair_by_pair(targets, left, right, identity, npp, rng)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32))
+def test_identity_trials_match_pair_by_pair_draws(n, npp, seed):
+    assume(npp <= n - 1)
+    ids = [f"id{i:02d}" for i in range(n)]
+    store = EmbeddingStore([EmbeddingRecord(f"v{i}", i, "voice", [1.0]) for i in ids])
+    trials = build_identity_trials(store, npp, seed)
+    expected = sample_pair_by_pair(list(zip(ids, ids)), ids, ids, dict(zip(ids, ids)), npp,
+                                   np.random.default_rng(seed))
+    assert list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist())) == expected

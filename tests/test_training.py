@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import avsrkit.store
 from avsrkit.pipeline import split_identities
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, Trial, TrialSet,
                            build_crossmodal_trials)
@@ -237,6 +238,37 @@ class TestTrain:
             for lo, hi in zip(starts, ends):
                 assert np.sum((cuts > lo) & (cuts < hi)) <= 1
 
+    def test_batches_hold_whole_blocks(self, monkeypatch):
+        # 100-pair nontarget blocks cut the 540 pairs into blocks of 72 or 90
+        # pairs (4 or 5 identities), so a 200-pair batch holds two whole blocks
+        monkeypatch.setattr(avsrkit.store, "NONTARGET_BLOCK_PAIRS", 100)
+        store, tr, va = small_data()
+        identity = dict(zip(store.record_ids, store.identity_ids))
+        block = {i: i for i in identity.values()}  # union-find over the pairs' identities
+
+        def root(i):
+            while block[i] != i:
+                i = block[i]
+            return i
+
+        for e, t in zip(tr.enroll_ids, tr.test_ids):
+            block[root(identity[e])] = root(identity[t])
+        sizes = Counter(root(identity[e]) for e in tr.enroll_ids)
+        assert len(sizes) >= 5 and max(sizes.values()) <= 100
+        config = replace(SMALL_CONFIG, batch_size=200, max_epochs=3, patience=3)
+        _, epochs = self.recorded_batches(monkeypatch, store, tr, va, config)
+        for batches in epochs:
+            assert sorted(i for b in batches for _, i in b) == list(range(len(tr)))
+            assert all(len(b) <= config.batch_size for b in batches)
+            held = [Counter(root(who) for who, _ in b) for b in batches]
+            assert all(sizes[r] == n for h in held for r, n in h.items())  # whole blocks
+            assert [len(h) for h in held[:-1]] == [2] * (len(held) - 1)
+            # a batch closes only when the next block would overflow it
+            ends = [sum(sizes[r] for r in h) for h in held]
+            firsts = [next(iter(h)) for h in held[1:]]
+            assert all(end + sizes[r] > config.batch_size for end, r in zip(ends, firsts))
+        assert epochs[0] != epochs[1]  # a fresh block order each epoch
+
     def test_record_dead_at_initialisation_in_the_first_batch(self, monkeypatch):
         # a zero face vector meets zero biases at initialisation, so its
         # transformed face is the zero vector, whose cosine has no gradient;
@@ -364,11 +396,30 @@ class TestValidationScores:
         assert _pair_scores(params, rows, voice_at, face_at).tobytes() == per_pair.tobytes()
 
 
+def test_components_of_a_hand_built_pair_graph():
+    # edges 0-1-2 and 5-3, 4-5, 4-4: blocks {0, 1, 2}, {3, 4, 5} and the lone 6
+    a, b = np.array([0, 1, 5, 4, 4]), np.array([1, 2, 3, 5, 4])
+    assert training._components(a, b, 7).tolist() == [0, 0, 0, 1, 1, 1, 2]
+    # a chain whose least node sits at its far end takes several rounds
+    assert training._components(np.arange(1, 9), np.arange(8), 9).tolist() == [0] * 9
+
+
+@pytest.mark.parametrize("sizes,bounds", [
+    ([540], [0, 60, 120, 180, 240, 300, 360, 420, 480, 540]),  # one block: 9 equal cuts
+    ([300, 300, 500, 130, 2100], [0, 600, 1230, 1930, 2630, 3330]),
+    ([10, 20], [0, 30]),
+])
+def test_batch_bounds_pack_whole_blocks_and_cut_long_ones(sizes, bounds):
+    batch_size = 60 if len(sizes) == 1 else 1024
+    assert training._batch_bounds(np.array(sizes), batch_size) == bounds
+
+
 def test_training_memory_scales_with_records(default_train_split):
-    """One epoch on the default benchmark peaks at 12.6 MiB traced at the
-    default 1024-pair batches, which run each branch once per distinct
-    record and sum its pair gradients through a 0.44 MB voices x faces
-    matrix (12.5 MiB with per-pair gradient rows; 14.3 MiB when each pair
+    """One epoch on the default benchmark peaks at 12.7 MiB traced at the
+    default 1024-pair batches of one nontarget block each, which run each
+    branch once per distinct record and sum its pair gradients through a
+    0.11 MB voices x faces matrix (12.6 MiB with nontargets over the whole
+    store; 12.5 MiB with per-pair gradient rows; 14.3 MiB when each pair
     ran its own rows): float32 voice and face rows for each of the 32400
     training pairs alone would add 16.6 MB, and branch outputs gathered for
     all 3600 validation pairs at once 7 MiB."""
