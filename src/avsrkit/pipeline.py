@@ -66,8 +66,9 @@ def build_identity_trials(embedding_store: EmbeddingStore, negatives_per_positiv
                           rng_seed: int) -> TrialSet:
     """Identity-level trials: one target per identity plus sampled nontargets."""
     ids = sorted(set(embedding_store.identity_ids))
-    return store.sample_nontargets(list(zip(ids, ids)), ids, ids, dict(zip(ids, ids)),
-                                   negatives_per_positive, np.random.default_rng(rng_seed))
+    code = np.arange(len(ids))
+    return store.sample_trials(list(zip(ids, ids)), ids, ids, code, code, np.zeros_like(code),
+                               negatives_per_positive, np.random.default_rng(rng_seed))
 
 
 def split_enroll_test(embedding_store: EmbeddingStore):

@@ -475,13 +475,11 @@ def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
 
     Targets enumerate all (voice, face) record pairs sharing an identity, at
     most MAX_TARGETS_PER_IDENTITY per identity. Negatives are distinct
-    cross-identity pairs drawn uniformly within identity blocks. A list of at
-    most NONTARGET_BLOCK_PAIRS pairs is one block: sample_nontargets draws its
-    negatives over the whole store. A longer list cuts a seeded shuffle of the
-    identities into blocks (``_identity_blocks``), and each block's negatives
-    pair its own voices and faces; where that leaves one block,
-    sample_nontargets draws over the whole store after the shuffle.
-    Deterministic given the seed.
+    cross-identity pairs drawn uniformly within identity blocks
+    (``sample_trials``). A list of more than NONTARGET_BLOCK_PAIRS pairs cuts a
+    seeded shuffle of the identities into blocks (``_identity_blocks``), each
+    block's records by identity in that order; a list that is one block draws
+    over each modality's records in store order. Deterministic given the seed.
     """
     rng = np.random.default_rng(rng_seed)
     ids, voices, faces = store.record_ids, store.identity_rows("voice"), store.identity_rows("face")
@@ -497,99 +495,87 @@ def build_crossmodal_trials(store: EmbeddingStore, negatives_per_positive: int,
         targets.extend(pairs)
 
     npp = negatives_per_positive
-    if npp >= 1 and (1 + npp) * len(targets) > NONTARGET_BLOCK_PAIRS:
-        identities = sorted(voices.keys() | faces.keys())
+    identities = sorted(voices.keys() | faces.keys())
+    block = np.zeros(len(identities), dtype=np.int64)
+    if (1 + npp) * len(targets) > NONTARGET_BLOCK_PAIRS:
         identities = [identities[i] for i in rng.permutation(len(identities))]
-        counts = [np.array([len(rows.get(i, ())) for i in identities], dtype=np.int64)
-                  for rows in (voices, faces)]
-        block, need, cross = _identity_blocks(*counts, npp)
-        if need.size > 1:  # records by identity, in shuffled order, so by block
-            sides = [[ids[r] for i in identities for r in rows.get(i, ())]
-                     for rows in (voices, faces)]
-            who = [np.repeat(np.arange(len(identities)), n) for n in counts]
-            sizes = [np.bincount(block, n).astype(np.int64) for n in counts]
-            i, j = _draw_pairs(*who, *sizes, need, cross, rng)
-            return TrialSet.from_columns(
-                [a for a, _ in targets] + [sides[0][x] for x in i.tolist()],
-                [b for _, b in targets] + [sides[1][x] for x in j.tolist()],
-                ["target"] * len(targets) + ["nontarget"] * i.size)
-    left, right = ([ids[i] for i in sorted(j for group in rows.values() for j in group)]
-                   for rows in (voices, faces))  # each modality's record ids, in store order
-    return sample_nontargets(targets, left, right, dict(zip(ids, store.identity_ids)),
-                             npp, rng)
+        block = _identity_blocks(*(np.array([len(rows.get(i, ())) for i in identities])
+                                   for rows in (voices, faces)), npp)
+    sides = [np.array([(r, c) for c, i in enumerate(identities) for r in rows.get(i, ())]).T
+             for rows in (voices, faces)]  # each record's row and identity code, by identity
+    if not block.any():  # one block: each modality's records in store order
+        sides = [side[:, np.argsort(side[0])] for side in sides]
+    return sample_trials(targets, *([ids[r] for r in side[0].tolist()] for side in sides),
+                         *(side[1] for side in sides), block, npp, rng)
 
 
 def _identity_blocks(n_voices, n_faces, negatives_per_positive):
-    """(block, need, cross): each identity's block, and each block's nontarget
-    count and cross-identity pair count, for identities in the given order with
-    n_voices and n_faces records. Identity i has t = min(v f,
-    MAX_TARGETS_PER_IDENTITY) targets and (1 + negatives_per_positive) t pairs.
-    A block is a run of identities: with n blocks, the one whose running pair
-    count starts at s goes to block floor(s n / total), and one without targets
-    to the block before it. n is the least count that keeps each block within
+    """Each identity's block, for identities in the given order with n_voices
+    and n_faces records. Identity i has t = min(v f, MAX_TARGETS_PER_IDENTITY)
+    targets and (1 + negatives_per_positive) t pairs. A block is a run of
+    identities: with n blocks, the one whose running pair count starts at s
+    goes to block floor(s n / total), and one without targets to the block
+    before it. n is the least count that keeps each block within
     NONTARGET_BLOCK_PAIRS pairs, given the most pairs of one identity, and is
     cut by a quarter at a time while a block has fewer cross-identity pairs
-    than its negatives_per_positive per target; so each block of several holds
-    targets and at least two identities."""
-    targets = np.minimum(n_voices * n_faces, MAX_TARGETS_PER_IDENTITY)
-    pairs = (1 + negatives_per_positive) * targets
+    than its negatives_per_positive per target (``_block_counts``); so each
+    block of several holds targets and at least two identities."""
+    pairs = (1 + negatives_per_positive) * np.minimum(n_voices * n_faces,
+                                                      MAX_TARGETS_PER_IDENTITY)
     total = int(pairs.sum())
     start = np.cumsum(pairs) - pairs
     n = -(-total // max(NONTARGET_BLOCK_PAIRS - int(pairs.max()), 1))
     while True:
         block = np.maximum.accumulate(np.where(pairs > 0, start * n // total, 0))
         block = np.unique(block, return_inverse=True)[1]
-        voices, faces, same, held = (np.bincount(block, w).astype(np.int64) for w in
-                                     (n_voices, n_faces, n_voices * n_faces, targets))
-        need, cross = negatives_per_positive * held, voices * faces - same
+        *_, need, cross = _block_counts(n_voices, n_faces, block, negatives_per_positive)
         if n == 1 or (need <= cross).all():
-            return block, need, cross
+            return block
         n = n * 3 // 4
 
 
-def sample_nontargets(targets, left_ids, right_ids, identity_of, negatives_per_positive,
-                      rng) -> TrialSet:
-    """Labeled trials: the distinct target pairs, then negatives_per_positive (>= 1) distinct
-    cross-identity pairs per target, drawn uniformly, left then right, from
-    left_ids x right_ids (each id once per side), skipping drawn targets. Pairs are
-    drawn a turn at a time (``_draw_pairs``), one ``rng.integers`` call over tiled
-    (n_left, n_right) bounds each, which is the stream of drawing pair by pair; the
-    last turn leaves ``rng`` past the last pair kept."""
+def _block_counts(n_left, n_right, block, negatives_per_positive):
+    """(left, right, need, cross): each block's left and right id counts, its
+    nontargets (negatives_per_positive per target, min(n_left[i] n_right[i],
+    MAX_TARGETS_PER_IDENTITY) targets for identity i) and its cross-identity
+    pairs, for identities with n_left and n_right ids in the given blocks."""
+    same = n_left * n_right
+    left, right, same, held = (np.bincount(block, w).astype(np.int64) for w in
+                               (n_left, n_right, same, np.minimum(same, MAX_TARGETS_PER_IDENTITY)))
+    return left, right, negatives_per_positive * held, left * right - same
+
+
+def sample_trials(targets, left_ids, right_ids, left_identity, right_identity, block,
+                  negatives_per_positive, rng) -> TrialSet:
+    """Labeled trials: the targets, distinct same-identity pairs, then
+    negatives_per_positive (>= 1) nontargets per target: distinct cross-identity
+    pairs drawn uniformly, left then right, within each identity block. Each
+    side lists its ids block by block, their identity codes in left_identity
+    and right_identity; block[c] is identity c's block, and an identity with v
+    left and f right ids holds min(v f, MAX_TARGETS_PER_IDENTITY) targets. Pairs
+    are drawn a turn at a time (``_draw_pairs``): for one block, the stream of
+    drawing pair by pair, leaving ``rng`` past the last pair kept."""
     if negatives_per_positive < 1:
         raise ValueError("negatives_per_positive must be >= 1")
-    n_nontargets = negatives_per_positive * len(targets)
-    n_left, n_right = len(left_ids), len(right_ids)
-    codes = {}  # identity -> code
-    left, right = (np.array([codes.setdefault(identity_of[i], len(codes)) for i in ids],
-                            dtype=np.int64) for ids in (left_ids, right_ids))
-    chosen = dict.fromkeys(targets)
-    if len(chosen) < len(targets):
-        seen = set()
-        pair = next(p for p in targets if p in seen or seen.add(p))
-        raise ValueError(f"target pair ({pair[0]}, {pair[1]}) given twice")
-    at = [dict(zip(ids, range(len(ids)))) for ids in (left_ids, right_ids)]
-    skip = np.array([at[0][a] * n_right + at[1][b] for a, b in chosen
-                     if a in at[0] and b in at[1]], dtype=np.int64)  # pair codes of targets
-    skip = skip[left[skip // n_right] != right[skip % n_right]]  # those a draw can keep
-    n_cross = n_left * n_right - int(np.bincount(left, minlength=len(codes))
-                                     @ np.bincount(right, minlength=len(codes))) - skip.size
-    if n_nontargets > n_cross:
-        raise ValueError(f"requested {n_nontargets} nontargets but only {n_cross} pairs exist")
-    i, j = _draw_pairs(left, right, *np.array([[n_left], [n_right], [n_nontargets], [n_cross]]),
-                       rng, skip)
-    return TrialSet.from_columns([a for a, _ in chosen] + [left_ids[x] for x in i.tolist()],
-                                 [b for _, b in chosen] + [right_ids[x] for x in j.tolist()],
-                                 ["target"] * len(targets) + ["nontarget"] * n_nontargets)
+    left_sizes, right_sizes, need, cross = _block_counts(
+        *(np.bincount(c, minlength=block.size) for c in (left_identity, right_identity)),
+        block, negatives_per_positive)
+    if (need > cross).any():  # a list of several blocks has enough in each (_identity_blocks)
+        raise ValueError(f"requested {need.sum()} nontargets but only {cross.sum()} pairs exist")
+    i, j = _draw_pairs(left_identity, right_identity, left_sizes, right_sizes, need, cross, rng)
+    return TrialSet.from_columns([a for a, _ in targets] + [left_ids[x] for x in i.tolist()],
+                                 [b for _, b in targets] + [right_ids[x] for x in j.tolist()],
+                                 ["target"] * len(targets) + ["nontarget"] * i.size)
 
 
-def _draw_pairs(left, right, left_sizes, right_sizes, need, cross, rng, skip=None):
+def _draw_pairs(left, right, left_sizes, right_sizes, need, cross, rng):
     """need[b] distinct pairs (i, j) with left[i] != right[j] for each block b,
     drawn uniformly, left then right, from block b's ids: the b-th runs of
-    left_sizes and right_sizes ids. cross[b] counts block b's pairs that qualify,
-    and a pair coded i * len(right) + j in skip does not. Each turn draws every
-    short block's pairs in one ``rng.integers`` call, about 1.1 times what it
-    lacks at its share of qualifying pairs, and keeps each new distinct one in
-    draw order. Returns (i, j), block by block, in draw order within a block."""
+    left_sizes and right_sizes ids. cross[b] counts block b's pairs that
+    qualify. Each turn draws every short block's pairs in one ``rng.integers``
+    call, about 1.1 times what it lacks at its share of qualifying pairs, and
+    keeps each new distinct one in draw order. Returns (i, j), block by block,
+    in draw order within a block."""
     n_right = len(right)
     left_at, right_at = (np.cumsum(sizes) - sizes for sizes in (left_sizes, right_sizes))
     block_of = np.repeat(np.arange(need.size), left_sizes)  # each left id's block
@@ -606,8 +592,6 @@ def _draw_pairs(left, right, left_sizes, right_sizes, need, cross, rng, skip=Non
         i, j = i + left_at[b], j + right_at[b]
         drawn = np.concatenate([drawn, (i * n_right + j)[left[i] != right[j]]])
         drawn = drawn[np.sort(np.unique(drawn, return_index=True)[1])]
-        if skip is not None and skip.size:
-            drawn = drawn[~np.isin(drawn, skip)]
         have = np.bincount(block_of[drawn // n_right], minlength=need.size)
     block = block_of[drawn // n_right]
     order = np.argsort(block, kind="stable")

@@ -201,14 +201,14 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
 
     The list's identities fall into blocks, the connected components of its
     pairs' (voice identity, face identity) graph. Each epoch draws one
-    permutation of the identities and, when there are several blocks, one of
-    the blocks; it orders the pairs by their voice identity's block, then by
-    that identity, keeping list order within an identity, and packs whole
-    blocks into batches of at most batch_size pairs (``_batch_bounds``). A
-    block larger than batch_size is cut into ceil(its pairs / batch_size)
-    batches of near-equal size, so a one-block list is cut as a whole. A batch
-    keeps the list's labels, so it holds about as many nontargets per target
-    as the list (negatives_per_positive).
+    permutation of the identities and one of the blocks (for one block, a
+    permutation that draws no number); it orders the pairs by their voice
+    identity's block, then by that identity, keeping list order within an
+    identity, and packs whole blocks into batches of at most batch_size pairs
+    (``_batch_bounds``). A block larger than batch_size is cut into ceil(its
+    pairs / batch_size) batches of near-equal size, so a one-block list is cut
+    as a whole. A batch keeps the list's labels, so it holds about as many
+    nontargets per target as the list (negatives_per_positive).
     The batch gradient is the mean pair gradient, computed in float32 and
     applied to the float32 weights. Raises ValueError when either trial list is
     unlabeled or lacks targets or nontargets, TrainingError naming a training
@@ -239,10 +239,8 @@ def train(store: EmbeddingStore, train_trials: TrialSet, valid_trials: TrialSet,
     since_best = 0
     for epoch in range(config.max_epochs):
         rank = rng.permutation(names.size)  # identities, then blocks, by their rank
-        blocks = np.zeros(1, dtype=np.int64)
-        if n_components > 1:
-            blocks = rng.permutation(n_components)
-            rank += names.size * blocks[component]
+        blocks = rng.permutation(n_components)  # permutation(1) draws no number
+        rank += names.size * blocks[component]
         order = np.argsort(rank[identity], kind="stable")
         bounds = _batch_bounds(component_pairs[np.argsort(blocks)], config.batch_size)
         n_batches = len(bounds) - 1

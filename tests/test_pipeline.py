@@ -73,6 +73,10 @@ class TestBuildIdentityTrials:
                                             [[1.0], [2.0]])
         with pytest.raises(ValueError, match="^negatives_per_positive must be >= 1$"):
             build_identity_trials(store, npp, 0)
+        store = EmbeddingStore.from_columns(["v0", "f0", "v1", "f1"], ["id0", "id0", "id1", "id1"],
+                                            ["voice", "face"] * 2, [[1.0], [2.0], [3.0], [4.0]])
+        with pytest.raises(ValueError, match="^negatives_per_positive must be >= 1$"):
+            build_crossmodal_trials(store, npp, 0)
 
 
 def test_nontarget_draws_pinned():

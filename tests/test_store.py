@@ -9,8 +9,8 @@ import avsrkit.store
 from avsrkit.store import (EmbeddingRecord, EmbeddingStore, FormatError,
                            ScoreEntry, ScoreSet, Trial, TrialSet,
                            build_crossmodal_trials, load_embeddings,
-                           load_scores, load_trials, sample_nontargets,
-                           save_embeddings, save_scores, save_trials)
+                           load_scores, load_trials, save_embeddings, save_scores,
+                           save_trials)
 from avsrkit.pipeline import build_identity_trials
 
 
@@ -268,24 +268,6 @@ class TestBuildCrossmodalTrials:
             build_crossmodal_trials(store, 1, 0)
 
 
-def test_cross_identity_target_leaves_one_pair_fewer():
-    # two cross-identity pairs, one of them a target: one nontarget is left
-    identity_of = {"v1": "A", "f1": "A", "v2": "B", "f2": "B"}
-    args = [("v1", "f2")], ["v1", "v2"], ["f1", "f2"], identity_of
-    trials = sample_nontargets(*args, 1, np.random.default_rng(0))
-    assert list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist())) == [
-        ("v1", "f2"), ("v2", "f1")]
-    with pytest.raises(ValueError, match=r"^requested 2 nontargets but only 1 pairs exist$"):
-        sample_nontargets(*args, 2, np.random.default_rng(0))
-
-
-def test_repeated_target_named():
-    identity_of = {"v1": "A", "f1": "A", "v2": "B", "f2": "B", "v3": "C", "f3": "C"}
-    with pytest.raises(ValueError, match=r"^target pair \(v1, f1\) given twice$"):
-        sample_nontargets([("v1", "f1"), ("v2", "f2"), ("v1", "f1")], ["v1", "v2", "v3"],
-                          ["f1", "f2", "f3"], identity_of, 1, np.random.default_rng(0))
-
-
 def sample_pair_by_pair(targets, left_ids, right_ids, identity_of, negatives_per_positive,
                         rng):
     """The trials of drawing one (left, right) pair per turn, two scalar draws
@@ -300,57 +282,20 @@ def sample_pair_by_pair(targets, left_ids, right_ids, identity_of, negatives_per
 
 
 @st.composite
-def sampler_inputs(draw):
-    """Targets, left and right ids, identity map and negatives per target that
-    leave enough free cross-identity pairs, from identity-level lists (every id
-    its own identity) and record-level lists (ids grouped by identity); some
-    lists ask for every free pair, some record-level targets cross identities."""
-    n = draw(st.integers(2, 40))
-    if draw(st.booleans()):
-        ids = [f"id{i}" for i in range(n)]
-        left, right, identity_of, targets = ids, ids, {i: i for i in ids}, [(i, i) for i in ids]
-    else:
-        identity_of = {}
-        left, right = [], []
-        for side, name in ((left, "v"), (right, "f")):
-            for i in range(n):
-                for k in range(draw(st.integers(0, 3))):
-                    side.append(f"{name}{i}_{k}")
-                    identity_of[side[-1]] = i
-        pairs = [(a, b) for a in left for b in right]
-        targets = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30, unique=True)
-                       if pairs else st.just([]))
-    n_cross = sum(identity_of[a] != identity_of[b] for a in left for b in right)
-    n_free = n_cross - sum(identity_of[a] != identity_of[b] for a, b in targets)
-    most = n_free // len(targets) if targets else 0
-    assume(most >= 1)
-    npp = draw(st.one_of(st.just(most), st.integers(1, most)))
-    return targets, left, right, identity_of, npp
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(sampler_inputs(), st.integers(0, 2**32))
-def test_block_sampler_matches_pair_by_pair_draws(inputs, seed):
-    targets, left, right, identity_of, npp = inputs
-    trials = sample_nontargets(targets, left, right, identity_of, npp,
-                               np.random.default_rng(seed))
-    expected = sample_pair_by_pair(targets, left, right, identity_of, npp,
-                                   np.random.default_rng(seed))
-    assert list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist())) == expected
-    assert trials.labels == ("target",) * len(targets) + ("nontarget",) * (npp * len(targets))
-
-
-@st.composite
 def block_store_inputs(draw):
     """A store of identities with 0-4 voices and 0-4 faces each (at least one
     record), negatives per target, and a nontarget block size small enough to
     cut most stores into several blocks; the store has enough cross-identity
-    pairs for its nontargets."""
+    pairs for its nontargets. Some stores have their rows permuted, so an
+    identity's records are not contiguous and store order differs from
+    identity order."""
     counts = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
                            min_size=2, max_size=24))
     records = [EmbeddingRecord(f"{m[0]}{i}_{k}", f"id{i:02d}", m, [float(k)])
                for i, (v, f) in enumerate(counts)
                for m, n in (("voice", v), ("face", f)) for k in range(n)]
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
     targets = sum(v * f for v, f in counts)
     cross = sum(v for v, _ in counts) * sum(f for _, f in counts) - targets
     assume(targets >= 1)
@@ -372,7 +317,7 @@ def test_crossmodal_nontargets_drawn_within_identity_blocks(inputs, seed):
         n_voices, n_faces = (np.array([sum(identity[r] == i and m == modality for r, m in
                                            zip(store.record_ids, store.modalities))
                                        for i in names]) for modality in ("voice", "face"))
-        block = dict(zip(names, avsrkit.store._identity_blocks(n_voices, n_faces, npp)[0]))
+        block = dict(zip(names, avsrkit.store._identity_blocks(n_voices, n_faces, npp)))
     pairs = list(zip(trials.enroll_ids.tolist(), trials.test_ids.tolist()))
     n_targets = trials.labels.count("target")
     targets, nontargets = pairs[:n_targets], pairs[n_targets:]
@@ -383,7 +328,7 @@ def test_crossmodal_nontargets_drawn_within_identity_blocks(inputs, seed):
     if (1 + npp) * n_targets > block_pairs and max(block.values()) > 0:
         assert all(block[identity[a]] == block[identity[b]] for a, b in nontargets)
         assert min(Counter(block.values()).values()) >= 2
-    else:  # one block: the pair-by-pair draws over the whole store
+    else:  # one block: the pair-by-pair draws over the whole store, in store order
         left, right = ([r for r, m in zip(store.record_ids, store.modalities) if m == modality]
                        for modality in ("voice", "face"))
         rng = np.random.default_rng(seed)
